@@ -20,7 +20,6 @@ from .errors import (
     DomainError,
     HennebergError,
     PeriodError,
-    QuadratureError,
     StructureError,
 )
 from .geometry import (

@@ -179,8 +179,12 @@ class LaurentPoly:
         if self.lowest < 0 and np.any(z == 0):
             raise DomainError("evaluation at z=0 with negative exponents")
         out = np.zeros_like(z)
-        split = max(0, -self.lowest)
-        pos = self.coeffs[split:]
+        # zero-pad so the coefficients span exponent 0, where the split is
+        lo, hi = min(self.lowest, 0), max(self.highest, 0)
+        coeffs = np.zeros(hi - lo + 1, dtype=complex)
+        coeffs[self.lowest - lo : self.highest - lo + 1] = self.coeffs
+        split = -lo
+        pos = coeffs[split:]
         if len(pos):
             acc = np.full_like(z, pos[-1])
             for c in pos[-2::-1]:
@@ -188,7 +192,7 @@ class LaurentPoly:
             out += acc
         if split > 0:
             w = 1.0 / z
-            neg = self.coeffs[:split][::-1]  # exponents -1, -2, ...
+            neg = coeffs[:split][::-1]  # exponents -1, -2, ...
             acc = np.full_like(z, neg[-1])
             for c in neg[-2::-1]:
                 acc = acc * w + c

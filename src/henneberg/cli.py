@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import sys
 from fractions import Fraction
@@ -43,6 +44,8 @@ from .surfaces import (
 from .weierstrass import WeierstrassData
 
 PERIOD_TOL = 1e-10
+
+log = logging.getLogger(__name__)
 
 
 class CliError(Exception):
@@ -310,7 +313,10 @@ def cmd_bjorling(args) -> int:
         raise CliError("need --cusps N or --astroid")
     m = _closed_form_for_cusps(cusps)
     curve = equator_curve(m)
-    patch = bjorling_solve(curve, quad_order=args.quad_order)
+    if args.quad_order is not None:
+        log.warning("--quad-order is deprecated and ignored: "
+                    "the Björling integral is evaluated in closed form")
+    patch = bjorling_solve(curve)
 
     us = np.linspace(curve.domain[0], curve.domain[1], args.n_u)
     vs = np.linspace(-args.strip, args.strip, args.n_v)
@@ -326,7 +332,8 @@ def cmd_bjorling(args) -> int:
         "closed_form_m": float(m),
         "strip": args.strip,
         "sup_error": sup_err,
-        "quad_order": args.quad_order,
+        # schema-1 field kept for readers; the integral has no quadrature
+        "quad_order": 24 if args.quad_order is None else args.quad_order,
     }
     if args.out:
         spec = SamplingSpec(
@@ -420,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     bjo.add_argument("--curve", choices=["hypocycloid"], default="hypocycloid")
     bjo.add_argument("--cusps", type=int)
     bjo.add_argument("--astroid", action="store_true")
-    bjo.add_argument("--quad-order", dest="quad_order", type=int, default=24)
+    bjo.add_argument("--quad-order", dest="quad_order", type=int,
+                     help="deprecated, ignored")
     bjo.add_argument("--strip", type=float, default=0.05)
     bjo.add_argument("--n-u", dest="n_u", type=int, default=64)
     bjo.add_argument("--n-v", dest="n_v", type=int, default=9)

@@ -21,9 +21,5 @@ class ConvergenceError(HennebergError, RuntimeError):
         self.residual = residual
 
 
-class QuadratureError(HennebergError, RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-
 class StructureError(HennebergError, RuntimeError):
     """A structural expectation (group closure, perfect square, ...) failed."""

@@ -9,9 +9,11 @@ analytic speed, to
 For finite trigonometric sums with rational frequencies every ingredient is
 a Laurent polynomial in E = e^{i w / D}; the analytic speed is the exact
 polynomial square root of gamma' . gamma' (an error is raised when that is
-not a perfect square).  The integral is evaluated by adaptive Gauss-Legendre
-panels along the straight segment from w0, which is legitimate since the
-integrand is entire.
+not a perfect square).  The integral is therefore closed-form, termwise
+D s_k E^k / (i k) for k != 0 and s_0 w for k = 0.  The Gauss map of the
+patch is the ratio g = -i sign s / (x' - i y') with its common factors
+(the cusps, where both vanish) divided out, and the cusps of such a curve
+are the unit-circle roots of x' + i y'.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import LaurentPoly
-from .errors import DomainError, QuadratureError, StructureError
-from .weierstrass import WeierstrassData, form_residues
+from .errors import DomainError, StructureError
+from .weierstrass import WeierstrassData, distinct_count, form_residues, unit_normal
 
 # ---------------------------------------------------------------------------
 # analytic planar curves as finite trigonometric sums
@@ -193,9 +195,37 @@ def _laurent_sqrt(q: LaurentPoly) -> LaurentPoly:
     return root
 
 
-def _gauss_nodes(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+def _laurent_primitive(poly: LaurentPoly, denom: int):
+    """Termwise antiderivative in w of poly(E), E = e^{i w / D}: the Laurent
+    part D c_k E^k / (i k) for k != 0, and the coefficient c_0 of w."""
+    exps = np.arange(poly.lowest, poly.highest + 1)
+    safe = np.where(exps == 0, 1, exps)
+    coeffs = np.where(exps == 0, 0.0, poly.coeffs * denom / (1j * safe))
+    return LaurentPoly(poly.lowest, coeffs), poly.coefficient(0)
+
+
+def _deflate(poly: LaurentPoly, root: complex) -> LaurentPoly:
+    """poly / (E - root), the remainder poly(root) ~ 0 discarded."""
+    quotient, _ = np.polydiv(poly.coeffs[::-1], np.array([1.0, -root]))
+    return LaurentPoly(poly.lowest, quotient[::-1])
+
+
+def _cancel_common_roots(num: LaurentPoly, den: LaurentPoly):
+    """num / den in lowest terms: every root of den at which num vanishes
+    (relative to the size of its terms there) is divided out of both."""
+    for root in np.roots(den.coeffs[::-1]):
+        exps = np.arange(num.lowest, num.highest + 1)
+        size = float(np.abs(num.coeffs) @ np.abs(root) ** exps)
+        if abs(num.evaluate(root)) <= 1e-6 * size:
+            num, den = _deflate(num, root), _deflate(den, root)
+    return num, den
+
+
+def _velocity_laurent(curve: AnalyticPlanarCurve, denom: int):
+    """x(E), y(E) and their w-derivatives x'(E), y'(E)."""
+    x = _terms_to_laurent(curve.x_terms, denom)
+    y = _terms_to_laurent(curve.y_terms, denom)
+    return x, y, _laurent_diff(x, denom), _laurent_diff(y, denom)
 
 
 class BjorlingPatch:
@@ -207,21 +237,15 @@ class BjorlingPatch:
     """
 
     def __init__(self, curve: AnalyticPlanarCurve, w0: float = None,
-                 quad_order: int = 24, normal_sign: int = 1, tol: float = 1e-10):
+                 normal_sign: int = 1):
         if normal_sign not in (1, -1):
             raise DomainError("normal_sign must be +1 or -1")
         self.curve = curve
-        self.quad_order = int(quad_order)
-        self.tol = float(tol)
         self.normal_sign = normal_sign
         denom = curve.common_denominator()
         self.denom = denom
-        self._x = _terms_to_laurent(curve.x_terms, denom)
-        self._y = _terms_to_laurent(curve.y_terms, denom)
-        dx = _laurent_diff(self._x, denom)
-        dy = _laurent_diff(self._y, denom)
-        speed_sq = dx * dx + dy * dy
-        self._speed = _laurent_sqrt(speed_sq)
+        self._x, self._y, dx, dy = _velocity_laurent(curve, denom)
+        self._speed = _laurent_sqrt(dx * dx + dy * dy)
         if w0 is None:
             w0 = self._default_base()
         self.w0 = float(w0)
@@ -232,8 +256,12 @@ class BjorlingPatch:
             raise DomainError(f"base parameter {w0!r} is at or near a cusp")
         if abs(s0 - ref) > abs(s0 + ref):
             self._speed = self._speed.scale(-1.0)
-        self._nodes = _gauss_nodes(self.quad_order)
-        self._nodes2 = _gauss_nodes(2 * self.quad_order)
+        self._primitive, self._drift = _laurent_primitive(self._speed, denom)
+        self._base = self._integral_from_zero(self.w0)
+        # Gauss map g = -i sign s / (x' - i y'); s^2 = (x' + i y')(x' - i y'),
+        # so at a cusp both vanish and the common factor is divided out
+        num, den = _cancel_common_roots(self._speed, dx - dy.scale(1j))
+        self._gauss = (num.scale(-1j * normal_sign), den)
 
     def _max_speed(self) -> float:
         ts = np.linspace(self.curve.domain[0], self.curve.domain[1], 512)
@@ -249,69 +277,39 @@ class BjorlingPatch:
     def _arg(self, w):
         return np.exp(1j * np.asarray(w, dtype=complex) / self.denom)
 
-    def _panel(self, a: complex, b: complex, nodes) -> complex:
-        x, wts = nodes
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        vals = self._speed.evaluate(self._arg(mid + half * x))
-        return half * np.dot(wts, vals)
-
-    def _integrate(self, a: complex, b: complex, depth: int = 0) -> complex:
-        coarse = self._panel(a, b, self._nodes)
-        fine = self._panel(a, b, self._nodes2)
-        if abs(fine - coarse) < self.tol:
-            return fine
-        if depth >= 14:
-            raise QuadratureError(
-                f"quadrature stalled on panel [{a}, {b}]: "
-                f"orders differ by {abs(fine - coarse):.3e}"
-            )
-        mid = (a + b) / 2.0
-        return self._integrate(a, mid, depth + 1) + self._integrate(mid, b, depth + 1)
+    def _integral_from_zero(self, w):
+        return self._primitive.evaluate(self._arg(w)) + self._drift * w
 
     def at(self, u, v=0.0):
-        """Surface point at w = u + i v."""
-        w = complex(u) + 1j * complex(v) if np.isscalar(u) else None
-        if w is None:
-            u = np.asarray(u, dtype=float)
-            v = np.broadcast_to(np.asarray(v, dtype=float), u.shape)
-            pts = np.empty(u.shape + (3,))
-            for idx in np.ndindex(u.shape):
-                pts[idx] = self.at(float(u[idx]), float(v[idx]))
-            return pts
+        """Surface point at w = u + i v; arrays broadcast."""
+        w = np.asarray(u, dtype=float) + 1j * np.asarray(v, dtype=float)
         e = self._arg(w)
-        integral = self._integrate(complex(self.w0), w)
-        return np.array(
-            [
-                float(np.real(self._x.evaluate(e))),
-                float(np.real(self._y.evaluate(e))),
-                self.normal_sign * float(np.imag(integral)),
-            ]
-        )
-
-    def quadrature_value(self, w, order: int) -> complex:
-        """Single-panel quadrature of the speed integral at a given order
-        (no subdivision); exposed for convergence self-checks."""
-        return self._panel(complex(self.w0), complex(w), _gauss_nodes(order))
+        integral = self._integral_from_zero(w) - self._base
+        return np.stack([self._x.evaluate(e).real, self._y.evaluate(e).real,
+                         self.normal_sign * integral.imag], axis=-1)
 
     def surface_map(self):
         from .surfaces import SurfaceMap
 
-        def evaluator(r, theta):
+        def chart(r, theta):
             r = np.asarray(r, dtype=float)
-            theta = np.asarray(theta, dtype=float)
             if np.any(r <= 0):
                 raise DomainError("radius must be positive")
-            return self.at(theta, -np.log(r))
+            return np.asarray(theta, dtype=float), -np.log(r)
 
-        return SurfaceMap("bjorling", evaluator, normal=None, gauss_chart=False)
+        def normal(r, theta):
+            u, v = chart(r, theta)
+            e, (num, den) = self._arg(u + 1j * v), self._gauss
+            return unit_normal(num.evaluate(e) / den.evaluate(e))
+
+        return SurfaceMap("bjorling", lambda r, theta: self.at(*chart(r, theta)), normal)
 
 
 def bjorling_solve(curve: AnalyticPlanarCurve, w0: float = None,
-                   quad_order: int = 24, normal_sign: int = 1,
-                   tol: float = 1e-10) -> BjorlingPatch:
+                   normal_sign: int = 1) -> BjorlingPatch:
     """Solve the Björling problem for a planar trig-sum curve with its
     planar unit normal field."""
-    return BjorlingPatch(curve, w0, quad_order, normal_sign, tol)
+    return BjorlingPatch(curve, w0, normal_sign)
 
 
 # ---------------------------------------------------------------------------
@@ -555,31 +553,37 @@ def cusp_count(curve, n_samples: int = 4096, rel_threshold: float = 1e-8,
                merge_dt: float = 1e-3) -> int:
     """Count the cusps of a closed curve as distinct zero-speed image points.
 
-    ``curve`` is an AnalyticPlanarCurve or a callable t -> point evaluated
-    over one parameter period (default 2 pi for callables).  Local speed
-    minima on a dense sample (>= 2^10 points) are refined by golden section;
-    refined speeds below rel_threshold times the maximum speed mark cusps.
-    Marks closer than merge_dt in parameter are merged, and parameters whose
-    image points coincide count once (closed curves may traverse their image
+    For an AnalyticPlanarCurve the zero-speed parameters are the unit-circle
+    roots of its velocity polynomial, and the sampling options do not apply.
+    ``curve`` may also be a callable t -> point over one 2 pi period: local
+    minima of its central-difference speed on a dense sample (>= 2^10
+    points) are refined by golden section, refined speeds below
+    rel_threshold times the maximum speed mark cusps, and marks closer than
+    merge_dt in parameter are merged.  Either way, parameters whose image
+    points coincide count once (closed curves may traverse their image
     several times).
     """
     if isinstance(curve, AnalyticPlanarCurve):
-        t0, t1 = curve.domain
-        point = curve.point
+        # on the unit circle |x' + i y'|^2 is the squared speed; a root E
+        # there is the parameter t = D arg E, so the whole period 2 pi D is
+        # covered.  Simple roots come out to ~1e-15, double ones to ~1e-8.
+        denom = curve.common_denominator()
+        _, _, dx, dy = _velocity_laurent(curve, denom)
+        velocity = dx + dy.scale(1j)
+        if velocity.is_zero:
+            raise DomainError("curve is degenerate (zero speed everywhere)")
+        roots = np.roots(velocity.coeffs[::-1])
+        on_circle = roots[np.abs(np.abs(roots) - 1.0) < 1e-6]
+        return distinct_count(curve.point(denom * np.angle(on_circle)), 1e-6)
 
-        def speed(t):
-            return float(curve.speed(t))
+    t0, t1 = 0.0, 2 * math.pi
+    # step small enough that the cubic term at a cusp (~|gamma'''| h^2)
+    # stays below the detection threshold, large enough to beat roundoff
+    h = (t1 - t0) / n_samples / 64.0
 
-    else:
-        t0, t1 = 0.0, 2 * math.pi
-        point = curve
-        # step small enough that the cubic term at a cusp (~|gamma'''| h^2)
-        # stays below the detection threshold, large enough to beat roundoff
-        h = (t1 - t0) / n_samples / 64.0
-
-        def speed(t):
-            return float(np.linalg.norm(np.asarray(point(t + h)) -
-                                        np.asarray(point(t - h))) / (2 * h))
+    def speed(t):
+        return float(np.linalg.norm(np.asarray(curve(t + h)) -
+                                    np.asarray(curve(t - h))) / (2 * h))
 
     n_samples = max(n_samples, 1024)
     ts = np.linspace(t0, t1, n_samples, endpoint=False)
@@ -604,13 +608,4 @@ def cusp_count(curve, n_samples: int = 4096, rel_threshold: float = 1e-8,
         merged.append(t)
     if len(merged) > 1 and (merged[0] + period - merged[-1]) < merge_dt:
         merged.pop()
-
-    images = [np.asarray(point(t), dtype=float) for t in merged]
-    if not images:
-        return 0
-    scale = max(1.0, max(float(np.abs(p).max()) for p in images))
-    distinct: list[np.ndarray] = []
-    for img in images:
-        if all(np.abs(img - other).max() > 1e-6 * scale for other in distinct):
-            distinct.append(img)
-    return len(distinct)
+    return distinct_count([np.asarray(curve(t), dtype=float) for t in merged], 1e-6)

@@ -95,16 +95,6 @@ class Mesh:
         return self
 
 
-def _fd_normals(smap: SurfaceMap, rr, tt):
-    h = 1e-6
-    xu = (smap(rr * (1 + h), tt) - smap(rr * (1 - h), tt)) / (2 * h * rr[..., None])
-    xv = (smap(rr, tt + h) - smap(rr, tt - h)) / (2 * h)
-    n = np.cross(xu, xv)
-    norm = np.linalg.norm(n, axis=-1, keepdims=True)
-    norm[norm == 0] = 1.0
-    return n / norm
-
-
 def build_mesh(smap: SurfaceMap, spec: SamplingSpec = SamplingSpec()) -> Mesh:
     """Sample the surface on the grid and triangulate.
 
@@ -117,8 +107,6 @@ def build_mesh(smap: SurfaceMap, spec: SamplingSpec = SamplingSpec()) -> Mesh:
     rr, tt = np.meshgrid(radii, thetas, indexing="ij")
     pts = smap(rr, tt)
     nrm = smap.normal_at(rr, tt)
-    if nrm is None:
-        nrm = _fd_normals(smap, rr, tt)
     nrm = nrm / np.linalg.norm(nrm, axis=-1, keepdims=True)
 
     n_r, n_t = rr.shape

@@ -238,18 +238,16 @@ def hypocycloid_point(h: Hypocycloid, t):
 
 @dataclass(frozen=True)
 class SurfaceMap:
-    """An evaluatable surface patch (r, theta) -> R^3 with an optional
-    normal field.
+    """An evaluatable surface patch (r, theta) -> R^3 with its unit normal.
 
-    ``gauss_chart`` marks maps whose (r, theta) is the Weierstrass chart
-    with Gauss map z, in which case the exact stereographic normal applies;
-    otherwise callers fall back to finite-difference normals.
+    ``normal`` is an exact normal field (r, theta) -> R^3; without one,
+    (r, theta) is the Weierstrass chart with Gauss map g(z) = z and the
+    stereographic normal of z = r e^{i theta} applies.
     """
 
     name: str
     evaluator: Callable
     normal: Callable = None
-    gauss_chart: bool = True
 
     def __call__(self, r, theta):
         return self.evaluator(r, theta)
@@ -257,8 +255,6 @@ class SurfaceMap:
     def normal_at(self, r, theta):
         if self.normal is not None:
             return self.normal(r, theta)
-        if not self.gauss_chart:
-            return None
         z = np.asarray(r, dtype=float) * np.exp(1j * np.asarray(theta, dtype=float))
         return unit_normal(z)
 

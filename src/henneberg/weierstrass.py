@@ -187,6 +187,18 @@ def unit_normal(z):
     )
 
 
+def distinct_count(points, rel_tol: float) -> int:
+    """Number of distinct points, greedily merging any point within rel_tol
+    (max-norm, relative to max(1, largest coordinate)) of one kept earlier."""
+    points = np.asarray(points, dtype=float)
+    tol = rel_tol * max(1.0, float(np.abs(points).max(initial=0.0)))
+    kept: list[np.ndarray] = []
+    for p in points:
+        if all(np.abs(p - q).max() > tol for q in kept):
+            kept.append(p)
+    return len(kept)
+
+
 @dataclass(frozen=True)
 class StabilityReport:
     """Structural stability check for g(z) = z data.
@@ -219,11 +231,6 @@ def stability_report(data: WeierstrassData, base=None, dedup_tol=1e-8) -> Stabil
     imm = Immersion(data, base)  # raises PeriodError on unsolved data
     points = tuple(data.config.branch_values())
     images = imm(np.array(points))
-    scale = max(1.0, float(np.abs(images).max()))
-    distinct: list[np.ndarray] = []
-    for img in images:
-        if all(np.abs(img - other).max() > dedup_tol * scale for other in distinct):
-            distinct.append(img)
     ok = osr < 1e-8
     return StabilityReport(
         one_sided_residual=osr,
@@ -231,5 +238,5 @@ def stability_report(data: WeierstrassData, base=None, dedup_tol=1e-8) -> Stabil
         stable=ok,
         branch_points=points,
         branch_images=images,
-        distinct_image_count=len(distinct),
+        distinct_image_count=distinct_count(images, dedup_tol),
     )

@@ -55,6 +55,15 @@ class TestLaurentPoly:
         p = LaurentPoly.from_dict({-1: 1.0})
         assert p.evaluate(2.0) == 0.5
 
+    @given(st.integers(-6, 6), st.integers(1, 4))
+    def test_evaluate_any_exponent_range(self, lowest, n):
+        # ranges that do not span exponent 0, like z^2 + z^3 or z^-3
+        coeffs = np.arange(1, n + 1) * (1 - 0.5j)
+        p = LaurentPoly(lowest, coeffs)
+        z = 1.3 * np.exp(0.4j)
+        want = sum(c * z ** (lowest + k) for k, c in enumerate(coeffs))
+        assert abs(p.evaluate(z) - want) < 1e-13 * abs(want)
+
     def test_evaluate_zero_with_negative_exponent_raises(self):
         p = LaurentPoly.from_dict({-1: 1.0})
         with pytest.raises(DomainError):

@@ -1,10 +1,11 @@
 import json
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from henneberg import read_obj
+from henneberg import read_obj, read_ply
 from henneberg.cli import main
 
 
@@ -208,6 +209,39 @@ class TestBjorling:
         )
         assert code == 0
         assert out.exists()
+
+    @pytest.mark.parametrize("fmt", ["obj", "ply"])
+    @pytest.mark.parametrize("target", [str(n) for n in range(3, 13)] + ["astroid"])
+    def test_mesh_normals_finite_and_unit(self, capsys, tmp_path, target, fmt):
+        # the default 64x9 grid puts vertices on cusps (6 cusps: theta = 0,
+        # 4 pi/3, ... at r = 1), where the normal needs the exact Gauss map
+        out = tmp_path / f"b.{fmt}"
+        argv = ["--astroid"] if target == "astroid" else ["--cusps", target]
+        code, stdout, _ = run(capsys, "bjorling", *argv, "--out", str(out))
+        assert code == 0
+        assert json.loads(stdout)["sup_error"] < 1e-6
+        mesh = (read_obj if fmt == "obj" else read_ply)(out)
+        assert len(mesh.vertices) == 64 * 9
+        assert np.all(np.isfinite(mesh.normals))
+        assert np.abs(np.linalg.norm(mesh.normals, axis=1) - 1.0).max() < 1e-12
+
+    def test_quad_order_is_deprecated(self, capsys, caplog):
+        with caplog.at_level(logging.WARNING, logger="henneberg"):
+            code, stdout, _ = run(capsys, "bjorling", "--cusps", "3",
+                                    "--n-u", "16", "--n-v", "3", "--quad-order", "8")
+        assert code == 0
+        rep = json.loads(stdout)
+        assert rep["quad_order"] == 8 and rep["sup_error"] < 1e-6
+        [record] = caplog.records
+        assert record.name.startswith("henneberg") and record.levelno == logging.WARNING
+        assert "deprecated" in record.getMessage()
+
+    def test_quad_order_default_is_silent(self, capsys, caplog):
+        with caplog.at_level(logging.WARNING, logger="henneberg"):
+            code, stdout, _ = run(capsys, "bjorling", "--cusps", "3", "--n-u", "16", "--n-v", "3")
+        assert code == 0
+        assert json.loads(stdout)["quad_order"] == 24
+        assert not caplog.records
 
 
 class TestGenerateSelectors:

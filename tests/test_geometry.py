@@ -3,13 +3,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from henneberg import (
+    AnalyticPlanarCurve,
     DomainError,
     ParameterMap,
     RigidMotion,
+    SamplingSpec,
+    TrigTerm,
     astroid_curve,
     bjorling_solve,
+    build_mesh,
     circle_curve,
     cusp_count,
     enumerate_isometries,
@@ -22,8 +28,37 @@ from henneberg import (
     integrate_forms,
     surface_h1,
     symmetric_example,
+    unit_normal,
     verify_isometry,
 )
+
+
+def limacon_curve(eps=0.3):
+    """x' + i y' = E (1 + eps E)^2 with E = e^{it}: the speed |1 + eps E|^2
+    has no zero, and the Gauss map E (1 + eps E) / (1 + eps / E) is rational,
+    not Laurent."""
+    amps = (1.0, eps, eps * eps / 3)
+    x = tuple(TrigTerm(a, Fraction(j), -math.pi / 2) for j, a in enumerate(amps, 1))
+    y = tuple(TrigTerm(a, Fraction(j), math.pi) for j, a in enumerate(amps, 1))
+    return AnalyticPlanarCurve(x, y)
+
+
+def leggauss_integral(patch, w, order):
+    """Independent reference: Gauss-Legendre rule of the given order for
+    the speed integral along the segment from the patch base to w."""
+    x, wts = np.polynomial.legendre.leggauss(order)
+    a, b = complex(patch.w0), complex(w)
+    nodes = (a + b) / 2 + (b - a) / 2 * x
+    speed = patch._speed.evaluate(np.exp(1j * nodes / patch.denom))
+    return (b - a) / 2 * np.dot(wts, speed)
+
+
+def fd_normals(smap, r, theta, h=1e-6):
+    """Central-difference normals X_r x X_theta of a surface map."""
+    xr = (smap(r * (1 + h), theta) - smap(r * (1 - h), theta)) / (2 * h * r[..., None])
+    xt = (smap(r, theta + h) - smap(r, theta - h)) / (2 * h)
+    n = np.cross(xr, xt)
+    return n / np.linalg.norm(n, axis=-1, keepdims=True), np.linalg.norm(n, axis=-1)
 
 
 class TestCurves:
@@ -87,11 +122,16 @@ class TestBjorling:
             assert abs(math.hypot(p[0], p[1]) - math.cosh(p[2])) < 1e-8
 
     def test_quadrature_orders_agree(self):
-        patch = bjorling_solve(circle_curve())
-        w = 0.7 + 0.4j
-        a = patch.quadrature_value(w, 24)
-        b = patch.quadrature_value(w, 48)
-        assert abs(a - b) < 1e-10
+        # the closed-form integral against Gauss-Legendre at two orders
+        for curve in (circle_curve(), equator_curve(2), equator_curve(Fraction(1, 2))):
+            patch = bjorling_solve(curve)
+            for w in (0.7 + 0.4j, 2.0 - 0.3j, 3.9 + 0.05j, patch.w0 + 1.1 - 0.45j):
+                ref48 = leggauss_integral(patch, w, 48)
+                ref96 = leggauss_integral(patch, w, 96)
+                assert abs(ref48 - ref96) < 1e-12
+                got = patch.at(w.real, w.imag)
+                assert abs(got[2] - patch.normal_sign * ref96.imag) < 1e-12
+                assert np.abs(got[:2] - curve.point(w).real).max() < 1e-12
 
     def test_base_at_cusp_rejected(self):
         with pytest.raises(DomainError):
@@ -104,7 +144,45 @@ class TestBjorling:
         q = patch.at(1.0, 0.02)
         assert np.abs(np.asarray(p) - q).max() < 1e-12
 
+    def test_arrays_broadcast(self):
+        patch = bjorling_solve(equator_curve(2))
+        us = np.linspace(0.0, 6.0, 7)
+        grid = patch.at(us[None, :], np.array([[-0.1], [0.0], [0.2]]))
+        assert grid.shape == (3, 7, 3)
+        assert np.abs(grid[2, 4] - patch.at(us[4], 0.2)).max() < 1e-15
 
+
+class TestBjorlingNormals:
+    def test_cusp_vertex_normal_is_stereographic(self):
+        # the Gauss map of the m = 2 patch is z = r e^{i theta}; at a cusp
+        # s and x' - i y' both vanish and the ratio must still be exact
+        curve = equator_curve(2)
+        spec = SamplingSpec(r_min=math.exp(-0.05), r_max=math.exp(0.05),
+                            n_r=9, n_theta=64, wrap=False)
+        mesh = build_mesh(bjorling_solve(curve).surface_map(), spec)
+        rr, tt = np.meshgrid(spec.radii, spec.thetas, indexing="ij")
+        cusp = (rr == 1.0) & (curve.speed(tt) < 1e-12)
+        assert cusp.sum() == 4  # theta = 0, 2 pi/3, 4 pi/3, 2 pi
+        want = unit_normal(rr * np.exp(1j * tt)).reshape(-1, 3)
+        assert np.abs(mesh.normals - want)[cusp.ravel()].max() < 1e-12
+        assert np.abs(mesh.normals - want).max() < 1e-12
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize(
+        "curve", [circle_curve(), equator_curve(2), equator_curve(Fraction(1, 2)),
+                  limacon_curve()],
+        ids=["circle", "m=2", "m=1/2", "limacon"],
+    )
+    def test_match_central_differences(self, curve, sign):
+        smap = bjorling_solve(curve, normal_sign=sign).surface_map()
+        r, theta = np.meshgrid(np.exp(np.linspace(-0.3, 0.3, 7)),
+                               np.linspace(0.01, curve.period - 0.01, 41), indexing="ij")
+        ref, size = fd_normals(smap, r, theta)
+        regular = size > 1e-3 * size.max()  # away from the cusps
+        assert regular.mean() > 0.9
+        got = smap.normal_at(r, theta)
+        assert np.abs(np.linalg.norm(got, axis=-1) - 1.0).max() < 1e-14
+        assert np.sum(got * ref, axis=-1)[regular].min() >= 1 - 1e-9
 class TestRigidMotion:
     def test_fit_recovers_improper_motion(self, rng):
         pts = rng.normal(size=(60, 3))
@@ -210,6 +288,21 @@ class TestCusps:
 
     def test_smooth_curve_has_none(self):
         assert cusp_count(circle_curve()) == 0
+        assert cusp_count(limacon_curve()) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.integers(1, 16).map(Fraction),
+                     st.integers(1, 8).map(lambda k: Fraction(1, 2 * k))))
+    def test_documented_domain(self, q):
+        # m+1 cusps for even m, 2m+2 for odd m, 4k+2 for m = 1/(2k)
+        if q.denominator > 1:
+            want = 2 * q.denominator + 2
+        else:
+            want = int(q) + 1 if q % 2 == 0 else 2 * int(q) + 2
+        assert cusp_count(equator_curve(q)) == want
+
+    def test_callable_sampling_path(self):
+        assert cusp_count(equator_curve(3).point) == 8
 
 
 class TestDiagonalRotations:

@@ -253,6 +253,17 @@ class TestStability:
         x3 = sorted(abs(img[2]) for img in rep.branch_images)
         assert abs(x3[-1] - 2 / (m + 1)) < 1e-12
 
+    def test_distinct_count_merges_relative_to_scale(self):
+        from henneberg.weierstrass import distinct_count
+
+        pts = np.array([[0.0, 0.0], [5e-9, 0.0], [1.0, 0.0], [1.0, 3e-8]])
+        assert distinct_count(pts, 1e-8) == 3
+        assert distinct_count(pts, 1e-7) == 2
+        # the tolerance is relative to max(1, largest coordinate)
+        assert distinct_count([[0.0, 0.0], [5e-7, 0.0]], 1e-8) == 2
+        assert distinct_count([[0.0, 0.0], [5e-7, 0.0], [100.0, 0.0]], 1e-8) == 2
+        assert distinct_count(np.empty((0, 3)), 1e-8) == 0
+
     @pytest.mark.parametrize("m", [2, 4, 6])
     def test_even_m_image_count(self, m):
         rep = stability_report(symmetric_example(m))
