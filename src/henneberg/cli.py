@@ -21,6 +21,7 @@ from .geometry import bjorling_solve, equator_curve
 from .meshing import SamplingSpec, build_mesh, write_obj, write_ply
 from .period import (
     ModuliPoint,
+    _radial_bounds,
     brute_search_m1,
     continue_from,
     family_theta2,
@@ -236,8 +237,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search_m1(args) -> int:
+    if (args.r_lo is None) != (args.r_hi is None):
+        raise CliError("--r-lo and --r-hi must be given together")
+    span = args.span if args.r_lo is None else (args.r_lo, args.r_hi)
+    r_lo, r_hi = _radial_bounds(span)
     hits = brute_search_m1(
-        span=(args.r_lo, args.r_hi) if args.r_lo else args.span,
+        span=span,
         n_radial=args.n_radial,
         n_angular=args.n_angular,
         refine_steps=args.refine_steps,
@@ -248,6 +253,8 @@ def cmd_search_m1(args) -> int:
             "span": args.span,
             "n_radial": args.n_radial,
             "n_angular": args.n_angular,
+            "r_lo": r_lo,
+            "r_hi": r_hi,
         },
         "minimizers": [
             {

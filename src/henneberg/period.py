@@ -17,6 +17,7 @@ condition fixing beta.
 from __future__ import annotations
 
 import cmath
+import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -41,14 +42,19 @@ F_DOMAIN_EDGE = 0.5 * math.atan2(math.sqrt(32.0 * math.sqrt(10.0) + 95.0), 9.0)
 
 _SQRT2 = math.sqrt(2.0)
 
+log = logging.getLogger(__name__)
+
 
 def _thread_count() -> int:
+    """Radial chunks per grid search, each scanned on its own thread:
+    ``HF_THREADS`` if it is an integer (at least 1), else min(8, cpu count).
+    Reads the environment on every call."""
     env = os.environ.get("HF_THREADS")
     if env:
         try:
             return max(1, int(env))
         except ValueError:
-            pass
+            log.warning("ignoring HF_THREADS=%r: not an integer", env)
     return min(8, os.cpu_count() or 1)
 
 
@@ -96,15 +102,27 @@ def m1_residual(r1, r2, theta2, beta):
 
     Vanishes exactly when the list (e^{i beta}, r1, r2 e^{i theta2}) solves
     the one-sided period problem.  Accepts scalars or broadcasting arrays.
+
+    With phi = beta + theta2 and g = radial_gap(r), the squared norm of
+    _m1_vector, |horizontal|^2 + Im(vertical)^2 + |phase|^2, equals
+
+        sin^2 phi [4 (g1^2 + g2^2 + 2 g1 g2 cos theta2)
+                   + (2 cos theta2 - g1 g2)^2] + 4 cos^2 phi,
+
+    evaluated in real arithmetic.  The bracket depends on (r1, r2, theta2)
+    and phi on (theta2, beta), so on a grid only the last multiply-add has
+    the full broadcast shape.
     """
     g1 = radial_gap(np.asarray(r1, dtype=float))
     g2 = radial_gap(np.asarray(r2, dtype=float))
     t2 = np.asarray(theta2, dtype=float)
-    b = np.asarray(beta, dtype=float)
-    horizontal = -2j * (g1 * np.exp(-1j * t2) + g2) * np.sin(b + t2)
-    vertical = -(2.0 * np.cos(t2) - g1 * g2) * np.exp(1j * (b + t2))
-    phase = np.exp(2j * (b + t2)) + 1.0
-    return np.abs(horizontal) ** 2 + np.imag(vertical) ** 2 + np.abs(phase) ** 2
+    phi = t2 + np.asarray(beta, dtype=float)
+    c2 = np.cos(t2)
+    g12 = g1 * g2
+    bracket = 4.0 * (g1 * g1 + g2 * g2 + 2.0 * g12 * c2) + (2.0 * c2 - g12) ** 2
+    out = np.sin(phi) ** 2 * bracket
+    out += 4.0 * np.cos(phi) ** 2
+    return out
 
 
 def _m1_vector(x):
@@ -194,6 +212,74 @@ def _angular_dist(a, b):
     return min(d, 2 * math.pi - d)
 
 
+def _radial_bounds(span):
+    """The radial search interval (lo, hi): [1/span, span] for a number, or
+    an explicit (lo, hi) pair.  DomainError unless 0 < lo < hi < inf."""
+    if isinstance(span, tuple):
+        lo, hi = (float(v) for v in span)
+        if not 0.0 < lo < hi < math.inf:
+            raise DomainError(
+                f"radial bounds must satisfy 0 < lo < hi, got ({lo!r}, {hi!r})"
+            )
+        return lo, hi
+    if not 1.0 < span < math.inf:
+        raise DomainError(f"span must be a finite number > 1, got {span!r}")
+    return 1.0 / span, float(span)
+
+
+def _slab_minima(prev, cur, nxt, threshold):
+    """Indices (j, k, l) of the points of the radial slab ``cur`` that lie
+    below ``threshold`` and are <= both neighbours on every axis.
+
+    ``prev`` and ``nxt`` are the adjacent radial slabs; at a radial edge pass
+    ``cur`` itself.  The second radial axis is clamped, so an edge point is
+    compared with itself, which is the same as padding with +inf.  The two
+    angular axes wrap.  Only the points below ``threshold`` are tested.
+    """
+    j, k, l = np.unravel_index(np.flatnonzero(cur < threshold), cur.shape)
+    v = cur[j, k, l]
+    n_j, n_k, n_l = cur.shape
+    keep = (v <= prev[j, k, l]) & (v <= nxt[j, k, l])
+    keep &= v <= cur[np.maximum(j - 1, 0), k, l]
+    keep &= v <= cur[np.minimum(j + 1, n_j - 1), k, l]
+    keep &= v <= cur[j, k - 1, l]
+    keep &= v <= cur[j, (k + 1) % n_k, l]
+    keep &= v <= cur[j, k, l - 1]
+    keep &= v <= cur[j, k, (l + 1) % n_l]
+    return j[keep], k[keep], l[keep]
+
+
+def _grid_minima(slab, n_radial, threshold, chunks=1):
+    """Grid-local minima below ``threshold`` of a 4-D grid given one radial
+    slab at a time: ``slab(i)`` returns the 3-D grid at radial index i.
+
+    The radial range is cut into ``chunks`` contiguous pieces, scanned on a
+    thread pool when there is more than one.  Each piece recomputes the slab
+    just outside it on either side and keeps at most three slabs alive.
+    Returns an (n, 4) array of indices (i, j, k, l) in lexicographic order.
+    """
+    cuts = [n_radial * c // chunks for c in range(chunks + 1)]
+
+    def scan(c):
+        lo, hi = cuts[c], cuts[c + 1]
+        cur = slab(lo)
+        prev = slab(lo - 1) if lo > 0 else cur
+        found = []
+        for i in range(lo, hi):
+            nxt = slab(i + 1) if i + 1 < n_radial else cur
+            j, k, l = _slab_minima(prev, cur, nxt, threshold)
+            found.append(np.column_stack((np.full_like(j, i), j, k, l)))
+            prev, cur = cur, nxt
+        return found
+
+    if chunks > 1:
+        with ThreadPoolExecutor(max_workers=chunks) as pool:
+            parts = list(pool.map(scan, range(chunks)))
+    else:
+        parts = [scan(0)]
+    return np.concatenate([rows for part in parts for rows in part])
+
+
 def brute_search_m1(
     span: float = 4.0,
     n_radial: int = 33,
@@ -213,47 +299,33 @@ def brute_search_m1(
     constant residual are skipped).  Refinement stays inside the radial
     search box.  Hits below ``residual_tol`` are merged when closer than
     ``cluster_tol`` in parameter space and returned sorted by parameters.
+
+    The 4-D residual grid is never stored: it is evaluated one radial slab
+    of shape (n_radial, n_angular, n_angular) at a time, so memory is
+    O(n_radial * n_angular^2) per radial chunk.  ``HF_THREADS`` (see
+    _thread_count) sets the number of radial chunks, at most n_radial.
     """
-    if isinstance(span, tuple):
-        r_lo, r_hi = span
-    else:
-        r_lo, r_hi = 1.0 / span, span
+    r_lo, r_hi = _radial_bounds(span)
+    if n_radial < 1 or n_angular < 1:
+        raise DomainError(
+            f"grid sizes must be at least 1, got n_radial={n_radial!r}, "
+            f"n_angular={n_angular!r}"
+        )
+    if refine_steps < 0:
+        raise DomainError(f"refine_steps must be >= 0, got {refine_steps!r}")
     rs = np.exp(np.linspace(math.log(r_lo), math.log(r_hi), n_radial))
     angles = np.linspace(0.0, 2 * math.pi, n_angular, endpoint=False)
 
-    res = np.empty((n_radial, n_radial, n_angular, n_angular))
-    workers = _thread_count()
+    def slab(i):
+        return m1_residual(rs[i], rs[:, None, None], angles[:, None], angles)
 
-    def fill(i):
-        res[i] = m1_residual(
-            rs[i], rs[:, None, None], angles[None, :, None], angles[None, None, :]
-        )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(n_radial)))
-    else:
-        for i in range(n_radial):
-            fill(i)
-
-    # grid-local minima: <= both neighbors on every axis (radial edges padded)
-    is_min = np.ones_like(res, dtype=bool)
-    big = np.inf
-    for axis in (0, 1):
-        padded = np.concatenate(
-            [np.full_like(np.take(res, [0], axis=axis), big), res,
-             np.full_like(np.take(res, [0], axis=axis), big)], axis=axis)
-        fwd = np.take(padded, range(2, padded.shape[axis]), axis=axis)
-        bwd = np.take(padded, range(0, padded.shape[axis] - 2), axis=axis)
-        is_min &= (res <= fwd) & (res <= bwd)
-    for axis in (2, 3):
-        is_min &= (res <= np.roll(res, 1, axis=axis)) & (
-            res <= np.roll(res, -1, axis=axis)
-        )
+    minima = _grid_minima(
+        slab, n_radial, refine_threshold, min(_thread_count(), n_radial)
+    )
 
     bounds = (0.9 * r_lo, 1.1 * r_hi)
     hits = []
-    for i, j, k, l in zip(*np.nonzero(is_min & (res < refine_threshold))):
+    for i, j, k, l in minima:
         x0 = np.array([rs[i], rs[j], angles[k], angles[l]])
         x, norm = _gauss_newton(_m1_vector, x0, steps=refine_steps, r_bounds=bounds)
         value = norm * norm

@@ -166,6 +166,46 @@ class TestSearch:
         assert code == 0
         assert json.loads(stdout)["minimizers"] == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n-radial", "0"],
+            ["--n-radial", "-3"],
+            ["--n-angular", "0"],
+            ["--refine-steps", "-1"],
+            ["--span", "0"],
+            ["--span", "-2"],
+            ["--span", "1"],
+            ["--span", "nan"],
+            ["--r-lo", "0", "--r-hi", "2"],
+            ["--r-lo", "3", "--r-hi", "2"],
+            ["--r-hi", "2"],
+            ["--r-lo", "0.5"],
+        ],
+    )
+    def test_bad_input_exits_2(self, capsys, argv):
+        code, stdout, err = run(capsys, "search-m1", *argv)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, bounds",
+        [
+            ([], (0.25, 4.0)),
+            (["--span", "2"], (0.5, 2.0)),
+            (["--r-lo", "1.5", "--r-hi", "3.0"], (1.5, 3.0)),
+        ],
+    )
+    def test_grid_reports_searched_bounds(self, capsys, argv, bounds):
+        code, stdout, _ = run(
+            capsys, "search-m1", "--n-radial", "5", "--n-angular", "8", *argv
+        )
+        assert code == 0
+        grid = json.loads(stdout)["grid"]
+        assert (grid["r_lo"], grid["r_hi"]) == bounds
+        assert set(grid) == {"span", "n_radial", "n_angular", "r_lo", "r_hi"}
+
 
 class TestContinue:
     def test_fixed_point(self, capsys):

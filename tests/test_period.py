@@ -1,4 +1,8 @@
+import logging
 import math
+import os
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -25,6 +29,8 @@ from henneberg import (
     symmetric_example,
     vertical_residual_m2,
 )
+from henneberg import period
+from henneberg.period import _grid_minima
 
 H2_FAMILY_GAUGE = ModuliPoint(1.0, 1.0, 1.0, math.pi / 3, -math.pi / 3, math.pi / 2)
 
@@ -66,6 +72,22 @@ class TestM1Residual:
         for beta in np.linspace(0, 2 * np.pi, 16, endpoint=False):
             assert m1_residual(2.0, 2.0, math.pi, beta) > 1e-4
 
+    def test_real_form_matches_complex_form_on_grid(self):
+        # the complex components, squared and summed, as a reference; the
+        # real closed form reorders the arithmetic, so allow a few ulp
+        rs = np.exp(np.linspace(math.log(0.1), math.log(10.0), 9))
+        angles = np.linspace(0.0, 2 * math.pi, 24, endpoint=False)
+        r1, r2 = rs[:, None, None, None], rs[None, :, None, None]
+        t2, b = angles[None, None, :, None], angles[None, None, None, :]
+        g1, g2 = radial_gap(r1), radial_gap(r2)
+        horizontal = -2j * (g1 * np.exp(-1j * t2) + g2) * np.sin(b + t2)
+        vertical = -(2.0 * np.cos(t2) - g1 * g2) * np.exp(1j * (b + t2))
+        phase = np.exp(2j * (b + t2)) + 1.0
+        want = np.abs(horizontal) ** 2 + vertical.imag**2 + np.abs(phase) ** 2
+        got = m1_residual(r1, r2, t2, b)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-30)
+
 
 class TestBruteSearch:
     def test_default_grid_finds_only_henneberg(self):
@@ -87,6 +109,228 @@ class TestBruteSearch:
         angles = np.linspace(0, 2 * np.pi, 48, endpoint=False)
         assert any(abs(a - math.pi / 2) < 1e-15 for a in angles)
         assert m1_residual(1.0, 1.0, math.pi / 2, 0.0) < 1e-30
+
+
+def _dense_minima(res, threshold):
+    """Reference: the grid-local minima below ``threshold`` from a dense 4-D
+    mask built with padded and rolled copies of the whole grid, as
+    (i, j, k, l) rows in lexicographic order."""
+    is_min = np.ones_like(res, dtype=bool)
+    for axis in (0, 1):
+        pad = np.full_like(np.take(res, [0], axis=axis), np.inf)
+        padded = np.concatenate([pad, res, pad], axis=axis)
+        fwd = np.take(padded, range(2, padded.shape[axis]), axis=axis)
+        bwd = np.take(padded, range(0, padded.shape[axis] - 2), axis=axis)
+        is_min &= (res <= fwd) & (res <= bwd)
+    for axis in (2, 3):
+        is_min &= (res <= np.roll(res, 1, axis=axis)) & (
+            res <= np.roll(res, -1, axis=axis)
+        )
+    return np.argwhere(is_min & (res < threshold))
+
+
+def _search_grid(span, n_radial, n_angular):
+    lo, hi = span
+    rs = np.exp(np.linspace(math.log(lo), math.log(hi), n_radial))
+    angles = np.linspace(0.0, 2 * math.pi, n_angular, endpoint=False)
+    return m1_residual(
+        rs[:, None, None, None], rs[None, :, None, None],
+        angles[None, None, :, None], angles[None, None, None, :],
+    )
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Replace the search's thread pool by a serial map; returns the list of
+    pool sizes requested, so no real thread is started."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(period, "ThreadPoolExecutor", SerialPool)
+    return sizes
+
+
+class TestStreamedMinima:
+    """The slab-streamed minima equal the dense 4-D mask on the same values."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        n_radial=st.integers(1, 9),
+        n_angular=st.integers(1, 12),
+        lo=st.floats(0.1, 1.5),
+        width=st.floats(1.01, 20.0),
+        threshold=st.sampled_from([0.05, 0.5, 1.0, 2.0, 4.0, 4.5, 20.0, np.inf]),
+        chunk_frac=st.floats(0.0, 1.0),
+    )
+    def test_residual_grids(self, n_radial, n_angular, lo, width, threshold,
+                            chunk_frac):
+        res = _search_grid((lo, lo * width), n_radial, n_angular)
+        chunks = 1 + int(chunk_frac * (n_radial - 1))
+        got = _grid_minima(lambda i: res[i], n_radial, threshold, chunks)
+        np.testing.assert_array_equal(got, _dense_minima(res, threshold))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        shape=st.tuples(st.integers(1, 9), st.integers(1, 12), st.integers(1, 12)),
+        seed=st.integers(0, 2**32 - 1),
+        threshold=st.sampled_from([0.5, 1.5, 2.5, 3.5]),
+        chunk_frac=st.floats(0.0, 1.0),
+    )
+    def test_tied_values(self, shape, seed, threshold, chunk_frac):
+        # small integers make ties between neighbours common
+        n_radial, n_j, n_k = shape
+        rng = np.random.default_rng(seed)
+        res = rng.integers(0, 4, (n_radial, n_radial, n_j, n_k)).astype(float)
+        chunks = 1 + int(chunk_frac * (n_radial - 1))
+        got = _grid_minima(lambda i: res[i], n_radial, threshold, chunks)
+        np.testing.assert_array_equal(got, _dense_minima(res, threshold))
+
+    @pytest.mark.parametrize("chunks, want", [
+        (1, [0, 1, 2, 3, 4, 5]),
+        (3, [0, 1, 1, 2, 2, 3, 3, 4, 4, 5]),
+    ])
+    def test_slabs_streamed(self, chunks, want, serial_pool):
+        # each chunk builds its own slabs plus one boundary slab per side,
+        # with at most three slabs alive at a time
+        built, alive, most = [], set(), [0]
+
+        def slab(i):
+            built.append(i)
+            out = np.zeros((6, 2, 2))
+            alive.add(id(out))
+            weakref.finalize(out, alive.discard, id(out))
+            most[0] = max(most[0], len(alive))
+            return out
+
+        _grid_minima(slab, 6, 1.0, chunks)
+        assert sorted(built) == want
+        assert most[0] <= 3
+
+
+#: the four refined H1 minimizers that the original dense search returned
+_H1_HITS = [
+    (1.0, 1.0, 1.5707963267948966, 0.0, 2.999519565323715e-32),
+    (1.0, 1.0, 1.5707963267948966, 3.141592653589793, 1.4997597826618574e-31),
+    (1.0, 1.0, 4.71238898038469, 0.0, 2.6995676087913433e-31),
+    (1.0, 1.0, 4.71238898038469, 3.141592653589793, 5.099183261050316e-31),
+]
+
+_PINNED_SEARCHES = [
+    ({}, _H1_HITS),
+    ({"n_radial": 65, "n_angular": 96}, _H1_HITS),
+    ({"n_radial": 41, "n_angular": 60}, _H1_HITS),
+    ({"span": (1.5, 3.0), "n_radial": 24, "n_angular": 37}, []),
+    (
+        {"span": (0.3, 5.0), "n_radial": 24, "n_angular": 37},
+        [
+            (1.0, 1.0, 1.5707963267948966, 8.963144347721168e-18,
+             2.999519565323715e-32),
+            (1.0, 1.0, 1.5707963267948966, 3.1415926535897936,
+             1.4997597826618574e-31),
+            (1.0, 1.0, 4.71238898038469, 3.756733918118228e-16,
+             2.6995676087913433e-31),
+            (1.0, 1.0, 4.71238898038469, 3.141592653589793,
+             5.099183261050316e-31),
+        ],
+    ),
+]
+
+
+class TestSearchPinned:
+    @pytest.mark.parametrize("threads", [None, "1", "3"])
+    @pytest.mark.parametrize("kwargs, want", _PINNED_SEARCHES)
+    def test_hits_bit_identical(self, monkeypatch, threads, kwargs, want):
+        if threads is None:
+            monkeypatch.delenv("HF_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("HF_THREADS", threads)
+        hits = brute_search_m1(**kwargs)
+        assert [(*h.params, h.residual) for h in hits] == want
+
+    def test_memory_peak_65x96(self, monkeypatch):
+        # each radial chunk keeps three slabs (about 15 MB at 65x96) alive,
+        # so the chunk count is pinned to keep the bound machine-independent;
+        # the dense 4-D grid alone would take 311 MB
+        monkeypatch.setenv("HF_THREADS", "2")
+        tracemalloc.start()
+        try:
+            brute_search_m1(n_radial=65, n_angular=96)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6, f"peak {peak / 1e6:.1f} MB"
+
+
+class TestThreads:
+    def test_reads_environment_each_call(self, monkeypatch):
+        monkeypatch.setenv("HF_THREADS", "3")
+        assert period._thread_count() == 3
+        monkeypatch.setenv("HF_THREADS", "0")
+        assert period._thread_count() == 1
+
+    def test_non_integer_warns(self, monkeypatch, caplog):
+        monkeypatch.setenv("HF_THREADS", "two")
+        with caplog.at_level(logging.WARNING, logger="henneberg"):
+            n = period._thread_count()
+        assert n == min(8, os.cpu_count() or 1)
+        [record] = caplog.records
+        assert "HF_THREADS" in record.getMessage()
+
+    def test_integer_is_silent(self, monkeypatch, caplog):
+        monkeypatch.setenv("HF_THREADS", "2")
+        with caplog.at_level(logging.WARNING, logger="henneberg"):
+            period._thread_count()
+        assert not caplog.records
+
+    def test_chunks_capped_at_n_radial(self, monkeypatch, serial_pool):
+        monkeypatch.setenv("HF_THREADS", "1")
+        serial = brute_search_m1(n_radial=5, n_angular=8)
+        assert serial_pool == []
+        monkeypatch.setenv("HF_THREADS", str(10**6))
+        assert brute_search_m1(n_radial=5, n_angular=8) == serial
+        monkeypatch.setenv("HF_THREADS", "3")
+        assert brute_search_m1(n_radial=5, n_angular=8) == serial
+        assert serial_pool == [5, 3]
+
+
+class TestSearchDomain:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n_radial": 0},
+            {"n_radial": -3},
+            {"n_angular": 0},
+            {"refine_steps": -1},
+            {"span": 0.0},
+            {"span": -2.0},
+            {"span": 1.0},
+            {"span": 0.5},
+            {"span": math.inf},
+            {"span": math.nan},
+            {"span": (0.0, 2.0)},
+            {"span": (2.0, 1.0)},
+            {"span": (1.0, 1.0)},
+            {"span": (-1.0, 2.0)},
+        ],
+    )
+    def test_bad_input_raises(self, kwargs):
+        with pytest.raises(DomainError):
+            brute_search_m1(**kwargs)
+
+    def test_single_point_grid(self):
+        assert brute_search_m1(span=(0.5, 2.0), n_radial=1, n_angular=1) == []
 
 
 class TestM2System:
