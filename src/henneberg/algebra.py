@@ -70,6 +70,15 @@ def cis_pi(q) -> complex:
     return complex(math.cos(angle), math.sin(angle))
 
 
+def cis(angle: float) -> complex:
+    """e^{i angle} for a float angle in radians; within 1e-14 of a quarter
+    turn k pi/2 it is the exact value cis_pi(k/2)."""
+    k = round(2 * angle / math.pi)
+    if abs(angle - k * math.pi / 2) < 1e-14:
+        return cis_pi(Fraction(k, 2))
+    return complex(math.cos(angle), math.sin(angle))
+
+
 def _require_finite(values, what):
     arr = np.asarray(values)
     if not np.all(np.isfinite(arr)):

@@ -53,30 +53,40 @@ class CliError(Exception):
     """Usage-level failure (exit code 2)."""
 
 
-def _load_json(path):
+def _load_json(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    if not isinstance(raw, dict):
+        raise CliError(f"{path}: expected a JSON object")
+    return raw
 
 
-def load_data_file(path) -> WeierstrassData:
-    """Parse {c: [re, im], m: int, a: [[r, theta], ...]} (angles in radians)."""
-    raw = _load_json(path)
+def _is_number_pair(v) -> bool:
+    return isinstance(v, list) and len(v) == 2 and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in v
+    )
+
+
+def load_data_file(path, raw=None) -> WeierstrassData:
+    """Parse {c: [re, im], m: int, a: [[r, theta], ...]} (angles in radians)
+    from the JSON file ``path``, or from ``raw`` when it was already read
+    from there."""
+    if raw is None:
+        raw = _load_json(path)
     for key in ("c", "m", "a"):
         if key not in raw:
             raise CliError(f"{path}: missing field '{key}'")
     c = raw["c"]
-    if not (isinstance(c, (list, tuple)) and len(c) == 2):
-        raise CliError(f"{path}: field 'c' must be [re, im]")
+    if not _is_number_pair(c):
+        raise CliError(f"{path}: field 'c' must be [re, im] numbers")
     pairs = raw["a"]
-    if not isinstance(pairs, list) or any(
-        not (isinstance(p, (list, tuple)) and len(p) == 2) for p in pairs
-    ):
-        raise CliError(f"{path}: field 'a' must be a list of [r, theta] pairs")
+    if not isinstance(pairs, list) or not all(map(_is_number_pair, pairs)):
+        raise CliError(f"{path}: field 'a' must be a list of [r, theta] number pairs")
     m = raw["m"]
     if not isinstance(m, int) or m < 1:
         raise CliError(f"{path}: field 'm' must be a positive integer")
@@ -165,11 +175,10 @@ def cmd_generate(args) -> int:
     elif selector == "custom":
         if args.data is None and not {"c", "m", "a"} <= set(config):
             raise CliError("custom needs --data FILE or a config with c/m/a")
-        data = (
-            load_data_file(args.data)
-            if args.data
-            else load_data_file_from_dict(config)
-        )
+        if args.data:
+            data = load_data_file(args.data)
+        else:
+            data = load_data_file(args.config, config)
         res = period_residuals(data)
         if not res.passes(PERIOD_TOL):
             _emit(
@@ -206,13 +215,6 @@ def cmd_generate(args) -> int:
         }
     )
     return 0
-
-
-def load_data_file_from_dict(config: dict) -> WeierstrassData:
-    c = config["c"]
-    return WeierstrassData(
-        complex(c[0], c[1]), BranchConfiguration.from_polar(config["a"])
-    )
 
 
 def cmd_verify(args) -> int:
@@ -450,10 +452,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
+    except (CliError, DomainError, OSError) as exc:
+        # OSError: an unwritable --out (input files are read by _load_json)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HennebergError as exc:

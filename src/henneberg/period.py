@@ -12,6 +12,11 @@ For m = 1 the system collapses to three scalar relations in
 positive, to the pair of functions (horizontal_residual_m2,
 vertical_residual_m2) of (r1, r2, r3, theta2, theta3) plus a phase
 condition fixing beta.
+
+Both systems are solved by one damped Newton core, _damped_newton: a
+least-squares step halved until the norm drops.  The complexity-1 search
+refines grid minimizers with it on a finite-difference Jacobian;
+continuation at complexity 2 uses the analytic Jacobian.
 """
 
 from __future__ import annotations
@@ -28,17 +33,13 @@ import numpy as np
 
 from .algebra import (
     BranchConfiguration,
+    cis,
+    cis_pi,
     invert_radial_gap,
     radial_gap,
 )
 from .errors import ConvergenceError, DomainError, StructureError
 from .weierstrass import WeierstrassData, one_sided_residual
-
-#: i^k for exact quarter-turn phases
-_I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
-
-#: lower edge of the domain of the family square root (reported constant only)
-F_DOMAIN_EDGE = 0.5 * math.atan2(math.sqrt(32.0 * math.sqrt(10.0) + 95.0), 9.0)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -139,52 +140,52 @@ def _m1_vector(x):
     )
 
 
-def _gauss_newton(vector, x0, steps=50, tol=1e-14, fd_step=1e-7, r_bounds=None):
-    """Damped Gauss-Newton on a residual vector with FD Jacobian.
+def _fd_jacobian(vector, x, step):
+    """Central-difference Jacobian of ``vector`` at x, or None when a probe
+    leaves the domain (``vector`` returns None there)."""
+    cols = []
+    for j in range(len(x)):
+        e = np.zeros_like(x)
+        e[j] = step
+        vp, vm = vector(x + e), vector(x - e)
+        if vp is None or vm is None:
+            return None
+        cols.append((vp - vm) / (2 * step))
+    return np.column_stack(cols)
 
-    ``r_bounds`` keeps the first two (radial) coordinates inside the searched
-    region; steps leaving it are halved away, so a restricted search cannot
-    report minimizers outside its own grid.
+
+def _damped_newton(vector, jacobian, x0, norm, tol, max_iter, admissible):
+    """Damped Newton (Gauss-Newton when overdetermined) on ``vector``.
+
+    Each iteration takes the least-squares step of ``jacobian(x)`` and halves
+    it, at most 20 times, until it lands on an ``admissible`` point with a
+    smaller ``norm``.  Returns (x, norm, stop) with stop one of "converged"
+    (norm < tol), "stalled" (no halving helped), "max_iter", or "domain"
+    (``jacobian`` returned None); x is the last accepted point.
     """
-
-    def admissible(xc):
-        if xc[0] <= 0 or xc[1] <= 0:
-            return False
-        if r_bounds is not None:
-            lo, hi = r_bounds
-            return lo <= xc[0] <= hi and lo <= xc[1] <= hi
-        return True
-
     x = np.asarray(x0, dtype=float).copy()
     v = vector(x)
-    if v is None:
-        return x, math.inf
-    norm = float(v @ v)
-    for _ in range(steps):
-        if norm < tol * tol:
-            break
-        jac = np.empty((len(v), len(x)))
-        for j in range(len(x)):
-            e = np.zeros_like(x)
-            e[j] = fd_step
-            vp, vm = vector(x + e), vector(x - e)
-            if vp is None or vm is None:
-                return x, math.sqrt(norm)
-            jac[:, j] = (vp - vm) / (2 * fd_step)
+    nv = norm(v)
+    for _ in range(max_iter):
+        if nv < tol:
+            return x, nv, "converged"
+        jac = jacobian(x)
+        if jac is None:
+            return x, nv, "domain"
         step, *_ = np.linalg.lstsq(jac, -v, rcond=None)
         lam = 1.0
         for _ in range(20):
             xn = x + lam * step
             if admissible(xn):
                 vn = vector(xn)
-                nn = float(vn @ vn)
-                if nn < norm:
-                    x, v, norm = xn, vn, nn
+                nn = norm(vn)
+                if nn < nv:
+                    x, v, nv = xn, vn, nn
                     break
             lam *= 0.5
         else:
-            break
-    return x, math.sqrt(norm)
+            return x, nv, "stalled"
+    return x, nv, "converged" if nv < tol else "max_iter"
 
 
 @dataclass(frozen=True)
@@ -205,6 +206,13 @@ class SearchHit:
         t2 = self.theta2 % (2 * math.pi)
         near = min(abs(t2 - math.pi / 2), abs(t2 - 3 * math.pi / 2))
         return bool(abs(self.r1 - 1) < tol and abs(self.r2 - 1) < tol and near < tol)
+
+
+def _wrap_angle(a):
+    """a reduced to [0, 2 pi); a plain ``a % (2 pi)`` rounds tiny negative
+    angles up to 2 pi itself."""
+    a %= 2 * math.pi
+    return 0.0 if a == 2 * math.pi else a
 
 
 def _angular_dist(a, b):
@@ -323,19 +331,25 @@ def brute_search_m1(
         slab, n_radial, refine_threshold, min(_thread_count(), n_radial)
     )
 
-    bounds = (0.9 * r_lo, 1.1 * r_hi)
+    lo, hi = 0.9 * r_lo, 1.1 * r_hi
     hits = []
     for i, j, k, l in minima:
-        x0 = np.array([rs[i], rs[j], angles[k], angles[l]])
-        x, norm = _gauss_newton(_m1_vector, x0, steps=refine_steps, r_bounds=bounds)
-        value = norm * norm
+        x, value, _ = _damped_newton(
+            _m1_vector,
+            lambda x: _fd_jacobian(_m1_vector, x, 1e-7),
+            np.array([rs[i], rs[j], angles[k], angles[l]]),
+            lambda v: float(v @ v),
+            1e-28,
+            refine_steps,
+            lambda x: lo <= x[0] <= hi and lo <= x[1] <= hi,
+        )
         if value < residual_tol:
             hits.append(
                 SearchHit(
                     float(x[0]),
                     float(x[1]),
-                    float(x[2] % (2 * math.pi)),
-                    float(x[3] % (2 * math.pi)),
+                    _wrap_angle(float(x[2])),
+                    _wrap_angle(float(x[3])),
                     float(value),
                 )
             )
@@ -359,14 +373,6 @@ def brute_search_m1(
 # ---------------------------------------------------------------------------
 
 
-def _snap_phase(beta: float) -> complex:
-    """e^{i beta}, snapped to the exact value at quarter turns."""
-    k = round(2 * beta / math.pi)
-    if abs(beta - k * math.pi / 2) < 1e-14:
-        return _I_POW[k % 4]
-    return cmath.exp(1j * beta)
-
-
 @dataclass(frozen=True)
 class ModuliPoint:
     """Coordinates (r1, r2, r3, theta2, theta3, beta) with a_1 = r1 real
@@ -384,7 +390,7 @@ class ModuliPoint:
             raise DomainError("moduli must be positive")
 
     def weierstrass(self) -> WeierstrassData:
-        c = _snap_phase(self.beta)
+        c = cis(self.beta)
         config = BranchConfiguration(
             (self.r1, self.r2, self.r3), (0.0, self.theta2, self.theta3)
         )
@@ -477,50 +483,14 @@ def period_jacobian_m2(p: ModuliPoint) -> np.ndarray:
 
 def period_jacobian_m2_fd(p: ModuliPoint, step: float = 1e-6) -> np.ndarray:
     """Central-difference Jacobian, for cross-checking the analytic one."""
-    x0 = np.array(p.triple)
-    jac = np.empty((3, 3))
-    for j in range(3):
-        e = np.zeros(3)
-        e[j] = step
-        jac[:, j] = (
-            _system_vector(p.r1, p.r2, x0 + e) - _system_vector(p.r1, p.r2, x0 - e)
-        ) / (2 * step)
-    return jac
+    return _fd_jacobian(
+        lambda x: _system_vector(p.r1, p.r2, x), np.array(p.triple), step
+    )
 
 
 def _system_norm(v) -> float:
     """max(|F|, |G|) with F the complex horizontal condition."""
     return max(math.hypot(v[0], v[1]), abs(v[2]))
-
-
-def _newton_m2(r1, r2, x0, tol=1e-12, max_iter=50):
-    """Damped Newton on (r3, theta2, theta3) with the analytic Jacobian."""
-    x = np.asarray(x0, dtype=float).copy()
-    v = _system_vector(r1, r2, x)
-    norm = _system_norm(v)
-    for _ in range(max_iter):
-        if norm < tol:
-            beta = beta_from_angles(x[1], x[2])
-            return ModuliPoint(r1, r2, x[0], x[1], x[2], beta)
-        p = ModuliPoint(r1, r2, x[0], x[1], x[2], math.pi / 2)
-        jac = period_jacobian_m2(p)
-        try:
-            step = np.linalg.solve(jac, -v)
-        except np.linalg.LinAlgError:
-            raise ConvergenceError("singular Jacobian during Newton", norm)
-        lam = 1.0
-        for _ in range(20):
-            xn = x + lam * step
-            if xn[0] > 0:
-                vn = _system_vector(r1, r2, xn)
-                nn = _system_norm(vn)
-                if nn < norm:
-                    x, v, norm = xn, vn, nn
-                    break
-            lam *= 0.5
-        else:
-            raise ConvergenceError("Newton step stalled", norm)
-    raise ConvergenceError(f"Newton did not converge; last residual {norm:.3e}", norm)
 
 
 def continue_from(p0: ModuliPoint, r1: float, r2: float, tol: float = 1e-12,
@@ -538,16 +508,21 @@ def continue_from(p0: ModuliPoint, r1: float, r2: float, tol: float = 1e-12,
     det = float(np.linalg.det(period_jacobian_m2(p0)))
     if abs(det) <= 1e-6:
         raise StructureError(f"Jacobian at start point is singular (det={det:.3e})")
-    try:
-        return _newton_m2(r1, r2, np.array(p0.triple), tol=tol, max_iter=max_iter)
-    except ConvergenceError:
-        if _depth >= 12:
-            raise
-    mid = ModuliPoint(
-        0.5 * (p0.r1 + r1), 0.5 * (p0.r2 + r2), p0.r3, p0.theta2, p0.theta3, p0.beta
+    x, norm, stop = _damped_newton(
+        lambda x: _system_vector(r1, r2, x),
+        lambda x: period_jacobian_m2(ModuliPoint(r1, r2, *x, math.pi / 2)),
+        p0.triple,
+        _system_norm,
+        tol,
+        max_iter,
+        lambda x: x[0] > 0,
     )
-    half = continue_from(p0, mid.r1, mid.r2, tol=tol, max_iter=max_iter,
-                         _depth=_depth + 1)
+    if stop == "converged":
+        return ModuliPoint(r1, r2, *x, beta_from_angles(x[1], x[2]))
+    if _depth >= 12:
+        raise ConvergenceError(f"Newton {stop}; last residual {norm:.3e}", norm)
+    half = continue_from(p0, 0.5 * (p0.r1 + r1), 0.5 * (p0.r2 + r2), tol=tol,
+                         max_iter=max_iter, _depth=_depth + 1)
     return continue_from(half, r1, r2, tol=tol, max_iter=max_iter, _depth=_depth + 1)
 
 
@@ -643,7 +618,7 @@ def symmetric_example(m: int) -> WeierstrassData:
     if m < 1 or int(m) != m:
         raise DomainError("complexity must be a positive integer")
     m = int(m)
-    c = _I_POW[(m - 1) % 4]
+    c = cis_pi(Fraction(m - 1, 2))
     config = BranchConfiguration.from_pi_fractions(
         [(1.0, Fraction(j, m + 1)) for j in range(m + 1)]
     )

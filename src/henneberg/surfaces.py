@@ -6,14 +6,13 @@ broadcast over arrays, and return points with a trailing axis of length 3.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
-from .algebra import BranchConfiguration
+from .algebra import BranchConfiguration, cis
 from .errors import DomainError, StructureError
 from .weierstrass import Immersion, WeierstrassData, form_residues, unit_normal
 
@@ -135,21 +134,19 @@ def eval_associated(data: WeierstrassData, phase_angle: float, z, base=None):
     Requires the form of ``data`` to be exact (all three residues vanish);
     base=None keeps the raw antiderivative, matching the closed forms.
     """
+    return Immersion(_associated_data(data, phase_angle), base)(z)
+
+
+def _associated_data(data: WeierstrassData, phase_angle: float) -> WeierstrassData:
+    """``data`` with its form scaled by e^{i phase}; StructureError unless the
+    form is exact (all three residues below EXACTNESS_TOL)."""
     residues = np.abs(form_residues(data))
     if residues.max() >= EXACTNESS_TOL:
         raise StructureError(
             "associated family undefined: form residues "
             f"{residues} are not all below {EXACTNESS_TOL}"
         )
-    rotated = data.with_phase(_unit_phase(phase_angle))
-    return Immersion(rotated, base)(z)
-
-
-def _unit_phase(angle: float) -> complex:
-    k = round(2 * angle / math.pi)
-    if abs(angle - k * math.pi / 2) < 1e-14:
-        return (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)[k % 4]
-    return complex(math.cos(angle), math.sin(angle))
+    return data.with_phase(cis(phase_angle))
 
 
 _DESCENT_RING = np.concatenate(
@@ -167,7 +164,7 @@ def one_sided_descent_residual(data: WeierstrassData, phase_angle: float) -> flo
     """
     z = _DESCENT_RING
     f = data.f
-    phase = _unit_phase(phase_angle)
+    phase = cis(phase_angle)
     lhs = phase * f.evaluate(-1.0 / np.conj(z))
     rhs = np.conj(phase) * np.conj(z**4 * f.evaluate(z))
     scale = np.abs(z**4 * f.evaluate(z)).max()
@@ -288,10 +285,7 @@ def surface_integrated(data: WeierstrassData, base=...) -> SurfaceMap:
 
 
 def surface_associated(data: WeierstrassData, phase_angle: float) -> SurfaceMap:
-    residues = np.abs(form_residues(data))
-    if residues.max() >= EXACTNESS_TOL:
-        raise StructureError("associated family undefined for non-exact form")
-    imm = Immersion(data.with_phase(_unit_phase(phase_angle)), None)
+    imm = Immersion(_associated_data(data, phase_angle), None)
     return SurfaceMap(
         f"associated-{phase_angle:.6g}",
         lambda r, t: imm(np.asarray(r, dtype=float) * np.exp(1j * np.asarray(t))),

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from henneberg import (
@@ -16,6 +16,7 @@ from henneberg import (
     radial_gap,
     residue_at_zero,
 )
+from henneberg.algebra import cis
 from conftest import random_configuration
 
 
@@ -108,6 +109,31 @@ class TestCisPi:
         for q in (Fraction(1, 5), Fraction(3, 7), Fraction(11, 13)):
             want = np.exp(1j * np.pi * float(q))
             assert abs(cis_pi(q) - want) < 5e-16
+
+
+_QUARTERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+
+
+def _bits(z):
+    return (z.real.hex(), z.imag.hex())
+
+
+class TestCis:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.floats(min_value=-100.0, max_value=100.0))
+    def test_equals_cos_sin_off_quarter_turns(self, angle):
+        k = round(2 * angle / math.pi)
+        assume(abs(angle - k * math.pi / 2) >= 1e-14)
+        assert _bits(cis(angle)) == _bits(complex(math.cos(angle), math.sin(angle)))
+
+    @pytest.mark.parametrize("k", range(-8, 9))
+    def test_exact_at_quarter_turns(self, k):
+        assert _bits(cis(k * math.pi / 2)) == _bits(_QUARTERS[k % 4])
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(-8, 8), st.floats(min_value=-5e-15, max_value=5e-15))
+    def test_exact_near_quarter_turns(self, k, offset):
+        assert _bits(cis(k * math.pi / 2 + offset)) == _bits(_QUARTERS[k % 4])
 
 
 class TestExpandProduct:

@@ -105,6 +105,29 @@ class TestGenerate:
         assert code == 2
         assert "'a'" in err
 
+    @pytest.mark.parametrize("route", ["--data", "--config"])
+    @pytest.mark.parametrize("fields, want", [
+        ({"c": [1, 0], "m": 2, "a": [[1, 0], [1, math.pi / 2]]}, "m+1 = 3"),
+        ({"c": ["1", 0], "m": 1, "a": [[1, 0], [1, math.pi / 2]]}, "'c'"),
+        ({"c": [1, None], "m": 1, "a": [[1, 0], [1, math.pi / 2]]}, "'c'"),
+        ({"c": [1, 0], "m": 1, "a": [[1, 0], [1, "pi/2"]]}, "'a'"),
+        ({"c": [1, 0], "m": 1, "a": [[1, 0], [[1], 0.5]]}, "'a'"),
+        ([1, 0], "JSON object"),
+    ])
+    def test_bad_custom_data_exits_2(self, capsys, tmp_path, route, fields, want):
+        # both routes go through the same loader and its checks
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps(fields))
+        code, stdout, err = run(
+            capsys, "generate", "custom", route, str(data),
+            "--out", str(tmp_path / "x.obj"), "--nr", "5", "--ntheta", "8",
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert want in err
+        assert not (tmp_path / "x.obj").exists()
+
 
 class TestVerify:
     def test_hm2_report(self, capsys):
@@ -205,6 +228,37 @@ class TestSearch:
         grid = json.loads(stdout)["grid"]
         assert (grid["r_lo"], grid["r_hi"]) == bounds
         assert set(grid) == {"span", "n_radial", "n_angular", "r_lo", "r_hi"}
+
+
+    def test_angles_wrapped_below_two_pi(self, capsys):
+        # on this grid a refined beta of about -1e-17 used to be reported
+        # as 2 pi
+        code, stdout, _ = run(
+            capsys, "search-m1", "--span", "3.0", "--n-radial", "20",
+            "--n-angular", "40",
+        )
+        assert code == 0
+        hits = json.loads(stdout)["minimizers"]
+        assert len(hits) == 4
+        for h in hits:
+            assert 0.0 <= h["theta2"] < 2 * math.pi
+            assert 0.0 <= h["beta"] < 2 * math.pi
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "h1", "--nr", "5", "--ntheta", "8"],
+    ["verify", "h1", "--samples", "8"],
+    ["search-m1", "--n-radial", "5", "--n-angular", "6"],
+    ["continue", "--r1", "1.0", "--r2", "1.0"],
+    ["bjorling", "--cusps", "3", "--n-u", "8", "--n-v", "3"],
+])
+def test_unwritable_out_exits_2(capsys, tmp_path, argv):
+    out = tmp_path / "missing" / "o.obj"
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(out) in err
 
 
 class TestContinue:

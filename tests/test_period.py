@@ -30,7 +30,7 @@ from henneberg import (
     vertical_residual_m2,
 )
 from henneberg import period
-from henneberg.period import _grid_minima
+from henneberg.period import _damped_newton, _fd_jacobian, _grid_minima, _m1_vector
 
 H2_FAMILY_GAUGE = ModuliPoint(1.0, 1.0, 1.0, math.pi / 3, -math.pi / 3, math.pi / 2)
 
@@ -506,6 +506,56 @@ class TestContinuation:
             continue_from(h2_point(), -1.0, 1.0)
 
 
+def _newton(vector, jacobian, x0, max_iter=50, admissible=lambda x: True):
+    return _damped_newton(
+        vector, jacobian, x0, lambda v: float(np.abs(v).max()), 1e-12, max_iter,
+        admissible,
+    )
+
+
+def _square_minus(c):
+    return lambda x: np.array([x[0] * x[0] - c]), lambda x: np.array([[2 * x[0]]])
+
+
+class TestDampedNewton:
+    def test_converged(self):
+        x, norm, stop = _newton(*_square_minus(2.0), [3.0])
+        assert stop == "converged"
+        assert norm < 1e-12 and abs(x[0] - math.sqrt(2.0)) < 1e-12
+
+    def test_max_iter(self):
+        x, norm, stop = _newton(*_square_minus(2.0), [3.0], max_iter=2)
+        assert stop == "max_iter" and norm >= 1e-12
+
+    def test_stalled_at_a_non_zero_minimum(self):
+        # x^2 + 1 has no root; Newton reaches x = 0, where J = 0 and no
+        # step lowers the norm
+        x, norm, stop = _newton(*_square_minus(-1.0), [1.0])
+        assert stop == "stalled"
+        assert x[0] == 0.0 and norm == 1.0
+
+    def test_stalled_when_nothing_is_admissible(self):
+        x, _, stop = _newton(*_square_minus(2.0), [3.0], admissible=lambda x: False)
+        assert stop == "stalled" and x[0] == 3.0
+
+    def test_domain(self):
+        vector, _ = _square_minus(2.0)
+        x, _, stop = _newton(vector, lambda x: None, [3.0])
+        assert stop == "domain" and x[0] == 3.0
+
+    def test_fd_probe_outside_domain_keeps_start_point(self):
+        # the m = 1 search: a central difference at r1 = 5e-8 probes r1 < 0,
+        # where _m1_vector is undefined, so refinement stops where it started
+        x0 = np.array([5e-8, 1.0, 1.0, 0.5])
+        v0 = _m1_vector(x0)
+        x, norm, stop = _damped_newton(
+            _m1_vector, lambda x: _fd_jacobian(_m1_vector, x, 1e-7), x0,
+            lambda v: float(v @ v), 1e-28, 50, lambda x: True,
+        )
+        assert stop == "domain"
+        assert np.array_equal(x, x0) and norm == float(v0 @ v0)
+
+
 class TestSymmetricExample:
     def test_h1(self):
         d = symmetric_example(1)
@@ -593,3 +643,13 @@ class TestContinuationContract:
                 r2 = float(np.clip(point.r2 + rng.normal(0, 0.03), 0.6, 1.6))
                 point = continue_from(point, r1, r2)
         assert err.value.residual is not None
+        assert any(stop in str(err.value) for stop in ("stalled", "max_iter"))
+
+    @pytest.mark.parametrize("kwargs, stop", [
+        ({"max_iter": 0}, "max_iter"),
+        ({"tol": 0.0}, "stalled"),
+    ])
+    def test_error_names_stop_reason(self, kwargs, stop):
+        with pytest.raises(ConvergenceError, match=stop) as err:
+            continue_from(h2_point(), 1.05, 1.0, **kwargs)
+        assert err.value.residual > 0
