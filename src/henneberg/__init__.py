@@ -37,7 +37,6 @@ from .geometry import (
     equator_curve,
     fit_rigid_motion,
     flux_exactness,
-    hypocycloid_curve,
     verify_isometry,
 )
 from .meshing import Mesh, SamplingSpec, build_mesh, read_obj, read_ply, write_obj, write_ply

@@ -7,6 +7,7 @@ Exit codes: 0 success / all checks pass, 1 verification failure or refusal,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -100,28 +101,27 @@ def load_data_file(path, raw=None) -> WeierstrassData:
 
 
 def _sampling_from(args, config: dict) -> SamplingSpec:
-    base = {
-        "r_min": 0.125,
-        "r_max": 8.0,
-        "n_r": 129,
-        "n_theta": 256,
-        "quotient": False,
-        "wrap": True,
-    }
-    base.update(config.get("sampling", {}))
-    if args.r_min is not None:
-        base["r_min"] = args.r_min
-    if args.r_max is not None:
-        base["r_max"] = args.r_max
-    if args.n_r is not None:
-        base["n_r"] = args.n_r
-    if args.n_theta is not None:
-        base["n_theta"] = args.n_theta
-    if args.quotient:
-        base["quotient"] = True
-    if args.no_wrap:
-        base["wrap"] = False
-    return SamplingSpec(**base)
+    """The config's "sampling" block over SamplingSpec's defaults, then the
+    command-line flags over both; each config value must have its default's
+    type (an int passes for a float, a bool for neither)."""
+    sampling = config.get("sampling", {})
+    if not isinstance(sampling, dict):
+        raise CliError(f"{args.config}: field 'sampling' must be an object")
+    spec = SamplingSpec()
+    defaults = dataclasses.asdict(spec)
+    for key, value in sampling.items():
+        if key not in defaults:
+            raise CliError(f"{args.config}: unknown sampling key '{key}'")
+        default = defaults[key]
+        kind = (int, float) if isinstance(default, float) else type(default)
+        if not isinstance(value, kind) or isinstance(value, bool) != isinstance(default, bool):
+            raise CliError(f"{args.config}: sampling '{key}' must be "
+                           f"{type(default).__name__}, got {value!r}")
+    flags = {"r_min": args.r_min, "r_max": args.r_max, "n_r": args.n_r,
+             "n_theta": args.n_theta, "quotient": args.quotient or None,
+             "wrap": False if args.no_wrap else None}
+    flags = {key: value for key, value in flags.items() if value is not None}
+    return dataclasses.replace(spec, **{**sampling, **flags})
 
 
 def _emit(payload: dict, out_path=None):

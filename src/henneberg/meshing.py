@@ -9,6 +9,7 @@ producing the non-orientable quotient mesh).
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -187,19 +188,22 @@ def read_obj(path) -> Mesh:
 # ---------------------------------------------------------------------------
 
 
-def write_ply(mesh: Mesh, path):
-    header = (
+def _ply_header(n_vert: int, n_face: int) -> bytes:
+    return (
         "ply\n"
         "format binary_little_endian 1.0\n"
-        f"element vertex {len(mesh.vertices)}\n"
+        f"element vertex {n_vert}\n"
         "property double x\nproperty double y\nproperty double z\n"
         "property double nx\nproperty double ny\nproperty double nz\n"
-        f"element face {len(mesh.faces)}\n"
+        f"element face {n_face}\n"
         "property list uchar int vertex_indices\n"
         "end_header\n"
-    )
+    ).encode("ascii")
+
+
+def write_ply(mesh: Mesh, path):
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
+        fh.write(_ply_header(len(mesh.vertices), len(mesh.faces)))
         data = np.hstack([mesh.vertices, mesh.normals]).astype("<f8")
         fh.write(data.tobytes())
         for f in mesh.faces:
@@ -207,16 +211,29 @@ def write_ply(mesh: Mesh, path):
 
 
 def read_ply(path) -> Mesh:
+    """Read the layout write_ply writes: any other header, or a body that is
+    not exactly 48 bytes per vertex and 13 per face, raises DomainError."""
     with open(path, "rb") as fh:
-        n_vert = n_face = 0
-        while True:
-            line = fh.readline().decode("ascii").strip()
-            if line.startswith("element vertex"):
-                n_vert = int(line.split()[-1])
-            elif line.startswith("element face"):
-                n_face = int(line.split()[-1])
-            elif line == "end_header":
-                break
+        header = [fh.readline()]
+        if header[0] != b"ply\n":
+            raise DomainError(f"{path}: not a PLY file (first line is not 'ply')")
+        while header[-1] != b"end_header\n":
+            header.append(fh.readline())
+            if not header[-1]:
+                raise DomainError(f"{path}: PLY file ends before end_header")
+        if header[1] != b"format binary_little_endian 1.0\n":
+            raise DomainError(f"{path}: PLY format must be binary_little_endian 1.0")
+        counts = [line.split()[-1] for line in header if line.startswith(b"element ")]
+        if len(counts) != 2 or not all(c.isdigit() for c in counts):
+            raise DomainError(f"{path}: PLY header needs one vertex and one face count")
+        n_vert, n_face = map(int, counts)
+        if b"".join(header) != _ply_header(n_vert, n_face):
+            raise DomainError(f"{path}: PLY elements or properties differ from "
+                              "the layout write_ply writes")
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        want = 48 * n_vert + 13 * n_face
+        if size != want:
+            raise DomainError(f"{path}: PLY body has {size} bytes, the header needs {want}")
         data = np.frombuffer(fh.read(n_vert * 6 * 8), dtype="<f8").reshape(n_vert, 6)
         faces = np.empty((n_face, 3), dtype=np.int32)
         for i in range(n_face):

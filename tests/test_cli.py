@@ -85,6 +85,39 @@ class TestGenerate:
         assert code == 0
         assert json.loads(stdout)["vertices"] == 40
 
+    @pytest.mark.parametrize("sampling, want", [
+        ({"bogus": 1}, "bogus"),
+        ({"n_r": "9"}, "n_r"),
+        ({"n_r": 9.5}, "n_r"),
+        ({"n_r": True}, "n_r"),
+        ({"r_max": False}, "r_max"),
+        ({"quotient": "yes"}, "quotient"),
+        ({"wrap": 0}, "wrap"),
+        ([1], "sampling"),
+    ])
+    def test_bad_config_sampling_exits_2(self, capsys, tmp_path, sampling, want):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sampling": sampling}))
+        code, stdout, err = run(
+            capsys, "generate", "h1", "--config", str(cfg),
+            "--out", str(tmp_path / "c.obj"),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert want in err
+        assert not (tmp_path / "c.obj").exists()
+
+    def test_config_sampling_int_for_float_and_flag_override(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sampling": {"r_min": 1, "n_r": 5, "n_theta": 8}}))
+        code, stdout, _ = run(
+            capsys, "generate", "h1", "--config", str(cfg), "--nr", "3",
+            "--out", str(tmp_path / "c.obj"),
+        )
+        assert code == 0
+        assert json.loads(stdout)["vertices"] == 3 * 8
+
     def test_parse_error_diagnostics(self, capsys, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text('{"c": [1, 0], "m": 1,\n  "a": oops}')

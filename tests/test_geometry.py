@@ -304,6 +304,39 @@ class TestCusps:
     def test_callable_sampling_path(self):
         assert cusp_count(equator_curve(3).point) == 8
 
+    @pytest.mark.parametrize("cusps", [17, 41])
+    def test_callable_many_cusp_hypocycloid(self, cusps):
+        # (N-1) e^{it} + e^{-(N-1)it}: the velocity vanishes where E^N = 1
+        k = cusps - 1
+
+        def curve(t):
+            return (k * math.cos(t) + math.cos(k * t),
+                    k * math.sin(t) - math.sin(k * t))
+
+        assert cusp_count(curve) == cusps
+
+    def test_callable_reparametrised_astroid(self):
+        # analytic, but not a trigonometric polynomial in t
+        astroid = astroid_curve()
+        assert cusp_count(lambda t: astroid.point(t + 0.3 * math.sin(t))) == 4
+
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_callable_matches_analytic(self, q):
+        curve = equator_curve(q)
+        assert cusp_count(curve.point, n_samples=1024) == cusp_count(curve)
+
+    @pytest.mark.parametrize(
+        "curve",
+        [lambda t: (1.0, 2.0),
+         lambda t: (math.cos(t), math.sin(t), 0.0),
+         # C^2 but not band-limited: coefficients above the noise at n/4
+         lambda t: (1 + 0.1 * abs(math.sin(t)) ** 3) * np.array([math.cos(t), math.sin(t)])],
+        ids=["constant", "three-coordinates", "sin-cubed-bump"],
+    )
+    def test_callable_outside_contract_raises(self, curve):
+        with pytest.raises(DomainError):
+            cusp_count(curve, n_samples=1024)
+
 
 class TestDiagonalRotations:
     def test_half_turns_about_diagonal_axes(self):

@@ -103,6 +103,24 @@ class TestExport:
         assert np.array_equal(back.normals, mesh.normals)
         assert np.array_equal(back.faces, mesh.faces)
 
+    @pytest.mark.parametrize("mangle", [
+        lambda b: b"",
+        lambda b: b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+        lambda b: b[: b.index(b"end_header")],
+        lambda b: b.replace(b"binary_little_endian", b"ascii", 1),
+        lambda b: b.replace(b"double nz", b"float nz", 1),
+        lambda b: b.replace(b"element face", b"element edge", 1),
+        lambda b: b[:-1],
+        lambda b: b + b"\0",
+    ], ids=["empty", "obj-text", "no-end-header", "ascii", "float-nz",
+            "no-face-element", "truncated", "trailing-byte"])
+    def test_ply_reader_rejects_other_layouts(self, tmp_path, mangle):
+        path = tmp_path / "m.ply"
+        write_ply(build_mesh(surface_hm(2), SamplingSpec(n_r=3, n_theta=4)), path)
+        path.write_bytes(mangle(path.read_bytes()))
+        with pytest.raises(DomainError):
+            read_ply(path)
+
     def test_obj_uses_17_significant_digits(self, tmp_path):
         mesh = build_mesh(surface_h1(), SamplingSpec(n_r=3, n_theta=4))
         path = tmp_path / "m.obj"
