@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import mpmath
 import numpy as np
 
 from .errors import DomainError
@@ -321,6 +320,8 @@ def expand_product(config: BranchConfiguration) -> LaurentPoly:
     pi-fraction angles cancel their middle coefficients to below the drop
     tolerance (they come out exactly zero after normalization).
     """
+    import mpmath  # deferred: the package loads without it until first use
+
     tags = config.angles_pi
     with _mp_lock, mpmath.workdps(_MP_DPS):
         acc = [mpmath.mpc(1)]

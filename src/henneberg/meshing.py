@@ -9,8 +9,10 @@ producing the non-orientable quotient mesh).
 
 from __future__ import annotations
 
+import io
+import itertools
 import os
-import struct
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +40,8 @@ class SamplingSpec:
             raise DomainError("need 0 < r_min < r_max")
         if self.n_r < 2 or self.n_theta < 2:
             raise DomainError("resolutions must be at least 2")
+        if self.quotient and self.n_theta < 4:
+            raise DomainError("quotient grids need n_theta >= 4 (at least 2 columns)")
 
     @property
     def radii(self) -> np.ndarray:
@@ -89,10 +93,16 @@ class Mesh:
         lengths = np.linalg.norm(self.normals, axis=1)
         if np.abs(lengths - 1.0).max() > 1e-6:
             raise DomainError("normals are not unit length")
+        return self.check_face_range()
+
+    def check_face_range(self, source="mesh"):
+        """Raise DomainError, naming source, unless every face index lies in
+        [0, len(vertices)); the readers check this much of a foreign file."""
         if self.faces.size and (
             self.faces.min() < 0 or self.faces.max() >= len(self.vertices)
         ):
-            raise DomainError("face indices out of range")
+            raise DomainError(f"{source}: face index out of range for "
+                              f"{len(self.vertices)} vertices")
         return self
 
 
@@ -111,33 +121,27 @@ def build_mesh(smap: SurfaceMap, spec: SamplingSpec = SamplingSpec()) -> Mesh:
     nrm = nrm / np.linalg.norm(nrm, axis=-1, keepdims=True)
 
     n_r, n_t = rr.shape
-    vid = np.arange(n_r * n_t).reshape(n_r, n_t)
-    faces = []
-
-    def add_quad(a, b, c, d):
-        # a--b on row i, d--c on row i+1; split into two triangles
-        faces.append((a, b, c))
-        faces.append((a, c, d))
-
-    for i in range(n_r - 1):
-        for j in range(n_t - 1):
-            add_quad(vid[i, j], vid[i, j + 1], vid[i + 1, j + 1], vid[i + 1, j])
+    vid = np.arange(n_r * n_t, dtype=np.int32).reshape(n_r, n_t)
+    # a--b on row i, d--c on row i+1, one quad per row-major (i, j)
+    quads = [(vid[:-1, :-1], vid[:-1, 1:], vid[1:, 1:], vid[1:, :-1])]
     if spec.wrap:
         if spec.quotient:
             if spec.inversion_symmetric:
                 # antipodal gluing: (r, pi) ~ (1/r, 0), radial order reversed
-                for i in range(n_r - 1):
-                    a, b = vid[i, n_t - 1], vid[n_r - 1 - i, 0]
-                    c, d = vid[n_r - 2 - i, 0], vid[i + 1, n_t - 1]
-                    add_quad(a, b, c, d)
+                rev = vid[::-1, 0]
+                quads.append((vid[:-1, -1], rev[:-1], rev[1:], vid[1:, -1]))
         else:
-            for i in range(n_r - 1):
-                add_quad(vid[i, n_t - 1], vid[i, 0], vid[i + 1, 0], vid[i + 1, n_t - 1])
+            quads.append((vid[:-1, -1], vid[:-1, 0], vid[1:, 0], vid[1:, -1]))
+    # each quad splits into the triangles (a, b, c) and (a, c, d)
+    faces = np.concatenate([
+        np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+        for a, b, c, d in quads
+    ])
 
     mesh = Mesh(
         vertices=pts.reshape(-1, 3),
         normals=nrm.reshape(-1, 3),
-        faces=np.asarray(faces, dtype=np.int32),
+        faces=faces,
         metadata={"surface": smap.name, "sampling": spec.to_dict()},
     )
     return mesh.validate()
@@ -147,45 +151,85 @@ def build_mesh(smap: SurfaceMap, spec: SamplingSpec = SamplingSpec()) -> Mesh:
 # OBJ
 # ---------------------------------------------------------------------------
 
+#: records formatted or parsed per block; bounds the text held in memory
+OBJ_BLOCK = 4096
+
+# the optional /texture/normal fields after a face's vertex index; a token
+# that starts with "/" keeps it, so its missing vertex index fails to parse
+_FACE_FIELD_TAIL = re.compile(r"(?<=\S)/\S*")
+
+
+def _write_records(fh, fmt: str, rows: np.ndarray):
+    for start in range(0, len(rows), OBJ_BLOCK):
+        chunk = rows[start:start + OBJ_BLOCK]
+        fh.write((fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
+
 
 def write_obj(mesh: Mesh, path):
     """Write v/vn/f records; floats carry 17 significant digits so a
     re-parse reproduces the vertices bit-exactly."""
+    xyz = " ".join([OBJ_FLOAT_FMT] * 3) + "\n"
+    faces = mesh.faces.reshape(-1, 3).astype(np.int64) + 1
     with open(path, "w") as fh:
-        for v in mesh.vertices:
-            fh.write("v %s %s %s\n" % tuple(OBJ_FLOAT_FMT % x for x in v))
-        for n in mesh.normals:
-            fh.write("vn %s %s %s\n" % tuple(OBJ_FLOAT_FMT % x for x in n))
-        for f in mesh.faces:
-            fh.write(
-                "f %d//%d %d//%d %d//%d\n"
-                % (f[0] + 1, f[0] + 1, f[1] + 1, f[1] + 1, f[2] + 1, f[2] + 1)
-            )
+        _write_records(fh, "v " + xyz, mesh.vertices.reshape(-1, 3))
+        _write_records(fh, "vn " + xyz, mesh.normals.reshape(-1, 3))
+        _write_records(fh, "f %d//%d %d//%d %d//%d\n", np.repeat(faces, 2, axis=1))
 
 
 def read_obj(path) -> Mesh:
-    vertices, normals, faces = [], [], []
+    """Read v, vn and f records and skip every other kind.
+
+    Each v and vn record needs exactly three numbers, and each f record
+    exactly three vertex references of the form a, a/t, a//n or a/t/n, whose
+    vertex index a lies in 1..len(vertices); anything else raises
+    DomainError.  Lines are parsed in blocks of OBJ_BLOCK, each record kind
+    of a block by one numpy call.
+    """
+    parts = {"v": [np.empty((0, 3))], "vn": [np.empty((0, 3))],
+             "f": [np.empty((0, 3), dtype=np.int64)]}
     with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "v":
-                vertices.append([float(x) for x in parts[1:4]])
-            elif parts[0] == "vn":
-                normals.append([float(x) for x in parts[1:4]])
-            elif parts[0] == "f":
-                faces.append([int(p.split("/")[0]) - 1 for p in parts[1:4]])
-    return Mesh(
-        vertices=np.asarray(vertices, dtype=float),
-        normals=np.asarray(normals, dtype=float),
-        faces=np.asarray(faces, dtype=np.int32),
-    )
+        for block in iter(lambda: list(itertools.islice(fh, OBJ_BLOCK)), []):
+            rests = {kind: [] for kind in parts}
+            for line in block:
+                head = line.split(None, 1)
+                if head and head[0] in rests:
+                    # a bare kind token stands in for its missing fields,
+                    # and fails to parse as a number
+                    rests[head[0]].append(head[-1])
+            for kind, lines in rests.items():
+                if lines:
+                    parts[kind].append(_parse_records(path, kind, lines))
+    vertices, normals, faces = (np.concatenate(parts[k]) for k in ("v", "vn", "f"))
+    # check the int64 indices, before the int32 cast could wrap one into range
+    mesh = Mesh(vertices=vertices, normals=normals, faces=faces).check_face_range(path)
+    mesh.faces = faces.astype(np.int32)
+    return mesh
+
+
+def _parse_records(path, kind: str, lines: list) -> np.ndarray:
+    """One block's records of one kind, without the kind token, as an
+    (n, 3) array: floats for v/vn, zero-based vertex indices for f."""
+    try:
+        if kind == "f":
+            text = io.StringIO(_FACE_FIELD_TAIL.sub("", "".join(lines)))
+            rows = np.loadtxt(text, dtype=np.int64, ndmin=2, comments=None) - 1
+        else:
+            rows = np.loadtxt(lines, ndmin=2, comments=None)
+    except ValueError:  # a token that is not a number, or ragged rows
+        pass
+    else:
+        if rows.shape == (len(lines), 3):
+            return rows
+    what = "integer vertex references" if kind == "f" else "numbers"
+    raise DomainError(f"{path}: each OBJ '{kind}' record needs exactly 3 {what}")
 
 
 # ---------------------------------------------------------------------------
 # PLY (binary little-endian, double-precision vertex data)
 # ---------------------------------------------------------------------------
+
+# one face record: a uchar vertex count (always 3) and three int32 indices
+_PLY_FACE = np.dtype([("n", "u1"), ("i", "<i4", (3,))])
 
 
 def _ply_header(n_vert: int, n_face: int) -> bytes:
@@ -202,17 +246,20 @@ def _ply_header(n_vert: int, n_face: int) -> bytes:
 
 
 def write_ply(mesh: Mesh, path):
+    faces = np.empty(len(mesh.faces), dtype=_PLY_FACE)
+    faces["n"] = 3
+    faces["i"] = mesh.faces.reshape(-1, 3)
     with open(path, "wb") as fh:
         fh.write(_ply_header(len(mesh.vertices), len(mesh.faces)))
         data = np.hstack([mesh.vertices, mesh.normals]).astype("<f8")
         fh.write(data.tobytes())
-        for f in mesh.faces:
-            fh.write(struct.pack("<Biii", 3, int(f[0]), int(f[1]), int(f[2])))
+        fh.write(faces.tobytes())
 
 
 def read_ply(path) -> Mesh:
-    """Read the layout write_ply writes: any other header, or a body that is
-    not exactly 48 bytes per vertex and 13 per face, raises DomainError."""
+    """Read the layout write_ply writes: any other header, a body that is
+    not exactly 48 bytes per vertex and 13 per face, a face that is not a
+    triangle or a face index outside the vertex range raises DomainError."""
     with open(path, "rb") as fh:
         header = [fh.readline()]
         if header[0] != b"ply\n":
@@ -235,12 +282,10 @@ def read_ply(path) -> Mesh:
         if size != want:
             raise DomainError(f"{path}: PLY body has {size} bytes, the header needs {want}")
         data = np.frombuffer(fh.read(n_vert * 6 * 8), dtype="<f8").reshape(n_vert, 6)
-        faces = np.empty((n_face, 3), dtype=np.int32)
-        for i in range(n_face):
-            count = struct.unpack("<B", fh.read(1))[0]
-            if count != 3:
-                raise DomainError("only triangle PLY faces are supported")
-            faces[i] = struct.unpack("<iii", fh.read(12))
+        records = np.frombuffer(fh.read(n_face * _PLY_FACE.itemsize), dtype=_PLY_FACE)
+    if (records["n"] != 3).any():
+        raise DomainError(f"{path}: only triangle PLY faces are supported")
     return Mesh(
-        vertices=data[:, :3].copy(), normals=data[:, 3:].copy(), faces=faces
-    )
+        vertices=data[:, :3].copy(), normals=data[:, 3:].copy(),
+        faces=records["i"].astype(np.int32),
+    ).check_face_range(path)

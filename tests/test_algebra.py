@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import henneberg
 from henneberg import (
     BranchConfiguration,
     DomainError,
@@ -270,3 +274,14 @@ class TestResidueForms:
         f = expand_product(config).shift(-m - 3)
         g2f = f.shift(2)
         assert residue_at_zero(g2f) == 0
+
+
+def test_cli_import_defers_mpmath():
+    # only expand_product needs mpmath; every CLI call pays for the import
+    src = os.path.dirname(os.path.dirname(henneberg.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, henneberg.cli; print('mpmath' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

@@ -75,6 +75,19 @@ class TestGenerate:
         )
         assert json.loads(stdout)["vertices"] == 9 * 8
 
+    @pytest.mark.parametrize("extra", [[], ["--r-min", "0.2"]])
+    def test_one_column_quotient_exits_2(self, capsys, tmp_path, extra):
+        out = tmp_path / "q.obj"
+        code, stdout, err = run(
+            capsys, "generate", "h1", "--quotient", "--ntheta", "3", "--nr", "5",
+            *extra, "--out", str(out),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "n_theta" in err
+        assert not out.exists()
+
     def test_config_file_sampling(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sampling": {"n_r": 5, "n_theta": 8}}))
