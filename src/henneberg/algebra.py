@@ -260,13 +260,6 @@ class BranchConfiguration:
         return cls(rs, ts)
 
     @classmethod
-    def from_values(cls, values: Iterable[complex]) -> "BranchConfiguration":
-        vals = [complex(v) for v in values]
-        if any(v == 0 for v in vals):
-            raise DomainError("branch values must be nonzero")
-        return cls([abs(v) for v in vals], [math.atan2(v.imag, v.real) for v in vals])
-
-    @classmethod
     def from_pi_fractions(cls, pairs: Iterable) -> "BranchConfiguration":
         """pairs of (modulus, q) with angle = pi * q, q an exact Fraction."""
         pairs = [(float(r), Fraction(q)) for r, q in pairs]

@@ -320,6 +320,10 @@ def cmd_bjorling(args) -> int:
     cusps = 4 if args.astroid else args.cusps
     if cusps is None:
         raise CliError("need --cusps N or --astroid")
+    if not (math.isfinite(args.strip) and args.strip > 0):
+        raise CliError(f"--strip must be a finite number > 0, got {args.strip}")
+    if min(args.n_u, args.n_v) < 2:
+        raise CliError("--n-u and --n-v must be at least 2")
     m = _closed_form_for_cusps(cusps)
     curve = equator_curve(m)
     if args.quad_order is not None:
@@ -329,11 +333,12 @@ def cmd_bjorling(args) -> int:
 
     us = np.linspace(curve.domain[0], curve.domain[1], args.n_u)
     vs = np.linspace(-args.strip, args.strip, args.n_v)
-    sup_err = 0.0
+    row_errors = []
     for v in vs:
         got = patch.at(us, np.full_like(us, v))
         want = eval_hm_even(m, math.exp(-v) * np.ones_like(us), us)
-        sup_err = max(sup_err, float(np.abs(got - want).max()))
+        row_errors.append(np.abs(got - want).max())
+    sup_err = float(np.max(row_errors))  # a NaN row propagates
 
     payload = {
         "schema": 1,
@@ -433,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     con.set_defaults(func=cmd_continue)
 
     bjo = sub.add_parser("bjorling", help="solve a hypocycloid Björling problem")
-    bjo.add_argument("--curve", choices=["hypocycloid"], default="hypocycloid")
     bjo.add_argument("--cusps", type=int)
     bjo.add_argument("--astroid", action="store_true")
     bjo.add_argument("--quad-order", dest="quad_order", type=int,

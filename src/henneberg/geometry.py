@@ -6,8 +6,10 @@ analytic speed, to
 
     X(u, v) = (Re x(w), Re y(w), sign * Im Int_{w0}^w s(w) dw),  w = u + i v.
 
-For finite trigonometric sums with rational frequencies every ingredient is
-a Laurent polynomial in E = e^{i w / D}; the analytic speed is the exact
+A planar curve is given as finite trigonometric sums with rational
+frequencies, and is stored, from construction on, as the Laurent polynomials
+in E = e^{i w / D} that those sums are; its points, velocities, normals and
+cusps are all evaluated from them.  The analytic speed is the exact
 polynomial square root of gamma' . gamma' (an error is raised when that is
 not a perfect square).  The integral is therefore closed-form, termwise
 D s_k E^k / (i k) for k != 0 and s_0 w for k = 0.  The Gauss map of the
@@ -33,7 +35,7 @@ from .errors import DomainError, StructureError
 from .weierstrass import WeierstrassData, distinct_count, form_residues, unit_normal
 
 # ---------------------------------------------------------------------------
-# analytic planar curves as finite trigonometric sums
+# analytic planar curves: trig-sum input, Laurent polynomials in E = e^{it/D}
 # ---------------------------------------------------------------------------
 
 
@@ -49,29 +51,34 @@ class TrigTerm:
         object.__setattr__(self, "frequency", Fraction(self.frequency))
 
 
-def _eval_terms(terms, t):
-    t = np.asarray(t)
-    out = np.zeros_like(np.asarray(t, dtype=complex if np.iscomplexobj(t) else float))
+def _terms_to_laurent(terms, denom: int) -> LaurentPoly:
+    """a cos(f t + p) -> (a/2) e^{ip} E^{fD} + (a/2) e^{-ip} E^{-fD}."""
+    acc: dict[int, complex] = {}
     for term in terms:
-        out = out + term.amplitude * np.cos(float(term.frequency) * t + term.phase)
-    return out
+        k = term.frequency * denom
+        assert k.denominator == 1
+        k = int(k)
+        half = 0.5 * term.amplitude * cmath.exp(1j * term.phase)
+        acc[k] = acc.get(k, 0.0) + half
+        acc[-k] = acc.get(-k, 0.0) + half.conjugate()
+    return LaurentPoly.from_dict(acc)
 
 
-def _diff_terms(terms):
-    # d/dt a cos(f t + p) = a f cos(f t + p + pi/2)
-    return tuple(
-        TrigTerm(term.amplitude * float(term.frequency), term.frequency,
-                 term.phase + math.pi / 2)
-        for term in terms
-    )
+def _laurent_diff(poly: LaurentPoly, denom: int) -> LaurentPoly:
+    exps = np.arange(poly.lowest, poly.highest + 1)
+    return LaurentPoly(poly.lowest, poly.coeffs * (1j * exps / denom))
 
 
 @dataclass(frozen=True)
 class AnalyticPlanarCurve:
     """A planar curve whose coordinates are finite trig sums over a domain.
 
-    Rational frequencies keep the analytic continuation a Laurent polynomial
-    in e^{i t / D}; integer frequencies give a 2 pi-periodic closed curve.
+    Construction converts the terms once to Laurent polynomials in
+    E = e^{i t / D}, with D (``denom``) the common denominator of the
+    rational frequencies: ``x`` and ``y``, their t-derivatives ``dx`` and
+    ``dy``, and ``z`` = x + i y, ``dz`` = dx + i dy.  Every evaluation reads
+    these; equality and hashing see only the terms and the domain.  Integer
+    frequencies (D = 1) give a 2 pi-periodic closed curve.
     """
 
     x_terms: tuple
@@ -81,24 +88,36 @@ class AnalyticPlanarCurve:
     def __post_init__(self):
         object.__setattr__(self, "x_terms", tuple(self.x_terms))
         object.__setattr__(self, "y_terms", tuple(self.y_terms))
+        terms = self.x_terms + self.y_terms
+        denom = math.lcm(*(term.frequency.denominator for term in terms))
+        x = _terms_to_laurent(self.x_terms, denom)
+        y = _terms_to_laurent(self.y_terms, denom)
+        dx, dy = _laurent_diff(x, denom), _laurent_diff(y, denom)
+        polys = dict(denom=denom, x=x, y=y, dx=dx, dy=dy,
+                     z=x + y.scale(1j), dz=dx + dy.scale(1j))
+        for name, value in polys.items():
+            object.__setattr__(self, name, value)
 
     @property
     def period(self) -> float:
         return self.domain[1] - self.domain[0]
 
+    def _evaluate(self, t, xy, x, y):
+        """(x, y) at t: for real t the real and imaginary parts of one
+        evaluation of xy = x + i y, for complex t x and y separately (the
+        analytic extension)."""
+        e = np.exp(1j * np.asarray(t) / self.denom)
+        if np.iscomplexobj(t):
+            return np.stack([x.evaluate(e), y.evaluate(e)], axis=-1)
+        # each complex value's (real, imag) pair, read in place
+        return np.asarray(xy.evaluate(e))[..., None].view(np.float64)
+
     def point(self, t):
         """Curve point; complex t evaluates the analytic extension."""
-        return np.stack([_eval_terms(self.x_terms, t),
-                         _eval_terms(self.y_terms, t)], axis=-1)
-
-    def point3(self, t):
-        p = self.point(t)
-        return np.concatenate([p, np.zeros(p.shape[:-1] + (1,))], axis=-1)
+        return self._evaluate(t, self.z, self.x, self.y)
 
     def velocity(self, t):
-        return np.stack(
-            [_eval_terms(_diff_terms(self.x_terms), t),
-             _eval_terms(_diff_terms(self.y_terms), t)], axis=-1)
+        return self._evaluate(t, self.dz, self.dx, self.dy)
 
     def speed(self, t):
         return np.linalg.norm(self.velocity(t), axis=-1)
@@ -108,14 +127,6 @@ class AnalyticPlanarCurve:
         v = self.velocity(t)
         n = np.stack([v[..., 1], -v[..., 0]], axis=-1)
         return n / np.linalg.norm(n, axis=-1, keepdims=True)
-
-    def common_denominator(self) -> int:
-        d = 1
-        for term in self.x_terms + self.y_terms:
-            d = d * term.frequency.denominator // math.gcd(
-                d, term.frequency.denominator
-            )
-        return d
 
 
 def equator_curve(m) -> AnalyticPlanarCurve:
@@ -144,24 +155,6 @@ def circle_curve(radius: float = 1.0) -> AnalyticPlanarCurve:
 # ---------------------------------------------------------------------------
 # Björling construction
 # ---------------------------------------------------------------------------
-
-
-def _terms_to_laurent(terms, denom: int) -> LaurentPoly:
-    """a cos(f t + p) -> (a/2) e^{ip} E^{fD} + (a/2) e^{-ip} E^{-fD}."""
-    acc: dict[int, complex] = {}
-    for term in terms:
-        k = term.frequency * denom
-        assert k.denominator == 1
-        k = int(k)
-        half = 0.5 * term.amplitude * cmath.exp(1j * term.phase)
-        acc[k] = acc.get(k, 0.0) + half
-        acc[-k] = acc.get(-k, 0.0) + half.conjugate()
-    return LaurentPoly.from_dict(acc)
-
-
-def _laurent_diff(poly: LaurentPoly, denom: int) -> LaurentPoly:
-    exps = np.arange(poly.lowest, poly.highest + 1)
-    return LaurentPoly(poly.lowest, poly.coeffs * (1j * exps / denom))
 
 
 def _laurent_sqrt(q: LaurentPoly) -> LaurentPoly:
@@ -213,13 +206,6 @@ def _cancel_common_roots(num: LaurentPoly, den: LaurentPoly):
     return num, den
 
 
-def _velocity_laurent(curve: AnalyticPlanarCurve, denom: int):
-    """x(E), y(E) and their w-derivatives x'(E), y'(E)."""
-    x = _terms_to_laurent(curve.x_terms, denom)
-    y = _terms_to_laurent(curve.y_terms, denom)
-    return x, y, _laurent_diff(x, denom), _laurent_diff(y, denom)
-
-
 class BjorlingPatch:
     """Minimal surface through a planar curve with its planar unit normal.
 
@@ -234,37 +220,28 @@ class BjorlingPatch:
             raise DomainError("normal_sign must be +1 or -1")
         self.curve = curve
         self.normal_sign = normal_sign
-        denom = curve.common_denominator()
-        self.denom = denom
-        self._x, self._y, dx, dy = _velocity_laurent(curve, denom)
+        self.denom = curve.denom
+        dx, dy = curve.dx, curve.dy
         self._speed = _laurent_sqrt(dx * dx + dy * dy)
+        ts = np.linspace(curve.domain[0], curve.domain[1], 1025)
+        speeds = curve.speed(ts)
         if w0 is None:
-            w0 = self._default_base()
+            # first parameter with at least half the top speed: a point on
+            # the first regular arc, anchoring the normal orientation
+            w0 = float(ts[np.argmax(speeds >= 0.5 * speeds.max())])
         self.w0 = float(w0)
         s0 = self._speed.evaluate(self._arg(self.w0))
         ref = float(curve.speed(self.w0))
-        top = self._max_speed()
-        if ref <= 1e-8 * top:
+        if ref <= 1e-8 * speeds.max():
             raise DomainError(f"base parameter {w0!r} is at or near a cusp")
         if abs(s0 - ref) > abs(s0 + ref):
             self._speed = self._speed.scale(-1.0)
-        self._primitive, self._drift = _laurent_primitive(self._speed, denom)
+        self._primitive, self._drift = _laurent_primitive(self._speed, self.denom)
         self._base = self._integral_from_zero(self.w0)
         # Gauss map g = -i sign s / (x' - i y'); s^2 = (x' + i y')(x' - i y'),
         # so at a cusp both vanish and the common factor is divided out
         num, den = _cancel_common_roots(self._speed, dx - dy.scale(1j))
         self._gauss = (num.scale(-1j * normal_sign), den)
-
-    def _max_speed(self) -> float:
-        ts = np.linspace(self.curve.domain[0], self.curve.domain[1], 512)
-        return float(self.curve.speed(ts).max())
-
-    def _default_base(self) -> float:
-        # first parameter with at least half the top speed: a point on the
-        # first regular arc, anchoring the normal orientation canonically
-        ts = np.linspace(self.curve.domain[0], self.curve.domain[1], 1025)
-        sp = self.curve.speed(ts)
-        return float(ts[np.argmax(sp >= 0.5 * sp.max())])
 
     def _arg(self, w):
         return np.exp(1j * np.asarray(w, dtype=complex) / self.denom)
@@ -277,7 +254,8 @@ class BjorlingPatch:
         w = np.asarray(u, dtype=float) + 1j * np.asarray(v, dtype=float)
         e = self._arg(w)
         integral = self._integral_from_zero(w) - self._base
-        return np.stack([self._x.evaluate(e).real, self._y.evaluate(e).real,
+        curve = self.curve
+        return np.stack([curve.x.evaluate(e).real, curve.y.evaluate(e).real,
                          self.normal_sign * integral.imag], axis=-1)
 
     def surface_map(self):
@@ -430,8 +408,10 @@ def verify_isometry(surface, pmap, motion: RigidMotion = None,
     ``surface`` is any (r, theta) -> R^3 evaluator; ``motion=None`` fits the
     best orthogonal motion by Procrustes before computing the residual
     max |X(sigma(p)) - (Q X(p) + t)|, passed against rel_tol times the
-    sample diameter.
+    sample diameter.  An orthogonal fit in 3-D needs at least 4 samples.
     """
+    if samples < 4:
+        raise DomainError(f"an isometry check needs at least 4 samples, got {samples}")
     evaluator = surface.evaluator if hasattr(surface, "evaluator") else surface
     r, theta = _sample_points(samples, seed)
     source = evaluator(r, theta)
@@ -566,9 +546,7 @@ def cusp_count(curve, n_samples: int = 4096) -> int:
     the bandwidth.
     """
     if isinstance(curve, AnalyticPlanarCurve):
-        denom = curve.common_denominator()
-        x, y, dx, dy = _velocity_laurent(curve, denom)
-        z, velocity = x + y.scale(1j), dx + dy.scale(1j)
+        z, velocity = curve.z, curve.dz
     else:
         z = _sampled_laurent(curve, max(n_samples, 1024))
         velocity = _laurent_diff(z, 1)

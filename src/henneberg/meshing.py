@@ -165,9 +165,17 @@ def _write_records(fh, fmt: str, rows: np.ndarray):
         fh.write((fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
+def _require_vertex_normals(mesh: Mesh, path):
+    """Both writers store one normal per vertex (OBJ faces as a//a)."""
+    if mesh.normals.shape != mesh.vertices.shape:
+        raise DomainError(f"{path}: cannot write {len(mesh.normals)} normals "
+                          f"for {len(mesh.vertices)} vertices (need one each)")
+
+
 def write_obj(mesh: Mesh, path):
     """Write v/vn/f records; floats carry 17 significant digits so a
     re-parse reproduces the vertices bit-exactly."""
+    _require_vertex_normals(mesh, path)
     xyz = " ".join([OBJ_FLOAT_FMT] * 3) + "\n"
     faces = mesh.faces.reshape(-1, 3).astype(np.int64) + 1
     with open(path, "w") as fh:
@@ -246,6 +254,7 @@ def _ply_header(n_vert: int, n_face: int) -> bytes:
 
 
 def write_ply(mesh: Mesh, path):
+    _require_vertex_normals(mesh, path)
     faces = np.empty(len(mesh.faces), dtype=_PLY_FACE)
     faces["n"] = 3
     faces["i"] = mesh.faces.reshape(-1, 3)

@@ -386,6 +386,9 @@ class ModuliPoint:
     beta: float
 
     def __post_init__(self):
+        coords = (self.r1, self.r2, self.r3, self.theta2, self.theta3, self.beta)
+        if not all(map(math.isfinite, coords)):
+            raise DomainError(f"moduli point coordinates must be finite, got {coords}")
         if min(self.r1, self.r2, self.r3) <= 0:
             raise DomainError("moduli must be positive")
 
@@ -503,8 +506,8 @@ def continue_from(p0: ModuliPoint, r1: float, r2: float, tol: float = 1e-12,
     guaranteed: paths that run into a fold (vanishing Jacobian determinant)
     end in ConvergenceError, carrying the last residual.
     """
-    if min(r1, r2) <= 0:
-        raise DomainError("target moduli must be positive")
+    if not all(math.isfinite(r) and r > 0 for r in (r1, r2)):
+        raise DomainError(f"target moduli must be finite and positive, got {r1}, {r2}")
     det = float(np.linalg.det(period_jacobian_m2(p0)))
     if abs(det) <= 1e-6:
         raise StructureError(f"Jacobian at start point is singular (det={det:.3e})")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from henneberg import read_obj, read_ply
+from henneberg import cli
 from henneberg.cli import main
 
 
@@ -382,6 +383,62 @@ class TestBjorling:
         assert code == 0
         assert json.loads(stdout)["quad_order"] == 24
         assert not caplog.records
+
+
+    def test_sup_error_propagates_nan(self, capsys, monkeypatch):
+        # a NaN row must not hide behind a running max that starts at 0
+        real, rows = cli.eval_hm_even, []
+
+        def poisoned(m, r, theta):
+            rows.append(r)
+            return real(m, r, theta) * (math.nan if len(rows) == 2 else 1.0)
+
+        monkeypatch.setattr(cli, "eval_hm_even", poisoned)
+        code, stdout, _ = run(capsys, "bjorling", "--cusps", "3", "--n-u", "16", "--n-v", "3")
+        assert code == 0 and len(rows) == 3
+        assert math.isnan(json.loads(stdout)["sup_error"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["bjorling", "--cusps", "3", "--strip", "nan"],
+    ["bjorling", "--cusps", "3", "--strip", "inf"],
+    ["bjorling", "--cusps", "3", "--strip=-inf"],
+    ["bjorling", "--cusps", "3", "--strip", "0"],
+    ["bjorling", "--cusps", "3", "--strip=-0.05"],
+    ["bjorling", "--cusps", "3", "--n-u", "0"],
+    ["bjorling", "--cusps", "3", "--n-u", "1"],
+    ["bjorling", "--astroid", "--n-v", "1"],
+    ["bjorling", "--astroid", "--n-v=-3"],
+    ["continue", "--r1", "nan", "--r2", "1"],
+    ["continue", "--r1", "inf", "--r2", "1"],
+    ["continue", "--r1", "1", "--r2", "nan"],
+    ["verify", "hm", "--m", "2", "--samples", "0"],
+    ["verify", "hm", "--m", "2", "--samples=-5"],
+    ["verify", "h1", "--samples", "1"],
+    ["verify", "hm", "--m", "3", "--samples", "3"],
+], ids=lambda argv: " ".join(argv))
+def test_bad_numeric_input_exits_2(capsys, argv):
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", ["r1", "r3", "theta2", "beta"])
+def test_continue_from_non_finite_point_exits_2(capsys, tmp_path, key, bad):
+    # json writes and reads these as NaN, Infinity and -Infinity
+    point = {"r1": 1.0, "r2": 1.0, "r3": 1.0, "theta2": math.pi / 3,
+             "theta3": 2 * math.pi / 3, "beta": math.pi / 2, key: bad}
+    start = tmp_path / "start.json"
+    start.write_text(json.dumps(point))
+    code, stdout, err = run(capsys, "continue", "--from", str(start), "--r1", "1", "--r2", "1")
+    assert code == 2 and stdout == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_verify_four_samples_suffice(capsys):
+    code, stdout, _ = run(capsys, "verify", "h1", "--samples", "4")
+    assert code == 0 and json.loads(stdout)["isometries"]["all_pass"]
 
 
 class TestGenerateSelectors:

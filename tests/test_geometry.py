@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from henneberg import geometry
 from henneberg import (
     AnalyticPlanarCurve,
     DomainError,
@@ -41,6 +43,22 @@ def limacon_curve(eps=0.3):
     x = tuple(TrigTerm(a, Fraction(j), -math.pi / 2) for j, a in enumerate(amps, 1))
     y = tuple(TrigTerm(a, Fraction(j), math.pi) for j, a in enumerate(amps, 1))
     return AnalyticPlanarCurve(x, y)
+
+
+def trig_sum(terms, t):
+    """Oracle: the sum of a cos(f t + p) over the terms, evaluated directly
+    (complex t gives the analytic extension)."""
+    t = np.asarray(t)
+    out = np.zeros(t.shape, dtype=complex if np.iscomplexobj(t) else float)
+    for term in terms:
+        out = out + term.amplitude * np.cos(float(term.frequency) * t + term.phase)
+    return out
+
+
+def trig_diff(terms):
+    # d/dt a cos(f t + p) = a f cos(f t + p + pi/2)
+    return tuple(TrigTerm(term.amplitude * float(term.frequency), term.frequency,
+                          term.phase + math.pi / 2) for term in terms)
 
 
 def leggauss_integral(patch, w, order):
@@ -87,6 +105,75 @@ class TestCurves:
         c = equator_curve(Fraction(1, 2))
         assert abs(c.period - 4 * math.pi) < 1e-15
         assert np.abs(c.point(0.0) - c.point(4 * math.pi)).max() < 1e-12
+
+
+ORACLE_CURVES = {
+    "m=2": equator_curve(2), "m=3": equator_curve(3),
+    "m=1/2": equator_curve(Fraction(1, 2)), "m=1/4": equator_curve(Fraction(1, 4)),
+    "circle": circle_curve(), "limacon": limacon_curve(),
+}
+
+#: the default Björling base w0 of equator_curve(q); it fixes the height's
+#: additive constant, and with it every mesh that `bjorling --out` writes
+DEFAULT_BASES = {
+    Fraction(1): "0.2638446955163303", Fraction(2): "0.17794177139473438",
+    Fraction(3): "0.1349903093339364", Fraction(4): "0.11044661672776616",
+    Fraction(5): "0.09203884727313846", Fraction(6): "0.07976700097005335",
+    Fraction(7): "0.0674951546669682", Fraction(8): "0.06135923151542565",
+    Fraction(9): "0.05522330836388308", Fraction(10): "0.04908738521234052",
+    Fraction(11): "0.04908738521234052", Fraction(12): "0.04295146206079795",
+    Fraction(13): "0.04295146206079795", Fraction(14): "0.03681553890925539",
+    Fraction(15): "0.03681553890925539", Fraction(16): "0.03681553890925539",
+    Fraction(1, 2): "0.35588354278946877", Fraction(1, 4): "0.44178646691106466",
+    Fraction(1, 6): "0.47860200582032003", Fraction(1, 8): "0.4908738521234052",
+    Fraction(1, 10): "0.4908738521234052", Fraction(1, 12): "0.5154175447295755",
+    Fraction(1, 14): "0.5154175447295755", Fraction(1, 16): "0.5890486225480862",
+    Fraction(1, 3): "0.4049709280018093", Fraction(2, 3): "0.3313398501832985",
+    Fraction(3, 2): "0.22089323345553233", Fraction(5, 2): "0.1595340019401067",
+}
+
+
+class TestLaurentCurves:
+    @pytest.mark.parametrize("curve", ORACLE_CURVES.values(), ids=ORACLE_CURVES.keys())
+    @pytest.mark.parametrize("shift", [0.0, 0.3j, -0.45j], ids=["real", "upper", "lower"])
+    def test_match_trig_sum_oracle(self, curve, shift):
+        t = np.linspace(curve.domain[0] - 1.0, curve.domain[1] + 1.0, 211) + shift
+        for got, xs, ys in [(curve.point(t), curve.x_terms, curve.y_terms),
+                            (curve.velocity(t), trig_diff(curve.x_terms),
+                             trig_diff(curve.y_terms))]:
+            want = np.stack([trig_sum(xs, t), trig_sum(ys, t)], axis=-1)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.abs(got - want).max() < 1e-13
+
+    def test_real_parameters_give_float_points(self):
+        curve = equator_curve(3)
+        assert curve.point(0.4).dtype == np.float64 and curve.point(0.4).shape == (2,)
+        assert curve.point(np.arange(5.0)).dtype == np.float64
+        assert curve.velocity([0.0, 1.0]).dtype == np.float64
+        assert curve.point(0.4 + 0.1j).dtype == np.complex128
+
+    def test_equality_sees_terms_and_domain(self):
+        a, b = equator_curve(3), equator_curve(Fraction(3))
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert a != equator_curve(2)
+        assert a != AnalyticPlanarCurve(a.x_terms, a.y_terms, (0.0, math.pi))
+        assert [f.name for f in dataclasses.fields(a)] == ["x_terms", "y_terms", "domain"]
+
+    def test_terms_converted_once(self, monkeypatch):
+        curve = equator_curve(Fraction(1, 2))
+        monkeypatch.setattr(geometry, "_terms_to_laurent", None)
+        bjorling_solve(curve).at(0.3, 0.01)
+        assert cusp_count(curve) == 6
+        curve.normal(np.linspace(0.1, 1.0, 5))
+
+    @pytest.mark.parametrize("q,want", DEFAULT_BASES.items(), ids=str)
+    def test_default_base_pinned(self, q, want):
+        for sign in (1, -1):
+            assert repr(bjorling_solve(equator_curve(q), normal_sign=sign).w0) == want
+
+    @pytest.mark.parametrize("radius", [1.0, 0.5, 2.7])
+    def test_default_base_of_circles(self, radius):
+        assert bjorling_solve(circle_curve(radius)).w0 == 0.0
 
 
 class TestBjorling:
@@ -199,6 +286,11 @@ class TestRigidMotion:
 
 
 class TestIsometries:
+    @pytest.mark.parametrize("samples", [-5, 0, 1, 3])
+    def test_fit_needs_four_samples(self, samples):
+        with pytest.raises(DomainError):
+            verify_isometry(surface_h1(), ParameterMap(negate=True), samples=samples)
+
     def test_h1_conjugation_reflection(self):
         cert = verify_isometry(surface_h1(), ParameterMap(negate=True))
         assert cert.passed

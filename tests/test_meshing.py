@@ -195,6 +195,22 @@ def test_obj_reader_checks_every_block(tmp_path, monkeypatch):
     assert read_obj(path).faces.tolist() == [[0, 1, 2], [2, 1, 0]]
 
 
+@pytest.mark.parametrize("normals", ["", "vn 0 0 1\n", "vn 0 0 1\n" * 4],
+                         ids=["no-vn", "fewer-vn", "more-vn"])
+def test_writers_need_one_normal_per_vertex(tmp_path, normals):
+    # read_obj returns the normals a file has; the writers store one per
+    # vertex (OBJ faces reference them as a//a), so they refuse the rest
+    path = tmp_path / "m.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\n" + normals + "f 1 2 3\n")
+    mesh = read_obj(path)
+    assert len(mesh.normals) == normals.count("vn")
+    for writer, name in ((write_obj, "out.obj"), (write_ply, "out.ply")):
+        out = tmp_path / name
+        with pytest.raises(DomainError, match=name):
+            writer(mesh, out)
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("record", [
     struct.pack("<Biii", 3, 0, 1, 999),
     struct.pack("<Biii", 3, -1, 1, 2),

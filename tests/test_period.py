@@ -505,6 +505,20 @@ class TestContinuation:
         with pytest.raises((ConvergenceError, DomainError)):
             continue_from(h2_point(), -1.0, 1.0)
 
+    @pytest.mark.parametrize("r1,r2", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan),
+                                       (1.0, -math.inf), (0.0, 1.0)])
+    def test_target_must_be_finite_and_positive(self, r1, r2):
+        with pytest.raises(DomainError):
+            continue_from(h2_point(), r1, r2)
+
+    @pytest.mark.parametrize("index", range(6))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_moduli_point_coordinates_must_be_finite(self, index, bad):
+        coords = [1.0, 1.0, 1.0, math.pi / 3, 2 * math.pi / 3, math.pi / 2]
+        coords[index] = bad
+        with pytest.raises(DomainError):
+            ModuliPoint(*coords)
+
 
 def _newton(vector, jacobian, x0, max_iter=50, admissible=lambda x: True):
     return _damped_newton(
