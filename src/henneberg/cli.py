@@ -47,6 +47,9 @@ from .weierstrass import WeierstrassData
 
 PERIOD_TOL = 1e-10
 
+#: ln 2^52: a patch value of size e^x has float spacing above 1 past x = this
+_MANTISSA_LOG = 52 * math.log(2)
+
 log = logging.getLogger(__name__)
 
 
@@ -231,9 +234,14 @@ def cmd_verify(args) -> int:
     else:  # custom
         _require(args, ["data"])
         data, label, iso_m = load_data_file(args.data), "custom", None
+    samples = 240 if args.samples is None else args.samples
+    seed = 0 if args.seed is None else args.seed
     report = verification_report(
-        data, label, isometries_for=iso_m, samples=args.samples, seed=args.seed
+        data, label, isometries_for=iso_m, samples=samples, seed=seed
     )
+    if args.samples is not None or args.seed is not None:
+        log.warning("--samples and --seed are deprecated and ignored: the "
+                    "isometries are certified on Laurent coefficients")
     _emit(report, args.out)
     return 0 if report["pass"] else 1
 
@@ -326,6 +334,13 @@ def cmd_bjorling(args) -> int:
         raise CliError("--n-u and --n-v must be at least 2")
     m = _closed_form_for_cusps(cusps)
     curve = equator_curve(m)
+    # the closed form grows like e^{K strip}, K = m + 2 its largest radial
+    # exponent; past K strip = 52 ln 2 the float spacing there exceeds 1
+    top = max(-curve.z.lowest, curve.z.highest) / curve.denom
+    if top * args.strip > _MANTISSA_LOG:
+        largest = math.floor(_MANTISSA_LOG / top * 1e4) / 1e4
+        raise CliError(f"--strip must be at most {largest} for {cusps} cusps, "
+                       f"got {args.strip}")
     if args.quad_order is not None:
         log.warning("--quad-order is deprecated and ignored: "
                     "the Björling integral is evaluated in closed form")
@@ -415,8 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--m", type=int)
     ver.add_argument("--theta2", type=float)
     ver.add_argument("--data")
-    ver.add_argument("--samples", type=int, default=240)
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--samples", type=int, help="deprecated, ignored (at least 4)")
+    ver.add_argument("--seed", type=int, help="deprecated, ignored")
     ver.add_argument("--out")
     ver.set_defaults(func=cmd_verify)
 

@@ -1,4 +1,4 @@
-"""Björling solver, isometry-group verification, flux and curve diagnostics.
+"""Björling solver, isometry-group certification, flux and curve diagnostics.
 
 The Björling solution through a planar analytic curve gamma with planar unit
 normal eta reduces, because eta x gamma' = (0, 0, s) with s the signed
@@ -18,6 +18,16 @@ patch is the ratio g = -i sign s / (x' - i y') with its common factors
 are the unit-circle roots of x' + i y'.  Cusps of a band-limited callable
 curve are counted the same way, from the Laurent polynomial that its
 discrete Fourier transform gives.
+
+The isometry group of the symmetric surface of complexity m is certified on
+the coefficients of its immersion, with nothing sampled.  Each coordinate is
+Re P_j(z) + l_j ln|z|, and the parameter maps act on the coefficients in
+closed form: theta -> theta + pi q multiplies c_k by e^{i pi q k}, theta ->
+-theta conjugates c_k, and r -> 1/r moves conj(c_k) to exponent -k and
+negates l_j.  The functions r^k cos k theta, r^k sin k theta (k != 0), ln r
+and 1 are linearly independent, so a map induces the motion Q X + t exactly
+when the coefficient rows satisfy T = Q S; Q is their orthogonal Procrustes
+fit.  verify_isometry keeps the sampled check for arbitrary evaluators.
 """
 
 from __future__ import annotations
@@ -32,7 +42,16 @@ import numpy as np
 
 from .algebra import LaurentPoly
 from .errors import DomainError, StructureError
-from .weierstrass import WeierstrassData, distinct_count, form_residues, unit_normal
+from .period import symmetric_example
+from .surfaces import symmetric_phase
+from .weierstrass import (
+    IntegratedForms,
+    WeierstrassData,
+    distinct_count,
+    form_residues,
+    integrate_forms,
+    unit_normal,
+)
 
 # ---------------------------------------------------------------------------
 # analytic planar curves: trig-sum input, Laurent polynomials in E = e^{it/D}
@@ -393,6 +412,15 @@ class IsometryCertificate:
         return self.residual < self.tolerance
 
 
+#: relative residual below which an isometry certificate passes
+ISOMETRY_REL_TOL = 1e-9
+
+
+def _require_samples(samples: int):
+    if samples < 4:
+        raise DomainError(f"an isometry check needs at least 4 samples, got {samples}")
+
+
 def _sample_points(samples: int, seed: int = 0):
     rng = np.random.default_rng(seed)
     r = np.exp(rng.uniform(-0.8, 0.8, samples))
@@ -402,7 +430,7 @@ def _sample_points(samples: int, seed: int = 0):
 
 def verify_isometry(surface, pmap, motion: RigidMotion = None,
                     samples: int = 240, seed: int = 0,
-                    rel_tol: float = 1e-9) -> IsometryCertificate:
+                    rel_tol: float = ISOMETRY_REL_TOL) -> IsometryCertificate:
     """Check that the parameter map induces a rigid motion on the surface.
 
     ``surface`` is any (r, theta) -> R^3 evaluator; ``motion=None`` fits the
@@ -410,8 +438,7 @@ def verify_isometry(surface, pmap, motion: RigidMotion = None,
     max |X(sigma(p)) - (Q X(p) + t)|, passed against rel_tol times the
     sample diameter.  An orthogonal fit in 3-D needs at least 4 samples.
     """
-    if samples < 4:
-        raise DomainError(f"an isometry check needs at least 4 samples, got {samples}")
+    _require_samples(samples)
     evaluator = surface.evaluator if hasattr(surface, "evaluator") else surface
     r, theta = _sample_points(samples, seed)
     source = evaluator(r, theta)
@@ -432,20 +459,22 @@ def verify_isometry(surface, pmap, motion: RigidMotion = None,
 
 
 def _close_group(generators: Sequence[ParameterMap], cap: int):
+    """The group the generators generate, as words in them grown from the
+    identity (in a finite group every inverse is a positive power)."""
     group = {ParameterMap()}
     frontier = list(group)
     while frontier:
         fresh = []
         for g in frontier:
             for h in generators:
-                for prod in (h.compose(g), g.compose(h)):
-                    if prod not in group:
-                        if len(group) >= cap:
-                            raise StructureError(
-                                f"isometry generators do not close within {cap} elements"
-                            )
-                        group.add(prod)
-                        fresh.append(prod)
+                prod = h.compose(g)
+                if prod not in group:
+                    if len(group) >= cap:
+                        raise StructureError(
+                            f"isometry generators do not close within {cap} elements"
+                        )
+                    group.add(prod)
+                    fresh.append(prod)
         frontier = fresh
     return sorted(group, key=lambda p: (p.invert, p.negate, p.shift_pi))
 
@@ -471,24 +500,78 @@ def isometry_generators(m: int):
     )
 
 
-def enumerate_isometries(m: int, samples: int = 240, seed: int = 0):
-    """Close the generator set and certify every element on the closed-form
-    surface; returns 4m+4 certificates for the symmetric example."""
-    if m < 1:
-        raise DomainError("m must be a positive integer")
-    from .surfaces import surface_hm
+def _coefficient_rows(coeffs: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """Real rows over the basis r^k cos k theta, r^k sin k theta, ln r: the
+    real and imaginary parts of the coefficients, then the log coefficient
+    (the sign of the sine column is the same for every row, so it is left)."""
+    return np.concatenate([coeffs.real, coeffs.imag, logs[..., None]], axis=-1)
 
+
+def _certify_on_coefficients(forms: IntegratedForms, maps, sign: int = 1):
+    """Certify each parameter map in ``maps`` on the coefficients of the raw
+    immersion ``forms``; the motions are reported in the frame of ``sign``
+    times the raw immersion."""
+    span = max(max(-p.lowest, p.highest) for p in forms.polys)
+    exps = np.arange(-span, span + 1)
+    coeffs = np.zeros((3, len(exps)), dtype=complex)
+    for j, p in enumerate(forms.polys):
+        coeffs[j, p.lowest + span : p.highest + span + 1] = p.coeffs
+    constants = coeffs[:, span].real.copy()
+    coeffs[:, span] = 0.0
+    logs = np.asarray(forms.log_coeffs, dtype=float)
+
+    # X o sigma, as ParameterMap.apply orders its steps: c_k -> c_k e^{i pi q k},
+    # conjugated for theta -> -theta; r -> 1/r moves conj(c_k) to -k, ln r to -ln r
+    den = math.lcm(*(g.shift_pi.denominator for g in maps))
+    turns = [g.shift_pi.numerator * (den // g.shift_pi.denominator) for g in maps]
+    units = np.exp(1j * math.pi / den * np.arange(2 * den))
+    moved = coeffs * units[np.outer(turns, exps) % (2 * den)][:, None, :]
+    negate = np.array([g.negate for g in maps])[:, None, None]
+    invert = np.array([g.invert for g in maps])[:, None, None]
+    moved = np.where(negate, moved.conj(), moved)
+    moved = np.where(invert, moved[..., ::-1].conj(), moved)
+    source = _coefficient_rows(coeffs, logs)
+    target = _coefficient_rows(moved, np.where(invert[:, :, 0], -logs, logs))
+
+    # orthogonal Procrustes on the rows, target ~ Q source, as in
+    # fit_rigid_motion; the constant terms are invariant, so t = c - Q c
+    u, _, vt = np.linalg.svd(target @ source.T)
+    qs = u @ vt
+    residuals = np.abs(target - qs @ source).max(axis=(1, 2))
+    shifts = sign * (constants - qs @ constants)
+    tolerance = ISOMETRY_REL_TOL * float(np.abs(source).max())
+    return [
+        IsometryCertificate(pmap, RigidMotion(q, t), float(res), tolerance)
+        for pmap, q, t, res in zip(maps, qs, shifts, residuals)
+    ]
+
+
+def _symmetric_isometries(m: int, forms: IntegratedForms, samples: int):
+    """enumerate_isometries on ``forms``, which the caller integrated from
+    symmetric_example(m)."""
+    _require_samples(samples)
     order = 4 * m + 4
     group = _close_group(isometry_generators(m), order)
     if len(group) != order:
         raise StructureError(
             f"expected {order} isometries, generators closed at {len(group)}"
         )
-    surf = surface_hm(m)
-    return [
-        verify_isometry(surf, pmap, motion=None, samples=samples, seed=seed)
-        for pmap in group
-    ]
+    return _certify_on_coefficients(forms, group, symmetric_phase(m))
+
+
+def enumerate_isometries(m: int, samples: int = 240, seed: int = 0):
+    """Close the generator set and certify every element on the closed form,
+    symmetric_phase(m) times the raw immersion of symmetric_example(m);
+    returns 4m+4 certificates.
+
+    Each element is certified on Laurent coefficients (see the module
+    docstring): Q is the orthogonal Procrustes fit of the coefficient rows
+    T of X o sigma to the rows S of X, t comes from the constant terms, and
+    the residual max |T - Q S| passes below 1e-9 max |S|.  Nothing is
+    sampled; ``samples`` (at least 4) and ``seed`` are accepted and change
+    nothing.
+    """
+    return _symmetric_isometries(m, integrate_forms(symmetric_example(m)), samples)
 
 
 # ---------------------------------------------------------------------------

@@ -149,26 +149,23 @@ def _associated_data(data: WeierstrassData, phase_angle: float) -> WeierstrassDa
     return data.with_phase(cis(phase_angle))
 
 
-_DESCENT_RING = np.concatenate(
-    [rad * np.exp(1j * np.linspace(0.1, 2 * np.pi + 0.1, 16, endpoint=False))
-     for rad in (0.7, 1.3)]
-)
-
-
 def one_sided_descent_residual(data: WeierstrassData, phase_angle: float) -> float:
     """Residual of the antipodal compatibility for the rotated form
     e^{i phase} omega; vanishes only for phase 0 or pi (mod 2 pi).
 
-    Measured as max over a fixed ring of |e^{i p} f(-1/conj z) +
-    e^{-i p} conj(z^4 f(z))| normalized by max |z^4 f(z)|.
+    e^{i p} f(-1/conj z) + e^{-i p} conj(z^4 f(z)) is a Laurent polynomial
+    in conj z: f = sum c_k z^k gives the coefficient e^{i p} (-1)^k c_k at
+    exponent -k and e^{-i p} conj(c_k) at k + 4.  The residual is its
+    largest coefficient over the largest |c_k|.
     """
-    z = _DESCENT_RING
     f = data.f
+    exps = np.arange(f.lowest, f.highest + 1)
     phase = cis(phase_angle)
-    lhs = phase * f.evaluate(-1.0 / np.conj(z))
-    rhs = np.conj(phase) * np.conj(z**4 * f.evaluate(z))
-    scale = np.abs(z**4 * f.evaluate(z)).max()
-    return float(np.abs(lhs + rhs).max() / scale)
+    lo = min(-f.highest, f.lowest + 4)
+    acc = np.zeros(max(-f.lowest, f.highest + 4) - lo + 1, dtype=complex)
+    acc[-exps - lo] += phase * np.where(exps % 2, -1.0, 1.0) * f.coeffs
+    acc[exps + 4 - lo] += np.conj(phase) * np.conj(f.coeffs)
+    return float(np.abs(acc).max() / np.abs(f.coeffs).max())
 
 
 # ---------------------------------------------------------------------------

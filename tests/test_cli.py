@@ -201,6 +201,31 @@ class TestVerify:
         assert code == 0
         assert rep["isometries"]["count"] == 8
 
+    def test_samples_and_seed_are_deprecated(self, capsys, caplog):
+        _, want, _ = run(capsys, "verify", "hm", "--m", "3")
+        for flag in (["--samples", "8"], ["--seed", "5"]):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="henneberg"):
+                code, stdout, _ = run(capsys, "verify", "hm", "--m", "3", *flag)
+            assert code == 0 and stdout == want
+            [record] = caplog.records
+            assert record.name.startswith("henneberg") and record.levelno == logging.WARNING
+            assert "deprecated" in record.getMessage()
+
+    def test_samples_default_is_silent(self, capsys, caplog):
+        with caplog.at_level(logging.WARNING, logger="henneberg"):
+            code, _, _ = run(capsys, "verify", "h1")
+        assert code == 0 and not caplog.records
+
+    def test_report_certifies_the_closed_form(self, capsys):
+        # isometries_for certifies the symmetric example whatever the data
+        from henneberg import family_theta2, symmetric_example, verification_report
+
+        family = family_theta2(0.83).weierstrass()
+        got = verification_report(family, isometries_for=2)["isometries"]
+        want = verification_report(symmetric_example(2), isometries_for=2)["isometries"]
+        assert got == want and got["count"] == 12 and got["all_pass"]
+
     def test_perturbed_h2_fails(self, capsys, tmp_path):
         data = tmp_path / "h2p.json"
         data.write_text(json.dumps({
@@ -405,6 +430,8 @@ class TestBjorling:
     ["bjorling", "--cusps", "3", "--strip=-inf"],
     ["bjorling", "--cusps", "3", "--strip", "0"],
     ["bjorling", "--cusps", "3", "--strip=-0.05"],
+    ["bjorling", "--cusps", "3", "--strip", "30"],
+    ["bjorling", "--cusps", "3", "--strip", "800"],
     ["bjorling", "--cusps", "3", "--n-u", "0"],
     ["bjorling", "--cusps", "3", "--n-u", "1"],
     ["bjorling", "--astroid", "--n-v", "1"],
@@ -434,6 +461,18 @@ def test_continue_from_non_finite_point_exits_2(capsys, tmp_path, key, bad):
     code, stdout, err = run(capsys, "continue", "--from", str(start), "--r1", "1", "--r2", "1")
     assert code == 2 and stdout == ""
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("cusps,top", [(3, 4), (4, 3), (6, 2.5), (12, 7)])
+def test_strip_bound_names_largest_strip(capsys, cusps, top):
+    # K strip may reach 52 ln 2, K = m + 2 the closed form's top exponent
+    largest = math.floor(52 * math.log(2) / top * 1e4) / 1e4
+    code, _, err = run(capsys, "bjorling", "--cusps", str(cusps),
+                       "--strip", str(largest + 1e-3), "--n-u", "8", "--n-v", "3")
+    assert code == 2 and f"at most {largest} " in err
+    code, stdout, _ = run(capsys, "bjorling", "--cusps", str(cusps),
+                          "--strip", str(largest), "--n-u", "8", "--n-v", "3")
+    assert code == 0 and math.isfinite(json.loads(stdout)["sup_error"])
 
 
 def test_verify_four_samples_suffice(capsys):

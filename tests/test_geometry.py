@@ -29,6 +29,7 @@ from henneberg import (
     flux_exactness,
     integrate_forms,
     surface_h1,
+    surface_hm,
     symmetric_example,
     unit_normal,
     verify_isometry,
@@ -331,6 +332,54 @@ class TestIsometries:
             for a in group:
                 for b in group:
                     assert a.compose(b) in group
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_coefficients_match_sampled_fit(self, m):
+        # the sampled Procrustes fit on the closed form is the oracle
+        smap = surface_hm(m)
+        for cert in enumerate_isometries(m):
+            oracle = verify_isometry(smap, cert.pmap)
+            assert oracle.passed and cert.passed
+            assert cert.pmap.describe() == oracle.pmap.describe()
+            assert np.abs(cert.motion.matrix - oracle.motion.matrix).max() < 1e-12
+            assert np.abs(cert.motion.translation - oracle.motion.translation).max() < 1e-12
+            assert cert.residual <= 1e-13 * cert.tolerance / geometry.ISOMETRY_REL_TOL
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    @pytest.mark.parametrize("negate", [False, True])
+    @pytest.mark.parametrize("step", ["m+2", "2m+2"])
+    def test_non_elements_fail(self, m, negate, step):
+        q = Fraction(1, m + 2) if step == "m+2" else Fraction(1, 2 * m + 2)
+        forms = integrate_forms(symmetric_example(m))
+        [cert] = geometry._certify_on_coefficients(
+            forms, [ParameterMap(negate=negate, shift_pi=q)]
+        )
+        assert not cert.passed
+        assert cert.residual > 0.1 * cert.tolerance / geometry.ISOMETRY_REL_TOL
+
+    def test_nothing_is_sampled(self, monkeypatch):
+        import henneberg.surfaces as surfaces
+
+        def poisoned(*args):
+            raise AssertionError("closed form evaluated")
+
+        monkeypatch.setattr(surfaces, "eval_hm_odd", poisoned)
+        monkeypatch.setattr(surfaces, "eval_hm_even", poisoned)
+        for m in (1, 2):
+            assert all(c.passed for c in enumerate_isometries(m))
+
+    def test_samples_and_seed_do_not_change_certificates(self):
+        base = enumerate_isometries(3)
+        other = enumerate_isometries(3, samples=4, seed=11)
+        for a, b in zip(base, other):
+            assert a.pmap == b.pmap and a.residual == b.residual
+            assert np.array_equal(a.motion.matrix, b.motion.matrix)
+            assert np.array_equal(a.motion.translation, b.motion.translation)
+
+    @pytest.mark.parametrize("samples", [-5, 0, 1, 3])
+    def test_enumeration_keeps_four_sample_floor(self, samples):
+        with pytest.raises(DomainError):
+            enumerate_isometries(2, samples=samples)
 
     def test_composition_algebra(self):
         a = ParameterMap(negate=True, shift_pi=Fraction(1))

@@ -190,6 +190,13 @@ class TestDescentResidual:
         d = symmetric_example(1)
         assert one_sided_descent_residual(d, math.pi / 2) > 0.1
 
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_symmetric_examples_descend(self, m):
+        d = symmetric_example(m)
+        assert one_sided_descent_residual(d, 0.0) < 1e-15
+        assert one_sided_descent_residual(d, math.pi) < 1e-15
+        assert one_sided_descent_residual(d, math.pi / 2) > 0.1
+
     def test_profile_over_angles(self):
         d = symmetric_example(4)
         vals = [
