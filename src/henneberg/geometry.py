@@ -14,7 +14,8 @@ polynomial square root of gamma' . gamma' (an error is raised when that is
 not a perfect square).  The integral is therefore closed-form, termwise
 D s_k E^k / (i k) for k != 0 and s_0 w for k = 0.  The Gauss map of the
 patch is the ratio g = -i sign s / (x' - i y') with its common factors
-(the cusps, where both vanish) divided out, and the cusps of such a curve
+(the cusps, where both vanish) divided out of both by synthetic division,
+one root of x' - i y' at a time, and the cusps of such a curve
 are the unit-circle roots of x' + i y'.  Cusps of a band-limited callable
 curve are counted the same way, from the Laurent polynomial that its
 discrete Fourier transform gives.
@@ -208,21 +209,34 @@ def _laurent_primitive(poly: LaurentPoly, denom: int):
     return LaurentPoly(poly.lowest, coeffs), poly.coefficient(0)
 
 
-def _deflate(poly: LaurentPoly, root: complex) -> LaurentPoly:
-    """poly / (E - root), the remainder poly(root) ~ 0 discarded."""
-    quotient, _ = np.polydiv(poly.coeffs[::-1], np.array([1.0, -root]))
-    return LaurentPoly(poly.lowest, quotient[::-1])
+def _synthetic_division(coeffs: list, root: complex):
+    """coeffs (highest power first) divided by (E - root) by Horner's
+    scheme: the quotient's coefficients and the remainder, which is the
+    polynomial's value at root."""
+    acc, quotient = coeffs[0], []
+    for c in coeffs[1:]:
+        quotient.append(acc)
+        acc = c + acc * root
+    return quotient, acc
 
 
 def _cancel_common_roots(num: LaurentPoly, den: LaurentPoly):
     """num / den in lowest terms: every root of den at which num vanishes
-    (relative to the size of its terms there) is divided out of both."""
-    for root in np.roots(den.coeffs[::-1]):
-        exps = np.arange(num.lowest, num.highest + 1)
-        size = float(np.abs(num.coeffs) @ np.abs(root) ** exps)
-        if abs(num.evaluate(root)) <= 1e-6 * size:
-            num, den = _deflate(num, root), _deflate(den, root)
-    return num, den
+    (relative to the size of its terms there) is divided out of both.
+
+    Each root of the original den is one synthetic division of num's plain
+    coefficients: its remainder is the value tested, and on a hit its
+    quotient replaces num and den is divided the same way."""
+    num_c, den_c = num.coeffs[::-1].tolist(), den.coeffs[::-1].tolist()
+    for root in np.roots(den_c).tolist():
+        quotient, value = _synthetic_division(num_c, root)
+        radius, size = abs(root), 0.0
+        for c in num_c:
+            size = size * radius + abs(c)
+        if abs(value) <= 1e-6 * size:
+            num_c, den_c = quotient, _synthetic_division(den_c, root)[0]
+    return (LaurentPoly(num.lowest, num_c[::-1]),
+            LaurentPoly(den.lowest, den_c[::-1]))
 
 
 class BjorlingPatch:
@@ -460,14 +474,23 @@ def verify_isometry(surface, pmap, motion: RigidMotion = None,
 
 def _close_group(generators: Sequence[ParameterMap], cap: int):
     """The group the generators generate, as words in them grown from the
-    identity (in a finite group every inverse is a positive power)."""
-    group = {ParameterMap()}
+    identity (in a finite group every inverse is a positive power).
+
+    Elements are closed as integer triples (negate, k, invert), the shift
+    being k pi / N with N the lcm of the generators' shift denominators and
+    k taken mod 2N; ParameterMaps are made for the sorted result only."""
+    den = math.lcm(*(g.shift_pi.denominator for g in generators))
+    turns = [(g.negate, g.shift_pi.numerator * (den // g.shift_pi.denominator),
+              g.invert) for g in generators]
+    group = {(False, 0, False)}
     frontier = list(group)
     while frontier:
         fresh = []
-        for g in frontier:
-            for h in generators:
-                prod = h.compose(g)
+        for negate, k, invert in frontier:
+            for h_negate, h_k, h_invert in turns:
+                # h after g, as ParameterMap.compose
+                prod = (negate ^ h_negate, ((-k if h_negate else k) + h_k) % (2 * den),
+                        invert ^ h_invert)
                 if prod not in group:
                     if len(group) >= cap:
                         raise StructureError(
@@ -476,7 +499,8 @@ def _close_group(generators: Sequence[ParameterMap], cap: int):
                     group.add(prod)
                     fresh.append(prod)
         frontier = fresh
-    return sorted(group, key=lambda p: (p.invert, p.negate, p.shift_pi))
+    return [ParameterMap(negate, Fraction(k, den), invert)
+            for negate, k, invert in sorted(group, key=lambda e: (e[2], e[0], e[1]))]
 
 
 def isometry_generators(m: int):

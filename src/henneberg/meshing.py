@@ -165,23 +165,27 @@ def _write_records(fh, fmt: str, rows: np.ndarray):
         fh.write((fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
-def _require_vertex_normals(mesh: Mesh, path):
-    """Both writers store one normal per vertex (OBJ faces as a//a)."""
+def _check_writable(mesh: Mesh, path):
+    """What both writers need before they create the file: one normal per
+    vertex (OBJ faces are a//a) and face indices in the vertex range."""
     if mesh.normals.shape != mesh.vertices.shape:
         raise DomainError(f"{path}: cannot write {len(mesh.normals)} normals "
                           f"for {len(mesh.vertices)} vertices (need one each)")
+    mesh.check_face_range(path)
 
 
 def write_obj(mesh: Mesh, path):
     """Write v/vn/f records; floats carry 17 significant digits so a
-    re-parse reproduces the vertices bit-exactly."""
-    _require_vertex_normals(mesh, path)
+    re-parse reproduces the vertices bit-exactly.  Each face reference is
+    looked up in a per-vertex table of "a//a" strings."""
+    _check_writable(mesh, path)
     xyz = " ".join([OBJ_FLOAT_FMT] * 3) + "\n"
-    faces = mesh.faces.reshape(-1, 3).astype(np.int64) + 1
+    refs = np.array([f"{a}//{a}" for a in range(1, len(mesh.vertices) + 1)],
+                    dtype=object)
     with open(path, "w") as fh:
         _write_records(fh, "v " + xyz, mesh.vertices.reshape(-1, 3))
         _write_records(fh, "vn " + xyz, mesh.normals.reshape(-1, 3))
-        _write_records(fh, "f %d//%d %d//%d %d//%d\n", np.repeat(faces, 2, axis=1))
+        _write_records(fh, "f %s %s %s\n", refs[mesh.faces.reshape(-1, 3)])
 
 
 def read_obj(path) -> Mesh:
@@ -254,7 +258,7 @@ def _ply_header(n_vert: int, n_face: int) -> bytes:
 
 
 def write_ply(mesh: Mesh, path):
-    _require_vertex_normals(mesh, path)
+    _check_writable(mesh, path)
     faces = np.empty(len(mesh.faces), dtype=_PLY_FACE)
     faces["n"] = 3
     faces["i"] = mesh.faces.reshape(-1, 3)

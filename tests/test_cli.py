@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import math
@@ -348,6 +349,47 @@ class TestContinue:
         assert abs(rep["det_jacobian"]) > 1e-6
 
 
+#: `bjorling` at the default 64x9 grid and strip: closed_form_m, sup_error
+#: and the SHA-256 of the --out OBJ and PLY files, recorded before the
+#: Gauss-map reduction became a synthetic division and the check one grid
+#: (numpy 2.4, x86-64 Linux)
+BJORLING_PINS = {
+    "3": (2.0, 3.0531133177191805e-16,
+          "14885c0be4b24225b54be3fd1fd350be72eedc4e25fa83b8882ce764a0050db5",
+          "e26d91cc758cba9dc326801ab0fa8e7b124a460e84d3e94d0e911fe1014aa6b5"),
+    "4": (1.0, 8.881784197001252e-16,
+          "a166e722a11d331478f84ceb55369a52db50400e8555ded375b7875b8f74553b",
+          "09b332d7012952d22dabbddea716a2dd4ae6734a286860e4ad30b91f3da66bab"),
+    "5": (4.0, 5.689893001203927e-16,
+          "2c9195fd5eb9f4a16cc34312aeb3eeaa2a780780ed85f44a24506020a85dd575",
+          "933feea2cd75c7b698aa0319afdaf478d1aa0ba8b090c6de43c143c398d4e305"),
+    "6": (0.5, 1.3322676295501878e-15,
+          "59348c3406f9e3812841012d8b03913a78d8a32cb2448655dca562e76d3705ff",
+          "f510443df8ac69e2eec579b08f81ed0251373021c1ce8223c7ef19f2e9c8f048"),
+    "7": (6.0, 6.106226635438361e-16,
+          "1f16c692eeefe027c91c64386e4a0bf3f35145b9a76688e7fec616459af50d10",
+          "ac00ae3d07d7a9f54ae7bfeeac1357e599cd4fde770fb47673d6db3e93365d5b"),
+    "8": (3.0, 5.273559366969494e-16,
+          "eb05a2c3bd9c19d7771cc4743ab3c385e4d703d4a169433d65f3a9439660f02e",
+          "5d9dcb3c719733e8c9483ba2061a7514a91a366ac43963c8b324a2c810d88f0e"),
+    "9": (8.0, 4.718447854656915e-16,
+          "522703c4100385999d5ff8b08dbba0421aa23719afca5bf90e0f95541dcd5bdd",
+          "8cfdf4d75c53ef418101f4abf048e1bf5c2d037f08a8263e67a49b31281e15d6"),
+    "10": (0.25, 2.6645352591003757e-15,
+          "b2e7faa26efe7b0b0c9d3a313877698395ba0cbdf65bb8ad15fb5a4b977c3b10",
+          "a6be449963a4a890094c4ff3f7b8be8e97ee040dc06baccaa20d75a034feefa4"),
+    "11": (10.0, 1.1102230246251565e-15,
+          "bb0b615d5dc5e3d410406f77a69cdc3cbce6eeeb04fe88bc51ecb10f4e1a216b",
+          "e13af5e68fca18066f8d64473453416e6ba214d8b26d30669081fbed8c397476"),
+    "12": (5.0, 6.106226635438361e-16,
+          "3c39e2979ed85a6718d244f0b2c5566db6bb0f9341fbc33e36a54a8d3e60a0a9",
+          "993c4ced5312a58247b84cef91105bada4b77a7b49d20a5022615f12f4bb6126"),
+    "astroid": (1.0, 8.881784197001252e-16,
+          "a166e722a11d331478f84ceb55369a52db50400e8555ded375b7875b8f74553b",
+          "09b332d7012952d22dabbddea716a2dd4ae6734a286860e4ad30b91f3da66bab"),
+}
+
+
 class TestBjorling:
     @pytest.mark.parametrize("cusps", [3, 4, 6])
     def test_cusp_selectors(self, capsys, cusps):
@@ -391,6 +433,21 @@ class TestBjorling:
         assert np.all(np.isfinite(mesh.normals))
         assert np.abs(np.linalg.norm(mesh.normals, axis=1) - 1.0).max() < 1e-12
 
+    @pytest.mark.parametrize("target", BJORLING_PINS)
+    def test_outputs_pinned(self, capsys, tmp_path, target):
+        m, sup_error, obj_sha, ply_sha = BJORLING_PINS[target]
+        argv = ["bjorling"] + (["--astroid"] if target == "astroid" else ["--cusps", target])
+        want = {"closed_form_m": m, "cusps": 4 if target == "astroid" else int(target),
+                "quad_order": 24, "schema": 1, "strip": 0.05, "sup_error": sup_error}
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0 and stdout == json.dumps(want, indent=2, sort_keys=True) + "\n"
+        for fmt, sha in (("obj", obj_sha), ("ply", ply_sha)):
+            out = tmp_path / f"b.{fmt}"
+            code, stdout, _ = run(capsys, *argv, "--out", str(out))
+            assert code == 0
+            assert json.loads(stdout) == dict(want, out=str(out), vertices=64 * 9)
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
+
     def test_quad_order_is_deprecated(self, capsys, caplog):
         with caplog.at_level(logging.WARNING, logger="henneberg"):
             code, stdout, _ = run(capsys, "bjorling", "--cusps", "3",
@@ -411,17 +468,38 @@ class TestBjorling:
 
 
     def test_sup_error_propagates_nan(self, capsys, monkeypatch):
-        # a NaN row must not hide behind a running max that starts at 0
-        real, rows = cli.eval_hm_even, []
+        # one NaN row of the (n_v, n_u) grid must not hide behind the others
+        real, calls = cli.eval_hm_even, []
 
         def poisoned(m, r, theta):
-            rows.append(r)
-            return real(m, r, theta) * (math.nan if len(rows) == 2 else 1.0)
+            calls.append(r)
+            out = real(m, r, theta).copy()
+            out[1] = math.nan
+            return out
 
         monkeypatch.setattr(cli, "eval_hm_even", poisoned)
         code, stdout, _ = run(capsys, "bjorling", "--cusps", "3", "--n-u", "16", "--n-v", "3")
-        assert code == 0 and len(rows) == 3
+        assert code == 0 and len(calls) == 1
         assert math.isnan(json.loads(stdout)["sup_error"])
+
+    def test_one_grid_evaluation(self, capsys, monkeypatch):
+        # the check evaluates patch and closed form once each, on the grid
+        real_solve, shapes = cli.bjorling_solve, []
+
+        def solve(curve):
+            patch = real_solve(curve)
+            real_at = patch.at
+
+            def at(u, v=0.0):
+                shapes.append(np.broadcast_shapes(np.shape(u), np.shape(v)))
+                return real_at(u, v)
+
+            patch.at = at
+            return patch
+
+        monkeypatch.setattr(cli, "bjorling_solve", solve)
+        code, _, _ = run(capsys, "bjorling", "--cusps", "5", "--n-u", "16", "--n-v", "3")
+        assert code == 0 and shapes == [(3, 16)]
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from henneberg import geometry
+from henneberg.algebra import LaurentPoly
 from henneberg import (
     AnalyticPlanarCurve,
     DomainError,
@@ -240,6 +241,79 @@ class TestBjorling:
         assert np.abs(grid[2, 4] - patch.at(us[4], 0.2)).max() < 1e-15
 
 
+def _polydiv_deflate(poly, root):
+    """poly / (E - root) by np.polydiv, the remainder discarded."""
+    quotient, _ = np.polydiv(poly.coeffs[::-1], np.array([1.0, -root]))
+    return LaurentPoly(poly.lowest, quotient[::-1])
+
+
+def polydiv_cancel_common_roots(num, den):
+    """Oracle for geometry._cancel_common_roots: the same roots and test,
+    each hit deflated by np.polydiv and rebuilt as LaurentPolys."""
+    for root in np.roots(den.coeffs[::-1]):
+        exps = np.arange(num.lowest, num.highest + 1)
+        size = float(np.abs(num.coeffs) @ np.abs(root) ** exps)
+        if abs(num.evaluate(root)) <= 1e-6 * size:
+            num, den = _polydiv_deflate(num, root), _polydiv_deflate(den, root)
+    return num, den
+
+
+def _from_roots(lowest, scale, roots):
+    return LaurentPoly(lowest, scale * np.poly(roots)[::-1])
+
+
+class TestCancelCommonRoots:
+    def _assert_matches_oracle(self, num, den):
+        got, want = geometry._cancel_common_roots(num, den), polydiv_cancel_common_roots(num, den)
+        for g, w in zip(got, want):
+            assert (g.lowest, len(g.coeffs)) == (w.lowest, len(w.coeffs))
+            assert np.abs(g.coeffs - w.coeffs).max() <= 1e-10 * np.abs(w.coeffs).max()
+        return got
+
+    @pytest.mark.parametrize("q", [Fraction(n) for n in range(1, 13)]
+                             + [Fraction(1, 2), Fraction(1, 4), Fraction(3, 2)], ids=str)
+    def test_hypocycloid_gauss_maps_match_oracle(self, q):
+        curve = equator_curve(q)
+        speed = bjorling_solve(curve)._speed
+        self._assert_matches_oracle(speed, curve.dx - curve.dy.scale(1j))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10**6), n_common=st.integers(0, 3),
+           n_num=st.integers(0, 3), n_den=st.integers(0, 3),
+           lowest=st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
+    def test_planted_common_roots(self, seed, n_common, n_num, n_den, lowest):
+        # num = a (E - d) C A, den = b (E - d)^2 C B: the common roots C and
+        # d go, once each, and d stays in den as a simple root
+        rng = np.random.default_rng(seed)
+        n = n_common + n_num + n_den + 1
+        roots = np.exp(rng.uniform(-0.7, 0.7, n) + 1j * rng.uniform(0, 2 * np.pi, n))
+        gaps = np.abs(roots[:, None] - roots[None, :]) + np.eye(n)
+        assume(gaps.min() > 0.2)
+        d, common = roots[0], roots[1:n_common + 1]
+        extra_num, extra_den = roots[n_common + 1:n_common + 1 + n_num], roots[n - n_den:]
+        a, b = np.exp(rng.normal(size=2) + 1j * rng.uniform(0, 2 * np.pi, 2))
+        num = _from_roots(lowest[0], a, np.concatenate([[d], common, extra_num]))
+        den = _from_roots(lowest[1], b, np.concatenate([[d, d], common, extra_den]))
+
+        red_num, red_den = self._assert_matches_oracle(num, den)
+        assert (red_num.lowest, red_den.lowest) == lowest
+        assert len(red_num.coeffs) == n_num + 1 and len(red_den.coeffs) == n_den + 2
+        left = np.sort_complex(np.roots(red_den.coeffs[::-1]))
+        right = np.sort_complex(np.concatenate([[d], extra_den]))
+        assert np.abs(left - right).max() < 1e-6
+        # the rational function itself is unchanged away from the roots
+        e = np.exp(rng.uniform(-0.7, 0.7, 16) + 1j * rng.uniform(0, 2 * np.pi, 16))
+        e = e[np.abs(e[:, None] - roots[None, :]).min(axis=1) > 0.1]
+        ratio = num.evaluate(e) / den.evaluate(e)
+        got = red_num.evaluate(e) / red_den.evaluate(e)
+        assert np.abs(got - ratio).max() <= 1e-6 * np.abs(ratio).max(initial=1.0)
+
+    def test_no_common_roots_leaves_both(self):
+        num, den = _from_roots(-1, 2.0, [0.5, 1j]), _from_roots(2, 1j, [-0.5, 2.0, -1j])
+        for got, want in zip(geometry._cancel_common_roots(num, den), (num, den)):
+            assert got.lowest == want.lowest and np.array_equal(got.coeffs, want.coeffs)
+
+
 class TestBjorlingNormals:
     def test_cusp_vertex_normal_is_stereographic(self):
         # the Gauss map of the m = 2 patch is z = r e^{i theta}; at a cusp
@@ -380,6 +454,29 @@ class TestIsometries:
     def test_enumeration_keeps_four_sample_floor(self, samples):
         with pytest.raises(DomainError):
             enumerate_isometries(2, samples=samples)
+
+    @staticmethod
+    def _compose_closure(gens):
+        """Words grown by ParameterMap.compose, as the closure once was."""
+        group, frontier = {ParameterMap()}, [ParameterMap()]
+        while frontier:
+            fresh = {h.compose(g) for g in frontier for h in gens} - group
+            group |= fresh
+            frontier = list(fresh)
+        return sorted(group, key=lambda p: (p.invert, p.negate, p.shift_pi))
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_closure_matches_composition_oracle(self, m):
+        gens = geometry.isometry_generators(m)
+        assert geometry._close_group(gens, 4 * m + 4) == self._compose_closure(gens)
+
+    def test_closure_with_inversion_and_cap(self):
+        gens = (ParameterMap(negate=True, shift_pi=Fraction(1, 3)),
+                ParameterMap(shift_pi=Fraction(2, 5)), ParameterMap(invert=True))
+        want = self._compose_closure(gens)
+        assert len(want) == 20 and geometry._close_group(gens, 20) == want
+        with pytest.raises(geometry.StructureError):
+            geometry._close_group(gens, 19)
 
     def test_composition_algebra(self):
         a = ParameterMap(negate=True, shift_pi=Fraction(1))

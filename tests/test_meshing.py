@@ -211,6 +211,21 @@ def test_writers_need_one_normal_per_vertex(tmp_path, normals):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("index", [-1, -12, 12, 999])
+def test_writers_refuse_face_indices_out_of_range(tmp_path, index):
+    # write_obj once wrote "f 0//0" for -1, and both writers wrote indices
+    # past the end that their own readers refuse
+    mesh = build_mesh(surface_hm(2), SamplingSpec(n_r=3, n_theta=4))
+    assert len(mesh.vertices) == 12
+    mesh.faces = mesh.faces.copy()
+    mesh.faces[-1, 1] = index
+    for writer, name in ((write_obj, "out.obj"), (write_ply, "out.ply")):
+        out = tmp_path / name
+        with pytest.raises(DomainError, match="out of range"):
+            writer(mesh, out)
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("record", [
     struct.pack("<Biii", 3, 0, 1, 999),
     struct.pack("<Biii", 3, -1, 1, 2),
@@ -319,3 +334,9 @@ def test_vectorised_output_matches_per_record_oracles(
         assert np.array_equal(back.vertices, mesh.vertices)
         assert np.array_equal(back.normals, mesh.normals)
         assert back.faces.dtype == np.int32 and np.array_equal(back.faces, want)
+
+
+def test_default_grid_obj_matches_per_record_oracle(tmp_path):
+    mesh = build_mesh(surface_hm(3))
+    write_obj(mesh, tmp_path / "m.obj")
+    assert (tmp_path / "m.obj").read_text() == _per_record_obj(mesh)
