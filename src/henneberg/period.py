@@ -25,7 +25,6 @@ import cmath
 import logging
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,9 +46,9 @@ log = logging.getLogger(__name__)
 
 
 def _thread_count() -> int:
-    """Radial chunks per grid search, each scanned on its own thread:
-    ``HF_THREADS`` if it is an integer (at least 1), else min(8, cpu count).
-    Reads the environment on every call."""
+    """``HF_THREADS`` if it is an integer (at least 1), else min(8, cpu count).
+    Reads the environment on every call.  The search no longer uses it; it
+    stays because the benchmark harness reports it in its provenance."""
     env = os.environ.get("HF_THREADS")
     if env:
         try:
@@ -98,6 +97,20 @@ def period_residuals(data: WeierstrassData) -> PeriodResiduals:
 # ---------------------------------------------------------------------------
 
 
+def _m1_terms(r1, r2, theta2, beta):
+    """The factors (S, B, C) of m1_residual = S * B + C, with phi = theta2 +
+    beta: S = sin^2 phi and C = 4 cos^2 phi depend on the angles only, the
+    bracket B on (r1, r2, theta2) only.  Broadcasts like m1_residual."""
+    g1 = radial_gap(np.asarray(r1, dtype=float))
+    g2 = radial_gap(np.asarray(r2, dtype=float))
+    t2 = np.asarray(theta2, dtype=float)
+    phi = t2 + np.asarray(beta, dtype=float)
+    c2 = np.cos(t2)
+    g12 = g1 * g2
+    bracket = 4.0 * (g1 * g1 + g2 * g2 + 2.0 * g12 * c2) + (2.0 * c2 - g12) ** 2
+    return np.sin(phi) ** 2, bracket, 4.0 * np.cos(phi) ** 2
+
+
 def m1_residual(r1, r2, theta2, beta):
     """Squared magnitude of the complexity-1 period system.
 
@@ -110,19 +123,13 @@ def m1_residual(r1, r2, theta2, beta):
         sin^2 phi [4 (g1^2 + g2^2 + 2 g1 g2 cos theta2)
                    + (2 cos theta2 - g1 g2)^2] + 4 cos^2 phi,
 
-    evaluated in real arithmetic.  The bracket depends on (r1, r2, theta2)
-    and phi on (theta2, beta), so on a grid only the last multiply-add has
-    the full broadcast shape.
+    evaluated in real arithmetic (see _m1_terms).  The bracket depends on
+    (r1, r2, theta2) and phi on (theta2, beta), so on a grid only the last
+    multiply-add has the full broadcast shape.
     """
-    g1 = radial_gap(np.asarray(r1, dtype=float))
-    g2 = radial_gap(np.asarray(r2, dtype=float))
-    t2 = np.asarray(theta2, dtype=float)
-    phi = t2 + np.asarray(beta, dtype=float)
-    c2 = np.cos(t2)
-    g12 = g1 * g2
-    bracket = 4.0 * (g1 * g1 + g2 * g2 + 2.0 * g12 * c2) + (2.0 * c2 - g12) ** 2
-    out = np.sin(phi) ** 2 * bracket
-    out += 4.0 * np.cos(phi) ** 2
+    s, bracket, c = _m1_terms(r1, r2, theta2, beta)
+    out = s * bracket
+    out += c
     return out
 
 
@@ -235,57 +242,71 @@ def _radial_bounds(span):
     return 1.0 / span, float(span)
 
 
-def _slab_minima(prev, cur, nxt, threshold):
-    """Indices (j, k, l) of the points of the radial slab ``cur`` that lie
-    below ``threshold`` and are <= both neighbours on every axis.
+def _factored_minima(s, b, c, threshold):
+    """Grid-local minima below ``threshold`` of the 4-D grid
+    r[i, j, k, l] = s[k, l] * b[i, j, k] + c[k, l], with s >= 0, as an
+    (n, 4) array of indices (i, j, k, l) in lexicographic order.
 
-    ``prev`` and ``nxt`` are the adjacent radial slabs; at a radial edge pass
-    ``cur`` itself.  The second radial axis is clamped, so an edge point is
-    compared with itself, which is the same as padding with +inf.  The two
-    angular axes wrap.  Only the points below ``threshold`` are tested.
+    A point is a minimum when it is <= both neighbours on every axis.  The
+    two radial axes (i, j) are clamped, so an edge point is compared with
+    itself, which is the same as padding with +inf; the two angular axes
+    (k, l) wrap.  The grid is never built: only points that can lie below
+    ``threshold`` are evaluated, each with the same two roundings.
     """
-    j, k, l = np.unravel_index(np.flatnonzero(cur < threshold), cur.shape)
-    v = cur[j, k, l]
-    n_j, n_k, n_l = cur.shape
-    keep = (v <= prev[j, k, l]) & (v <= nxt[j, k, l])
-    keep &= v <= cur[np.maximum(j - 1, 0), k, l]
-    keep &= v <= cur[np.minimum(j + 1, n_j - 1), k, l]
-    keep &= v <= cur[j, k - 1, l]
-    keep &= v <= cur[j, (k + 1) % n_k, l]
-    keep &= v <= cur[j, k, l - 1]
-    keep &= v <= cur[j, k, (l + 1) % n_l]
-    return j[keep], k[keep], l[keep]
+    n_r, _, n_a = b.shape
+    s_flat, b_flat, c_flat = s.reshape(-1), b.reshape(-1), c.reshape(-1)
 
+    def value(i, j, k, l):
+        kl = k * n_a + l
+        return s_flat[kl] * b_flat[(i * n_r + j) * n_a + k] + c_flat[kl]
 
-def _grid_minima(slab, n_radial, threshold, chunks=1):
-    """Grid-local minima below ``threshold`` of a 4-D grid given one radial
-    slab at a time: ``slab(i)`` returns the 3-D grid at radial index i.
+    # For s >= 0 the rounded s * b + c is non-decreasing in b, whatever the
+    # sign of b (a bracket that rounds slightly below 0 included), since
+    # rounding is monotone.  So a (k, l) pair has a point below threshold
+    # exactly when its smallest bracket gives one (fmin skips NaN, which is
+    # never below threshold), and every b above a cut whose value reaches
+    # threshold stays at or above it.  The cut (threshold - c) / s is
+    # widened and then checked with the formula itself; a cut that fails
+    # the check (as every cut does where s = 0) becomes +inf, which drops
+    # nothing.
+    b_min = np.fmin.reduce(b_flat.reshape(-1, n_a), axis=0)
+    k, l = np.nonzero(s * b_min[:, None] + c < threshold)
+    sp, cp = s[k, l], c[k, l]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cut = (threshold - cp) / sp
+        cut += 1e-9 * np.abs(cut)
+        cut[~(sp * cut + cp >= threshold)] = np.inf
 
-    The radial range is cut into ``chunks`` contiguous pieces, scanned on a
-    thread pool when there is more than one.  Each piece recomputes the slab
-    just outside it on either side and keeps at most three slabs alive.
-    Returns an (n, 4) array of indices (i, j, k, l) in lexicographic order.
-    """
-    cuts = [n_radial * c // chunks for c in range(chunks + 1)]
+    # Join each bracket under the widest cut of its column k with the kept
+    # pairs (k, l) of that column, and keep the joined points whose value is
+    # below threshold.  The brackets come in flat (i, j, k) order and the
+    # pairs sorted by (k, l), so the points are in lexicographic order.
+    widest = np.full(n_a, -np.inf)
+    np.maximum.at(widest, k, cut)
+    ijk = np.flatnonzero(b <= widest)
+    per_k = np.bincount(k, minlength=n_a)
+    first = np.cumsum(per_k) - per_k
+    reps = per_k[ijk % n_a]
+    # the n-th joined point, copy r of its bracket in column k, takes the
+    # pair first[k] + r, where r = n - (copies of the brackets before it)
+    shift = first[ijk % n_a] - (np.cumsum(reps) - reps)
+    ijk = np.repeat(ijk, reps)
+    pair = np.arange(len(ijk)) + np.repeat(shift, reps)
+    v = sp[pair] * b_flat[ijk] + cp[pair]
+    below = v < threshold
+    v = v[below]
+    point = np.array([*np.unravel_index(ijk[below], b.shape), l[pair[below]]])
 
-    def scan(c):
-        lo, hi = cuts[c], cuts[c + 1]
-        cur = slab(lo)
-        prev = slab(lo - 1) if lo > 0 else cur
-        found = []
-        for i in range(lo, hi):
-            nxt = slab(i + 1) if i + 1 < n_radial else cur
-            j, k, l = _slab_minima(prev, cur, nxt, threshold)
-            found.append(np.column_stack((np.full_like(j, i), j, k, l)))
-            prev, cur = cur, nxt
-        return found
-
-    if chunks > 1:
-        with ThreadPoolExecutor(max_workers=chunks) as pool:
-            parts = list(pool.map(scan, range(chunks)))
-    else:
-        parts = [scan(0)]
-    return np.concatenate([rows for part in parts for rows in part])
+    # Test the neighbours one direction at a time, on the survivors only.
+    keep = np.ones(len(v), dtype=bool)
+    for axis, n in enumerate((n_r, n_r, n_a, n_a)):
+        for step in (-1, 1):
+            point, v = point[:, keep], v[keep]
+            nb = point.copy()
+            nb[axis] += step
+            nb[axis] = np.clip(nb[axis], 0, n - 1) if axis < 2 else nb[axis] % n
+            keep = v <= value(*nb)
+    return point[:, keep].T
 
 
 def brute_search_m1(
@@ -308,10 +329,13 @@ def brute_search_m1(
     search box.  Hits below ``residual_tol`` are merged when closer than
     ``cluster_tol`` in parameter space and returned sorted by parameters.
 
-    The 4-D residual grid is never stored: it is evaluated one radial slab
-    of shape (n_radial, n_angular, n_angular) at a time, so memory is
-    O(n_radial * n_angular^2) per radial chunk.  ``HF_THREADS`` (see
-    _thread_count) sets the number of radial chunks, at most n_radial.
+    The 4-D residual grid is never built.  It factors as
+    S[k, l] * B[i, j, k] + C[k, l] (see _m1_terms), so the search builds S
+    and C on the (n_angular, n_angular) angle grid and the bracket B on
+    (n_radial, n_radial, n_angular), and evaluates the residual only at
+    the points that can lie below ``refine_threshold`` and at their grid
+    neighbours (_factored_minima).  Time and memory grow as
+    n_radial^2 * n_angular + n_angular^2 plus the number of those points.
     """
     r_lo, r_hi = _radial_bounds(span)
     if n_radial < 1 or n_angular < 1:
@@ -324,12 +348,10 @@ def brute_search_m1(
     rs = np.exp(np.linspace(math.log(r_lo), math.log(r_hi), n_radial))
     angles = np.linspace(0.0, 2 * math.pi, n_angular, endpoint=False)
 
-    def slab(i):
-        return m1_residual(rs[i], rs[:, None, None], angles[:, None], angles)
-
-    minima = _grid_minima(
-        slab, n_radial, refine_threshold, min(_thread_count(), n_radial)
+    s, b, c = _m1_terms(
+        rs[:, None, None, None], rs[:, None, None], angles[:, None], angles
     )
+    minima = _factored_minima(s, b[..., 0], c, refine_threshold)
 
     lo, hi = 0.9 * r_lo, 1.1 * r_hi
     hits = []

@@ -334,6 +334,32 @@ def test_unwritable_out_exits_2(capsys, tmp_path, argv):
     assert str(out) in err
 
 
+class TestParserReuse:
+    def _exit_code(self, capsys, *argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out = capsys.readouterr()
+        return exc.value.code, out.out, out.err
+
+    def test_same_output_after_usage_error_and_help(self, capsys):
+        # main builds its parser once per process; a usage error or a help
+        # request must leave nothing behind that changes the next call
+        argv = ["continue", "--r1", "1.05", "--r2", "1.0"]
+        before = run(capsys, *argv)
+        assert before[0] == 0
+        error = self._exit_code(capsys, "continue", "--r1", "x")
+        assert error[0] == 2 and "--r1" in error[2]
+        helps = [self._exit_code(capsys, "--help"),
+                 self._exit_code(capsys, "search-m1", "--help")]
+        assert [h[0] for h in helps] == [0, 0]
+        assert run(capsys, *argv) == before
+        assert self._exit_code(capsys, "continue", "--r1", "x") == error
+        assert [self._exit_code(capsys, "--help"),
+                self._exit_code(capsys, "search-m1", "--help")] == helps
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli._parser()
+
+
 class TestContinue:
     def test_fixed_point(self, capsys):
         code, stdout, _ = run(capsys, "continue", "--r1", "1.0", "--r2", "1.0")

@@ -2,7 +2,6 @@ import logging
 import math
 import os
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -30,7 +29,13 @@ from henneberg import (
     vertical_residual_m2,
 )
 from henneberg import period
-from henneberg.period import _damped_newton, _fd_jacobian, _grid_minima, _m1_vector
+from henneberg.period import (
+    _damped_newton,
+    _factored_minima,
+    _fd_jacobian,
+    _m1_terms,
+    _m1_vector,
+)
 
 H2_FAMILY_GAUGE = ModuliPoint(1.0, 1.0, 1.0, math.pi / 3, -math.pi / 3, math.pi / 2)
 
@@ -129,41 +134,54 @@ def _dense_minima(res, threshold):
     return np.argwhere(is_min & (res < threshold))
 
 
-def _search_grid(span, n_radial, n_angular):
+def _search_axes(span, n_radial, n_angular):
     lo, hi = span
     rs = np.exp(np.linspace(math.log(lo), math.log(hi), n_radial))
     angles = np.linspace(0.0, 2 * math.pi, n_angular, endpoint=False)
+    return rs, angles
+
+
+def _search_terms(span, n_radial, n_angular):
+    """The factors (S, B, C) of the search grid, shaped as brute_search_m1
+    builds them: S and C on (k, l), B on (i, j, k)."""
+    rs, angles = _search_axes(span, n_radial, n_angular)
+    s, b, c = _m1_terms(
+        rs[:, None, None, None], rs[:, None, None], angles[:, None], angles
+    )
+    return s, b[..., 0], c
+
+
+def _search_grid(span, n_radial, n_angular):
+    rs, angles = _search_axes(span, n_radial, n_angular)
     return m1_residual(
         rs[:, None, None, None], rs[None, :, None, None],
         angles[None, None, :, None], angles[None, None, None, :],
     )
 
 
-@pytest.fixture
-def serial_pool(monkeypatch):
-    """Replace the search's thread pool by a serial map; returns the list of
-    pool sizes requested, so no real thread is started."""
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(period, "ThreadPoolExecutor", SerialPool)
-    return sizes
+def _product_grid(s, b, c):
+    """The 4-D grid s[k, l] * b[i, j, k] + c[k, l], built whole."""
+    return s * b[..., None] + c
 
 
 class TestStreamedMinima:
-    """The slab-streamed minima equal the dense 4-D mask on the same values."""
+    """The minima found from the factors S, B, C equal the dense 4-D mask
+    on the whole grid."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n_radial=st.integers(1, 9),
+        n_angular=st.integers(1, 12),
+        lo=st.floats(0.1, 1.5),
+        width=st.floats(1.01, 20.0),
+    )
+    def test_factors_equal_residual_bit_for_bit(self, n_radial, n_angular, lo,
+                                               width):
+        span = (lo, lo * width)
+        got = _product_grid(*_search_terms(span, n_radial, n_angular))
+        want = _search_grid(span, n_radial, n_angular)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(
@@ -172,51 +190,44 @@ class TestStreamedMinima:
         lo=st.floats(0.1, 1.5),
         width=st.floats(1.01, 20.0),
         threshold=st.sampled_from([0.05, 0.5, 1.0, 2.0, 4.0, 4.5, 20.0, np.inf]),
-        chunk_frac=st.floats(0.0, 1.0),
     )
-    def test_residual_grids(self, n_radial, n_angular, lo, width, threshold,
-                            chunk_frac):
-        res = _search_grid((lo, lo * width), n_radial, n_angular)
-        chunks = 1 + int(chunk_frac * (n_radial - 1))
-        got = _grid_minima(lambda i: res[i], n_radial, threshold, chunks)
-        np.testing.assert_array_equal(got, _dense_minima(res, threshold))
+    def test_residual_grids(self, n_radial, n_angular, lo, width, threshold):
+        span = (lo, lo * width)
+        got = _factored_minima(*_search_terms(span, n_radial, n_angular), threshold)
+        want = _dense_minima(_search_grid(span, n_radial, n_angular), threshold)
+        np.testing.assert_array_equal(got, want)
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(
-        shape=st.tuples(st.integers(1, 9), st.integers(1, 12), st.integers(1, 12)),
+        shape=st.tuples(st.integers(1, 9), st.integers(1, 12)),
         seed=st.integers(0, 2**32 - 1),
-        threshold=st.sampled_from([0.5, 1.5, 2.5, 3.5]),
-        chunk_frac=st.floats(0.0, 1.0),
+        threshold=st.sampled_from([0.5, 1.5, 2.5, 3.5, 7.5, np.inf]),
     )
-    def test_tied_values(self, shape, seed, threshold, chunk_frac):
-        # small integers make ties between neighbours common
-        n_radial, n_j, n_k = shape
+    def test_tied_values(self, shape, seed, threshold):
+        # small integer factors make ties between neighbours common, and
+        # S = 0 gives every point of a (k, l) pair the value C
+        n_radial, n_angular = shape
         rng = np.random.default_rng(seed)
-        res = rng.integers(0, 4, (n_radial, n_radial, n_j, n_k)).astype(float)
-        chunks = 1 + int(chunk_frac * (n_radial - 1))
-        got = _grid_minima(lambda i: res[i], n_radial, threshold, chunks)
-        np.testing.assert_array_equal(got, _dense_minima(res, threshold))
+        s = rng.integers(0, 3, (n_angular, n_angular)).astype(float)
+        b = rng.integers(0, 4, (n_radial, n_radial, n_angular)).astype(float)
+        c = rng.integers(0, 4, (n_angular, n_angular)).astype(float)
+        got = _factored_minima(s, b, c, threshold)
+        np.testing.assert_array_equal(
+            got, _dense_minima(_product_grid(s, b, c), threshold)
+        )
 
-    @pytest.mark.parametrize("chunks, want", [
-        (1, [0, 1, 2, 3, 4, 5]),
-        (3, [0, 1, 1, 2, 2, 3, 3, 4, 4, 5]),
+    @pytest.mark.parametrize("s, b, c, threshold", [
+        # a bracket rounded to just below 0 brings s * b + c under c, which
+        # alone reaches the threshold
+        (0.75, -1e-16, 1.0, 1.0),
+        # b lies one ulp above (threshold - c) / s, yet s * b + c rounds
+        # below the threshold
+        (0.10104853533656588, 2.792514049422561, 0.01782054539906766, 0.3),
     ])
-    def test_slabs_streamed(self, chunks, want, serial_pool):
-        # each chunk builds its own slabs plus one boundary slab per side,
-        # with at most three slabs alive at a time
-        built, alive, most = [], set(), [0]
-
-        def slab(i):
-            built.append(i)
-            out = np.zeros((6, 2, 2))
-            alive.add(id(out))
-            weakref.finalize(out, alive.discard, id(out))
-            most[0] = max(most[0], len(alive))
-            return out
-
-        _grid_minima(slab, 6, 1.0, chunks)
-        assert sorted(built) == want
-        assert most[0] <= 3
+    def test_cut_keeps_rounding_edges(self, s, b, c, threshold):
+        s, b, c = np.full((1, 1), s), np.full((1, 1, 1), b), np.full((1, 1), c)
+        assert _product_grid(s, b, c) < threshold
+        assert _factored_minima(s, b, c, threshold).tolist() == [[0, 0, 0, 0]]
 
 
 #: the four refined H1 minimizers that the original dense search returned
@@ -259,18 +270,17 @@ class TestSearchPinned:
         hits = brute_search_m1(**kwargs)
         assert [(*h.params, h.residual) for h in hits] == want
 
-    def test_memory_peak_65x96(self, monkeypatch):
-        # each radial chunk keeps three slabs (about 15 MB at 65x96) alive,
-        # so the chunk count is pinned to keep the bound machine-independent;
-        # the dense 4-D grid alone would take 311 MB
-        monkeypatch.setenv("HF_THREADS", "2")
+    def test_memory_peak_65x96(self):
+        # the factors S, B and C take about 3.4 MB at 65x96 and the points
+        # below threshold a few MB more; the dense 4-D grid alone would take
+        # 311 MB
         tracemalloc.start()
         try:
             brute_search_m1(n_radial=65, n_angular=96)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64e6, f"peak {peak / 1e6:.1f} MB"
+        assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestThreads:
@@ -293,16 +303,6 @@ class TestThreads:
         with caplog.at_level(logging.WARNING, logger="henneberg"):
             period._thread_count()
         assert not caplog.records
-
-    def test_chunks_capped_at_n_radial(self, monkeypatch, serial_pool):
-        monkeypatch.setenv("HF_THREADS", "1")
-        serial = brute_search_m1(n_radial=5, n_angular=8)
-        assert serial_pool == []
-        monkeypatch.setenv("HF_THREADS", str(10**6))
-        assert brute_search_m1(n_radial=5, n_angular=8) == serial
-        monkeypatch.setenv("HF_THREADS", "3")
-        assert brute_search_m1(n_radial=5, n_angular=8) == serial
-        assert serial_pool == [5, 3]
 
 
 class TestSearchDomain:
