@@ -5,19 +5,21 @@ The central object is the monic polynomial
     P(z) = prod_j (z - a_j)(z + 1/conj(a_j)),
 
 built from m+1 branch values a_j in C*.  Its middle coefficients encode the
-period conditions of the surface, so they must cancel *exactly* (not merely
-to rounding) for the symmetric configurations.  Double precision cannot
-deliver that: the product leaves ~1e-15 dirt for m=8, right at the drop
-threshold.  ``expand_product`` therefore multiplies the factors in extended
-precision (mpmath) and rounds once at the end; configurations may carry
-their angles as exact fractions of pi so that the roots of unity enter the
-product with no representation error at all.
+period conditions of the surface, so for the symmetric configurations they
+must cancel *exactly*, not merely to rounding.  Such configurations carry
+their angles as exact fractions of pi; ``expand_product`` then multiplies
+the factors in the cyclotomic field Q(e^{i pi / N}) with integer or
+rational coordinates, where the cancellation is exact by construction, and
+rounds each coefficient once at the end.  Untagged configurations are
+multiplied in double precision.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-import threading
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -29,8 +31,16 @@ from .errors import DomainError
 #: relative magnitude below which stored coefficients are dropped to zero
 DROP_TOL = 1e-15
 
-_MP_DPS = 40
-_mp_lock = threading.Lock()
+#: largest common tag denominator N multiplied in the cyclotomic field; its
+#: arrays grow like N and its reduction like N^2, so tags beyond it are
+#: multiplied as plain float angles
+MAX_FIELD_ORDER = 1024
+
+#: the cyclotomic basis is tabulated as integers times 2^-_FIXED_BITS, far
+#: finer than a double, so each coefficient is rounded once from a value
+#: accurate to far below its last bit
+_FIXED_BITS = 128
+_PI_DIGITS = "3.14159265358979323846264338327950288419716939937510"
 
 _QUARTER_CIS = {
     Fraction(0): 1.0 + 0.0j,
@@ -308,38 +318,146 @@ class BranchConfiguration:
 def expand_product(config: BranchConfiguration) -> LaurentPoly:
     """The monic degree-(2m+2) polynomial prod (z - a_j)(z + 1/conj(a_j)).
 
-    Each factor equals z^2 - radial_gap(r_j) e^{i theta_j} z - e^{2 i theta_j};
-    the convolution runs in mpmath so that configurations tagged with exact
-    pi-fraction angles cancel their middle coefficients to below the drop
-    tolerance (they come out exactly zero after normalization).
-    """
-    import mpmath  # deferred: the package loads without it until first use
+    Each factor equals z^2 - radial_gap(r_j) e^{i theta_j} z - e^{2 i theta_j}.
+    Configurations tagged with exact pi-fraction angles are multiplied in
+    the cyclotomic field (see ``_cyclotomic_product``), so a coefficient
+    that vanishes there comes out as exactly 0.0.  Untagged configurations
+    are multiplied in double precision, factor by factor in (r, theta)
+    order so that the result depends only on the set of branch values; so
+    are tagged ones whose common denominator exceeds MAX_FIELD_ORDER.
 
+    Real or imaginary parts at most DROP_TOL times the largest coefficient
+    are set to zero.  Raises DomainError when the largest coefficient is so
+    large that this rule would also drop the unit-modulus end terms.
+    """
     tags = config.angles_pi
-    with _mp_lock, mpmath.workdps(_MP_DPS):
-        acc = [mpmath.mpc(1)]
-        for j, (r, theta) in enumerate(zip(config.moduli, config.angles)):
-            if tags is not None:
-                q = tags[j] % 2
-                unit = mpmath.expjpi(mpmath.mpf(q.numerator) / q.denominator)
-            else:
-                unit = mpmath.expj(mpmath.mpf(theta))
-            rr = mpmath.mpf(r)
-            gap = rr - 1 / rr
-            factor = [-unit * unit, -gap * unit, mpmath.mpc(1)]
-            out = [mpmath.mpc(0)] * (len(acc) + 2)
-            for a, ca in enumerate(acc):
-                for b, cb in enumerate(factor):
-                    out[a + b] += ca * cb
-            acc = out
-        coeffs = np.array([complex(c.real, c.imag) for c in acc])
-    # extend the drop rule componentwise: extended-precision dirt in the
-    # real or imaginary part of an otherwise clean coefficient is noise
+    # every e^{i pi q} is a power of zeta = e^{i pi / N}, N the common denominator
+    n = None if tags is None else math.lcm(*(q.denominator for q in tags))
+    if n is not None and n <= MAX_FIELD_ORDER:
+        try:
+            coeffs = _cyclotomic_product(config.moduli, tags, n)
+        except OverflowError:  # an exact coefficient beyond the float range
+            coeffs = np.array([math.inf])
+    else:
+        coeffs = np.ones(1, dtype=complex)
+        for r, theta in sorted(zip(config.moduli, config.angles)):
+            unit = complex(math.cos(theta), math.sin(theta))
+            coeffs = np.convolve(coeffs, [-unit * unit, -radial_gap(r) * unit, 1.0])
     top = np.abs(coeffs).max()
+    if DROP_TOL * top >= 1.0:
+        raise DomainError(
+            f"branch moduli {config.moduli} are too far from the unit circle: "
+            f"the largest coefficient {top:.3g} would drop the unit-modulus "
+            f"end terms below the relative tolerance {DROP_TOL:g}"
+        )
     re, im = coeffs.real.copy(), coeffs.imag.copy()
     re[np.abs(re) <= DROP_TOL * top] = 0.0
     im[np.abs(im) <= DROP_TOL * top] = 0.0
     return LaurentPoly(0, re + 1j * im)
+
+
+def _cyclotomic_product(moduli, tags, n: int) -> np.ndarray:
+    """Coefficients of the branch polynomial computed exactly in Q(zeta),
+    zeta = e^{i pi / N}, N = n, then rounded once each.
+
+    A coefficient is held as a row of integer coordinates on the powers
+    zeta^0 .. zeta^{2N-1}, over a common denominator when some radial gap
+    is nonzero.  Multiplying by zeta^k rolls a row by k.  Folding
+    zeta^N = -1 and reducing modulo the cyclotomic polynomial Phi_{2N}
+    leaves the unique coordinates on 1, zeta, .., zeta^{phi(2N)-1}, so a
+    coefficient that is zero in the field has all coordinates zero and
+    comes out as 0.0.
+    """
+    gaps = [0 if r == 1.0 else Fraction(r) - 1 / Fraction(r) for r in moduli]
+    # each factor times `scale` has integer coefficients, so acc holds
+    # scale^(m+1) P.  With every gap zero the entries are small integers;
+    # int64 arithmetic is exact modulo 2^64, so they come out exact.
+    scale = math.lcm(*(gap.denominator for gap in gaps))
+    dtype = object if any(gaps) else np.int64
+    acc = np.zeros((2 * len(tags) + 1, 2 * n), dtype=dtype)
+    acc[0, 0] = 1
+    for q, gap in zip(tags, gaps):
+        k = q.numerator * (n // q.denominator) % (2 * n)
+        out = np.roll(acc, 2 * k, axis=1) * -scale
+        if gap:
+            out[1:] -= np.roll(acc[:-1], k, axis=1) * int(gap * scale)
+        out[2:] += acc[:-2] * scale
+        acc = out
+    rows = acc[:, :n] - acc[:, n:]
+    phi, cos, sin = _field(n)
+    degree = len(phi) - 1
+    for top in range(n - 1, degree - 1, -1):
+        rows[:, top - degree : top + 1] -= rows[:, top : top + 1] * phi
+    # exact integer dot products with the fixed-point basis, each divided
+    # (correctly rounded) once
+    denom = scale ** len(tags) << _FIXED_BITS
+    return np.array(
+        [
+            complex(sum(map(operator.mul, row, cos)) / denom,
+                    sum(map(operator.mul, row, sin)) / denom)
+            for row in rows[:, :degree].tolist()
+        ]
+    )
+
+
+@functools.cache
+def _field(n: int):
+    """Phi_{2N} and the real and imaginary parts of the basis powers
+    zeta^i, i < phi(2N), of Q(zeta), zeta = e^{i pi / N}, as integers
+    scaled by 2^_FIXED_BITS."""
+    phi = _cyclotomic(2 * n)
+    pi = round(Fraction(_PI_DIGITS) * 2**_FIXED_BITS)
+    cos, sin = zip(*(_fixed_cis(pi * i // n) for i in range(len(phi) - 1)))
+    return phi, cos, sin
+
+
+def _fixed_cis(x: int) -> tuple:
+    """(cos, sin) of the angle x / 2^_FIXED_BITS in [0, pi], by Taylor
+    series in the same fixed point; the truncations add up to a few dozen
+    units of 2^-_FIXED_BITS."""
+    one = 1 << _FIXED_BITS
+    parts = [0, 0, 0, 0]  # the series terms of cos, sin, -cos, -sin
+    term, k = one, 0
+    while term:
+        parts[k % 4] += term
+        k += 1
+        term = term * x // (one * k)
+    return parts[0] - parts[2], parts[1] - parts[3]
+
+
+def _cyclotomic(n: int) -> np.ndarray:
+    """Integer coefficients, lowest first, of the n-th cyclotomic polynomial
+    (n >= 2), from Phi_n = prod_{d | n} (1 - x^d)^{mu(n/d)} as a power
+    series truncated above degree phi(n)."""
+    primes = _prime_divisors(n)
+    size = n * math.prod(p - 1 for p in primes) // math.prod(primes) + 1
+    out = np.zeros(size, dtype=np.int64)
+    out[0] = 1
+    for count in range(len(primes) + 1):
+        for chosen in itertools.combinations(primes, count):
+            d = n // math.prod(chosen)
+            if d >= size:
+                continue  # 1 - x^d is 1 to this order
+            if count % 2 == 0:  # mu = +1: multiply by 1 - x^d
+                out[d:] = out[d:] - out[:-d]
+            else:  # mu = -1: divide by 1 - x^d, a cumulative sum in steps of d
+                padded = np.zeros(-(-size // d) * d, dtype=np.int64)
+                padded[:size] = out
+                out = np.cumsum(padded.reshape(-1, d), axis=0).ravel()[:size]
+    return out
+
+
+def _prime_divisors(n: int) -> list:
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
 
 
 def extend_by_pair(p_m: LaurentPoly, a_new: complex) -> LaurentPoly:

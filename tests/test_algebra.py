@@ -2,7 +2,9 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -20,7 +22,7 @@ from henneberg import (
     radial_gap,
     residue_at_zero,
 )
-from henneberg.algebra import cis
+from henneberg.algebra import DROP_TOL, MAX_FIELD_ORDER, cis
 from conftest import random_configuration
 
 
@@ -187,6 +189,140 @@ class TestExpandProduct:
             assert p.coefficient(h) == q.coefficient(h)
 
 
+class TestExpandProductDomain:
+    @pytest.mark.parametrize("config", [
+        BranchConfiguration((1e9, 1e-9), (0.3, 1.1)),
+        BranchConfiguration((1e8, 1e-8, 2.0), (0.3, 1.1, 2.0)),
+        BranchConfiguration.from_pi_fractions([(1e9, 0), (1e-9, Fraction(1, 2))]),
+        BranchConfiguration.from_pi_fractions([(1e300, 0), (1e300, Fraction(1, 2))]),
+    ])
+    def test_far_moduli_raise_instead_of_losing_end_terms(self, config):
+        # the drop rule would zero the monic and the unit-modulus constant
+        with pytest.raises(DomainError, match=r"moduli \(1"):
+            expand_product(config)
+
+    def test_largest_moduli_below_the_limit_keep_full_degree(self):
+        p = expand_product(BranchConfiguration((1e7, 1e-7), (0.3, 1.1)))
+        assert (p.lowest, p.highest, p.coefficient(4)) == (0, 4, 1.0)
+
+
+def reference_product(config, dps=60):
+    """The branch polynomial coefficients in dps-digit mpmath."""
+    tags = config.angles_pi
+    with mpmath.workdps(dps):
+        acc = [mpmath.mpc(1)]
+        for j, (r, theta) in enumerate(zip(config.moduli, config.angles)):
+            if tags is not None:
+                unit = mpmath.expjpi(mpmath.mpf(tags[j].numerator) / tags[j].denominator)
+            else:
+                unit = mpmath.expj(mpmath.mpf(theta))
+            rr = mpmath.mpf(r)
+            factor = [-unit * unit, -(rr - 1 / rr) * unit, mpmath.mpc(1)]
+            out = [mpmath.mpc(0)] * (len(acc) + 2)
+            for a, ca in enumerate(acc):
+                for b, cb in enumerate(factor):
+                    out[a + b] += ca * cb
+            acc = out
+        tiny = mpmath.mpf(10) ** (20 - dps)
+        return [
+            (float(c.real), float(c.imag), abs(c.real) < tiny, abs(c.imag) < tiny)
+            for c in acc
+        ]
+
+
+def assert_branch_shape(p, config):
+    m = config.m
+    assert (p.lowest, p.highest) == (0, 2 * m + 2)
+    assert p.coefficient(2 * m + 2) == 1.0
+
+
+def assert_exact_against_reference(p, config):
+    """Field zeros come out as 0.0, everything else within 2 ulp of top."""
+    ulp = np.spacing(np.abs(p.coeffs).max())
+    for h, (re, im, re_zero, im_zero) in enumerate(reference_product(config)):
+        got = p.coefficient(h)
+        for value, want, zero in ((got.real, re, re_zero), (got.imag, im, im_zero)):
+            if zero:
+                assert value == 0.0, (h, value)
+            else:
+                assert abs(value - want) <= 2 * ulp, (h, value, want)
+
+
+def assert_permutation_bitwise(p, config, order):
+    q = expand_product(config.permuted(order))
+    assert q.lowest == p.lowest
+    assert q.coeffs.tobytes() == p.coeffs.tobytes()
+
+
+@st.composite
+def tagged_unit_configs(draw):
+    m = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 12))
+    tags = draw(st.lists(st.integers(-2 * d, 2 * d), min_size=m + 1, max_size=m + 1))
+    return BranchConfiguration.from_pi_fractions([(1.0, Fraction(j, d)) for j in tags])
+
+
+@st.composite
+def untagged_configs(draw):
+    m = draw(st.integers(1, 8))
+    pair = st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 2 * math.pi, exclude_max=True))
+    pairs = draw(st.lists(pair, min_size=m + 1, max_size=m + 1))
+    return BranchConfiguration([math.exp(s) for s, _ in pairs], [t for _, t in pairs])
+
+
+class TestExpandProductReference:
+    """expand_product against a 60-digit mpmath product."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(config=tagged_unit_configs(), data=st.data())
+    def test_tagged_units_exact(self, config, data):
+        p = expand_product(config)
+        assert_branch_shape(p, config)
+        assert_exact_against_reference(p, config)
+        order = data.draw(st.permutations(range(config.m + 1)))
+        assert_permutation_bitwise(p, config, order)
+
+    @pytest.mark.parametrize("order", [[0, 1, 2], [2, 0, 1], [1, 2, 0]])
+    def test_tagged_off_unit_circle_exact(self, order):
+        # nonzero radial gaps: integer coordinates over a common denominator
+        config = BranchConfiguration.from_pi_fractions(
+            [(2.0, Fraction(0)), (0.7, Fraction(1, 3)), (1.3, Fraction(3, 4))]
+        ).permuted(order)
+        p = expand_product(config)
+        assert_branch_shape(p, config)
+        assert_exact_against_reference(p, config)
+        assert_permutation_bitwise(p, config, [2, 1, 0])
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(config=untagged_configs(), data=st.data())
+    def test_untagged_within_forward_error_bound(self, config, data):
+        p = expand_product(config)
+        assert_branch_shape(p, config)
+        # |fl(P) - P| <= 4 (m+1) eps prod_j (z^2 + |gap_j| z + 1), coefficientwise
+        bound = np.ones(1)
+        for r in config.moduli:
+            bound = np.convolve(bound, [1.0, abs(radial_gap(r)), 1.0])
+        bound *= 4 * (config.m + 1) * 2.0**-53
+        drop = DROP_TOL * np.abs(p.coeffs).max() * (1 + 1e-12)
+        for h, (re, im, _, _) in enumerate(reference_product(config)):
+            got = p.coefficient(h)
+            for value, want in ((got.real, re), (got.imag, im)):
+                assert abs(value - want) <= (drop if value == 0.0 else 0.0) + bound[h]
+        order = data.draw(st.permutations(range(config.m + 1)))
+        assert_permutation_bitwise(p, config, order)
+
+    def test_tags_beyond_field_limit_multiply_as_floats(self):
+        d = 1031  # prime > MAX_FIELD_ORDER
+        assert d > MAX_FIELD_ORDER
+        config = BranchConfiguration.from_pi_fractions(
+            [(1.0, Fraction(j, d)) for j in (0, 344, 687, 1031)]
+        )
+        p = expand_product(config)
+        assert_branch_shape(p, config)
+        for h, (re, im, _, _) in enumerate(reference_product(config)):
+            assert abs(p.coefficient(h) - complex(re, im)) < 1e-14
+
+
 class TestExtendByPair:
     def test_single_step_matches_product(self):
         # {1, i} extended by e^{i pi/3}
@@ -276,12 +412,29 @@ class TestResidueForms:
         assert residue_at_zero(g2f) == 0
 
 
-def test_cli_import_defers_mpmath():
-    # only expand_product needs mpmath; every CLI call pays for the import
+def test_cli_runs_without_mpmath(tmp_path):
+    # mpmath is only the tests' reference: with every import of it failing,
+    # the exact (tagged), float (family) and meshing paths still run
     src = os.path.dirname(os.path.dirname(henneberg.__file__))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, henneberg.cli; print('mpmath' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    code = """if True:
+        import sys
+        sys.modules["mpmath"] = None
+        from henneberg.cli import main
+        codes = [main(argv) for argv in (
+            ["verify", "hm", "--m", "8"],
+            ["verify", "family", "--theta2", "1.0"],
+            ["verify", "h1"],
+            ["generate", "associated", "--m", "2", "--phi", "0.7",
+             "--nr", "9", "--ntheta", "16", "--out", sys.argv[1]],
+        )]
+        sys.stderr.write(f"exit codes {codes}")
+        sys.exit(any(codes))
+    """
+    out = tmp_path / "assoc.obj"
+    done = subprocess.run([sys.executable, "-c", code, str(out)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == "exit codes [0, 0, 0, 0]"
+    assert out.stat().st_size > 0

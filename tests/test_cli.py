@@ -241,6 +241,19 @@ class TestVerify:
         assert abs(rep["m2_system"]["G"]) > 1e-3
         assert abs(rep["period"]["vertical"]) > 1e-3
 
+    @pytest.mark.parametrize("pairs", [
+        [[1e9, 0.3], [1e-9, 1.1]],
+        [[1e8, 0.3], [1e-8, 1.1], [2.0, 2.0]],
+    ])
+    def test_far_moduli_exit_2(self, capsys, tmp_path, pairs):
+        # their branch polynomial would lose its end terms to the drop rule
+        data = tmp_path / "far.json"
+        data.write_text(json.dumps({"c": [0, 1], "m": len(pairs) - 1, "a": pairs}))
+        code, stdout, err = run(capsys, "verify", "custom", "--data", str(data))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: branch moduli (") and err.count("\n") == 1
+
     def test_determinism(self, capsys):
         _, out1, _ = run(capsys, "verify", "hm", "--m", "2")
         _, out2, _ = run(capsys, "verify", "hm", "--m", "2")
