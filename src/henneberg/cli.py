@@ -10,7 +10,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import logging
 import math
 import sys
 from fractions import Fraction
@@ -22,6 +21,7 @@ from .errors import DomainError, HennebergError
 from .geometry import bjorling_solve, equator_curve
 from .meshing import SamplingSpec, build_mesh, write_obj, write_ply
 from .period import (
+    PERIOD_TOL,
     ModuliPoint,
     _radial_bounds,
     brute_search_m1,
@@ -46,12 +46,8 @@ from .surfaces import (
 )
 from .weierstrass import WeierstrassData
 
-PERIOD_TOL = 1e-10
-
 #: ln 2^52: a patch value of size e^x has float spacing above 1 past x = this
 _MANTISSA_LOG = 52 * math.log(2)
-
-log = logging.getLogger(__name__)
 
 
 class CliError(Exception):
@@ -215,7 +211,7 @@ def cmd_generate(args) -> int:
             "format": args.format,
             "vertices": int(len(mesh.vertices)),
             "faces": int(len(mesh.faces)),
-            "sampling": spec.to_dict(),
+            "sampling": dataclasses.asdict(spec),
         }
     )
     return 0
@@ -235,14 +231,7 @@ def cmd_verify(args) -> int:
     else:  # custom
         _require(args, ["data"])
         data, label, iso_m = load_data_file(args.data), "custom", None
-    samples = 240 if args.samples is None else args.samples
-    seed = 0 if args.seed is None else args.seed
-    report = verification_report(
-        data, label, isometries_for=iso_m, samples=samples, seed=seed
-    )
-    if args.samples is not None or args.seed is not None:
-        log.warning("--samples and --seed are deprecated and ignored: the "
-                    "isometries are certified on Laurent coefficients")
+    report = verification_report(data, label, isometries_for=iso_m)
     _emit(report, args.out)
     return 0 if report["pass"] else 1
 
@@ -342,9 +331,6 @@ def cmd_bjorling(args) -> int:
         largest = math.floor(_MANTISSA_LOG / top * 1e4) / 1e4
         raise CliError(f"--strip must be at most {largest} for {cusps} cusps, "
                        f"got {args.strip}")
-    if args.quad_order is not None:
-        log.warning("--quad-order is deprecated and ignored: "
-                    "the Björling integral is evaluated in closed form")
     patch = bjorling_solve(curve)
 
     us = np.linspace(curve.domain[0], curve.domain[1], args.n_u)
@@ -363,7 +349,7 @@ def cmd_bjorling(args) -> int:
         "strip": args.strip,
         "sup_error": sup_err,
         # schema-1 field kept for readers; the integral has no quadrature
-        "quad_order": 24 if args.quad_order is None else args.quad_order,
+        "quad_order": 24,
     }
     if args.out:
         spec = SamplingSpec(
@@ -389,8 +375,16 @@ def cmd_bjorling(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one line, as the other CLI
+    errors are; add_subparsers gives the sub-parsers the same class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="henneberg",
         description="Branched minimal surfaces from Weierstrass data: "
         "generation, verification, and period-problem tooling.",
@@ -431,8 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--m", type=int)
     ver.add_argument("--theta2", type=float)
     ver.add_argument("--data")
-    ver.add_argument("--samples", type=int, help="deprecated, ignored (at least 4)")
-    ver.add_argument("--seed", type=int, help="deprecated, ignored")
     ver.add_argument("--out")
     ver.set_defaults(func=cmd_verify)
 
@@ -456,8 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     bjo = sub.add_parser("bjorling", help="solve a hypocycloid Björling problem")
     bjo.add_argument("--cusps", type=int)
     bjo.add_argument("--astroid", action="store_true")
-    bjo.add_argument("--quad-order", dest="quad_order", type=int,
-                     help="deprecated, ignored")
     bjo.add_argument("--strip", type=float, default=0.05)
     bjo.add_argument("--n-u", dest="n_u", type=int, default=64)
     bjo.add_argument("--n-v", dest="n_v", type=int, default=9)

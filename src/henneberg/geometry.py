@@ -412,9 +412,8 @@ class ParameterMap:
 
 @dataclass(frozen=True)
 class IsometryCertificate:
-    """A verified pair (parameter map, rigid motion) with its residual.
-
-    ``pmap`` is None when the map was supplied as an ad-hoc callable."""
+    """A verified pair (parameter map, rigid motion) with its residual,
+    which passes below ``tolerance``."""
 
     pmap: ParameterMap
     motion: RigidMotion
@@ -430,45 +429,31 @@ class IsometryCertificate:
 ISOMETRY_REL_TOL = 1e-9
 
 
-def _require_samples(samples: int):
-    if samples < 4:
-        raise DomainError(f"an isometry check needs at least 4 samples, got {samples}")
-
-
-def _sample_points(samples: int, seed: int = 0):
-    rng = np.random.default_rng(seed)
-    r = np.exp(rng.uniform(-0.8, 0.8, samples))
-    theta = rng.uniform(0.0, 2 * math.pi, samples)
-    return r, theta
-
-
-def verify_isometry(surface, pmap, motion: RigidMotion = None,
+def verify_isometry(surface, pmap: ParameterMap, motion: RigidMotion = None,
                     samples: int = 240, seed: int = 0,
                     rel_tol: float = ISOMETRY_REL_TOL) -> IsometryCertificate:
-    """Check that the parameter map induces a rigid motion on the surface.
+    """Check on sampled points that the parameter map induces a rigid motion
+    on the surface.
 
     ``surface`` is any (r, theta) -> R^3 evaluator; ``motion=None`` fits the
     best orthogonal motion by Procrustes before computing the residual
     max |X(sigma(p)) - (Q X(p) + t)|, passed against rel_tol times the
     sample diameter.  An orthogonal fit in 3-D needs at least 4 samples.
     """
-    _require_samples(samples)
+    if samples < 4:
+        raise DomainError(f"an isometry check needs at least 4 samples, got {samples}")
     evaluator = surface.evaluator if hasattr(surface, "evaluator") else surface
-    r, theta = _sample_points(samples, seed)
+    rng = np.random.default_rng(seed)
+    r = np.exp(rng.uniform(-0.8, 0.8, samples))
+    theta = rng.uniform(0.0, 2 * math.pi, samples)
     source = evaluator(r, theta)
-    if isinstance(pmap, ParameterMap):
-        r2, t2 = pmap.apply(r, theta)
-    else:
-        r2, t2 = pmap(r, theta)
-    target = evaluator(r2, t2)
+    target = evaluator(*pmap.apply(r, theta))
     if motion is None:
         motion = fit_rigid_motion(source, target)
     residual = float(np.abs(target - motion.apply(source)).max())
     diameter = float(
         np.linalg.norm(source.max(axis=0) - source.min(axis=0))
     )
-    if not isinstance(pmap, ParameterMap):
-        pmap = None  # ad-hoc callable map; no exact representation
     return IsometryCertificate(pmap, motion, residual, rel_tol * max(diameter, 1e-30))
 
 
@@ -570,10 +555,9 @@ def _certify_on_coefficients(forms: IntegratedForms, maps, sign: int = 1):
     ]
 
 
-def _symmetric_isometries(m: int, forms: IntegratedForms, samples: int):
+def _symmetric_isometries(m: int, forms: IntegratedForms):
     """enumerate_isometries on ``forms``, which the caller integrated from
     symmetric_example(m)."""
-    _require_samples(samples)
     order = 4 * m + 4
     group = _close_group(isometry_generators(m), order)
     if len(group) != order:
@@ -583,7 +567,7 @@ def _symmetric_isometries(m: int, forms: IntegratedForms, samples: int):
     return _certify_on_coefficients(forms, group, symmetric_phase(m))
 
 
-def enumerate_isometries(m: int, samples: int = 240, seed: int = 0):
+def enumerate_isometries(m: int):
     """Close the generator set and certify every element on the closed form,
     symmetric_phase(m) times the raw immersion of symmetric_example(m);
     returns 4m+4 certificates.
@@ -592,10 +576,9 @@ def enumerate_isometries(m: int, samples: int = 240, seed: int = 0):
     docstring): Q is the orthogonal Procrustes fit of the coefficient rows
     T of X o sigma to the rows S of X, t comes from the constant terms, and
     the residual max |T - Q S| passes below 1e-9 max |S|.  Nothing is
-    sampled; ``samples`` (at least 4) and ``seed`` are accepted and change
-    nothing.
+    sampled.
     """
-    return _symmetric_isometries(m, integrate_forms(symmetric_example(m)), samples)
+    return _symmetric_isometries(m, integrate_forms(symmetric_example(m)))
 
 
 # ---------------------------------------------------------------------------

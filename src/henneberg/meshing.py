@@ -13,7 +13,7 @@ import io
 import itertools
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -64,16 +64,6 @@ class SamplingSpec:
     def inversion_symmetric(self) -> bool:
         r = self.radii
         return bool(np.abs(r[::-1] * r - 1.0).max() < 1e-9)
-
-    def to_dict(self) -> dict:
-        return {
-            "r_min": self.r_min,
-            "r_max": self.r_max,
-            "n_r": self.n_r,
-            "n_theta": self.n_theta,
-            "quotient": self.quotient,
-            "wrap": self.wrap,
-        }
 
 
 @dataclass
@@ -142,7 +132,7 @@ def build_mesh(smap: SurfaceMap, spec: SamplingSpec = SamplingSpec()) -> Mesh:
         vertices=pts.reshape(-1, 3),
         normals=nrm.reshape(-1, 3),
         faces=faces,
-        metadata={"surface": smap.name, "sampling": spec.to_dict()},
+        metadata={"surface": smap.name, "sampling": asdict(spec)},
     )
     return mesh.validate()
 

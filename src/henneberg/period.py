@@ -42,6 +42,9 @@ from .weierstrass import WeierstrassData, one_sided_residual
 
 _SQRT2 = math.sqrt(2.0)
 
+#: largest |residual| for which data solves its period problem
+PERIOD_TOL = 1e-10
+
 log = logging.getLogger(__name__)
 
 
@@ -75,7 +78,7 @@ class PeriodResiduals:
     def max_abs(self) -> float:
         return max(abs(self.horizontal), abs(self.vertical), abs(self.onesided))
 
-    def passes(self, tol: float = 1e-10) -> bool:
+    def passes(self, tol: float = PERIOD_TOL) -> bool:
         return self.max_abs() < tol
 
 
@@ -314,27 +317,24 @@ def brute_search_m1(
     n_radial: int = 33,
     n_angular: int = 48,
     refine_steps: int = 50,
-    residual_tol: float = 1e-8,
-    cluster_tol: float = 1e-4,
-    refine_threshold: float = 1.0,
 ):
     """Grid search + damped refinement for complexity-1 period solutions.
 
     Moduli run log-spaced over [1/span, span] (or an explicit (lo, hi)
     pair); angles over [0, 2 pi).
-    Grid-local minimizers below ``refine_threshold`` are refined (the
-    residual is locally quadratic around its zeros, so at this resolution
-    every zero pulls a grid point well below that bound; plateaus of large
-    constant residual are skipped).  Refinement stays inside the radial
-    search box.  Hits below ``residual_tol`` are merged when closer than
-    ``cluster_tol`` in parameter space and returned sorted by parameters.
+    Grid-local minimizers below 1 are refined (the residual is locally
+    quadratic around its zeros, so at this resolution every zero pulls a
+    grid point well below that bound; plateaus of large constant residual
+    are skipped).  Refinement stays inside the radial search box.  Hits
+    below 1e-8 are merged when closer than 1e-4 in parameter space and
+    returned sorted by parameters.
 
     The 4-D residual grid is never built.  It factors as
     S[k, l] * B[i, j, k] + C[k, l] (see _m1_terms), so the search builds S
     and C on the (n_angular, n_angular) angle grid and the bracket B on
     (n_radial, n_radial, n_angular), and evaluates the residual only at
-    the points that can lie below ``refine_threshold`` and at their grid
-    neighbours (_factored_minima).  Time and memory grow as
+    the points that can lie below 1 and at their grid neighbours
+    (_factored_minima).  Time and memory grow as
     n_radial^2 * n_angular + n_angular^2 plus the number of those points.
     """
     r_lo, r_hi = _radial_bounds(span)
@@ -351,7 +351,7 @@ def brute_search_m1(
     s, b, c = _m1_terms(
         rs[:, None, None, None], rs[:, None, None], angles[:, None], angles
     )
-    minima = _factored_minima(s, b[..., 0], c, refine_threshold)
+    minima = _factored_minima(s, b[..., 0], c, 1.0)
 
     lo, hi = 0.9 * r_lo, 1.1 * r_hi
     hits = []
@@ -365,7 +365,7 @@ def brute_search_m1(
             refine_steps,
             lambda x: lo <= x[0] <= hi and lo <= x[1] <= hi,
         )
-        if value < residual_tol:
+        if value < 1e-8:
             hits.append(
                 SearchHit(
                     float(x[0]),
@@ -383,7 +383,7 @@ def brute_search_m1(
                 abs(hit.r1 - kept.r1) + abs(hit.r2 - kept.r2)
                 + _angular_dist(hit.theta2, kept.theta2)
                 + _angular_dist(hit.beta, kept.beta)
-            ) < cluster_tol:
+            ) < 1e-4:
                 break
         else:
             merged.append(hit)

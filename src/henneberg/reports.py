@@ -14,6 +14,7 @@ from .geometry import (
     flux_exactness,
 )
 from .period import (
+    PERIOD_TOL,
     ModuliPoint,
     horizontal_residual_m2,
     period_residuals,
@@ -25,7 +26,7 @@ from .weierstrass import WeierstrassData, integrate_forms, stability_report
 SCHEMA_VERSION = 1
 
 TOLERANCES = {
-    "period": 1e-10,
+    "period": PERIOD_TOL,
     "flux_exact": 1e-12,
     "isometry_rel": ISOMETRY_REL_TOL,
 }
@@ -58,15 +59,13 @@ def verification_report(
     data: WeierstrassData,
     label: str = "custom",
     isometries_for: int = None,
-    samples: int = 240,
-    seed: int = 0,
 ) -> dict:
     """Collect period, flux, stability, and (optionally) isometry checks.
 
     ``isometries_for`` enumerates the symmetric-example isometry group of
     that complexity, certified on the closed form whatever ``data`` is;
-    leave None for data without the full symmetry.  ``samples`` (at least
-    4) and ``seed`` no longer change the certificates.
+    leave None for data without the full symmetry.  The isometries are
+    certified on Laurent coefficients, not on sampled points.
     """
     res = period_residuals(data)
     period_pass = res.passes(TOLERANCES["period"])
@@ -121,9 +120,9 @@ def verification_report(
     if isometries_for is not None:
         if data == symmetric_example(isometries_for):
             # the forms of this data are the ones enumerate_isometries certifies
-            certs = _symmetric_isometries(isometries_for, integrate_forms(data), samples)
+            certs = _symmetric_isometries(isometries_for, integrate_forms(data))
         else:
-            certs = enumerate_isometries(isometries_for, samples=samples, seed=seed)
+            certs = enumerate_isometries(isometries_for)
         report["isometries"] = {
             "count": len(certs),
             "all_pass": bool(all(c.passed for c in certs)),

@@ -221,14 +221,14 @@ class StabilityReport:
         return self.distinct_image_count >= 2
 
 
-def stability_report(data: WeierstrassData, base=None, dedup_tol=1e-8) -> StabilityReport:
+def stability_report(data: WeierstrassData) -> StabilityReport:
     """Run the structural stability criteria on period-solved data.
 
     Branch images are reported in the raw antiderivative frame (integration
     constant zero), the frame the closed-form parametrizations use.
     """
     osr = one_sided_residual(data)
-    imm = Immersion(data, base)  # raises PeriodError on unsolved data
+    imm = Immersion(data, None)  # raises PeriodError on unsolved data
     points = tuple(data.config.branch_values())
     images = imm(np.array(points))
     ok = osr < 1e-8
@@ -238,5 +238,5 @@ def stability_report(data: WeierstrassData, base=None, dedup_tol=1e-8) -> Stabil
         stable=ok,
         branch_points=points,
         branch_images=images,
-        distinct_image_count=distinct_count(images, dedup_tol),
+        distinct_image_count=distinct_count(images, 1e-8),
     )

@@ -202,17 +202,6 @@ class TestVerify:
         assert code == 0
         assert rep["isometries"]["count"] == 8
 
-    def test_samples_and_seed_are_deprecated(self, capsys, caplog):
-        _, want, _ = run(capsys, "verify", "hm", "--m", "3")
-        for flag in (["--samples", "8"], ["--seed", "5"]):
-            caplog.clear()
-            with caplog.at_level(logging.WARNING, logger="henneberg"):
-                code, stdout, _ = run(capsys, "verify", "hm", "--m", "3", *flag)
-            assert code == 0 and stdout == want
-            [record] = caplog.records
-            assert record.name.startswith("henneberg") and record.levelno == logging.WARNING
-            assert "deprecated" in record.getMessage()
-
     def test_samples_default_is_silent(self, capsys, caplog):
         with caplog.at_level(logging.WARNING, logger="henneberg"):
             code, _, _ = run(capsys, "verify", "h1")
@@ -333,7 +322,7 @@ class TestSearch:
 
 @pytest.mark.parametrize("argv", [
     ["generate", "h1", "--nr", "5", "--ntheta", "8"],
-    ["verify", "h1", "--samples", "8"],
+    ["verify", "h1"],
     ["search-m1", "--n-radial", "5", "--n-angular", "6"],
     ["continue", "--r1", "1.0", "--r2", "1.0"],
     ["bjorling", "--cusps", "3", "--n-u", "8", "--n-v", "3"],
@@ -371,6 +360,23 @@ class TestParserReuse:
                 self._exit_code(capsys, "search-m1", "--help")] == helps
         assert cli._parser() is cli._parser()
         assert cli.build_parser() is not cli._parser()
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "h1", "--samples", "4"],
+        ["verify", "h1", "--seed", "1"],
+        ["bjorling", "--cusps", "3", "--quad-order", "8"],
+        ["bjorling", "--cusps", "x"],
+        ["continue", "--r1", "x", "--r2", "1"],
+        ["verify", "hm", "--m", "2", "--samples", "0"],
+        ["verify", "hm", "--m", "2", "--samples=-5"],
+        ["verify", "h1", "--samples", "1"],
+        ["verify", "hm", "--m", "3", "--samples", "3"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_usage_error_is_one_line(self, capsys, argv):
+        # removed flags and unparsable values alike: no usage block
+        code, stdout, err = self._exit_code(capsys, *argv)
+        assert code == 2 and stdout == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 class TestContinue:
@@ -487,17 +493,6 @@ class TestBjorling:
             assert json.loads(stdout) == dict(want, out=str(out), vertices=64 * 9)
             assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
 
-    def test_quad_order_is_deprecated(self, capsys, caplog):
-        with caplog.at_level(logging.WARNING, logger="henneberg"):
-            code, stdout, _ = run(capsys, "bjorling", "--cusps", "3",
-                                    "--n-u", "16", "--n-v", "3", "--quad-order", "8")
-        assert code == 0
-        rep = json.loads(stdout)
-        assert rep["quad_order"] == 8 and rep["sup_error"] < 1e-6
-        [record] = caplog.records
-        assert record.name.startswith("henneberg") and record.levelno == logging.WARNING
-        assert "deprecated" in record.getMessage()
-
     def test_quad_order_default_is_silent(self, capsys, caplog):
         with caplog.at_level(logging.WARNING, logger="henneberg"):
             code, stdout, _ = run(capsys, "bjorling", "--cusps", "3", "--n-u", "16", "--n-v", "3")
@@ -556,10 +551,6 @@ class TestBjorling:
     ["continue", "--r1", "nan", "--r2", "1"],
     ["continue", "--r1", "inf", "--r2", "1"],
     ["continue", "--r1", "1", "--r2", "nan"],
-    ["verify", "hm", "--m", "2", "--samples", "0"],
-    ["verify", "hm", "--m", "2", "--samples=-5"],
-    ["verify", "h1", "--samples", "1"],
-    ["verify", "hm", "--m", "3", "--samples", "3"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_numeric_input_exits_2(capsys, argv):
     code, stdout, err = run(capsys, *argv)
@@ -590,11 +581,6 @@ def test_strip_bound_names_largest_strip(capsys, cusps, top):
     code, stdout, _ = run(capsys, "bjorling", "--cusps", str(cusps),
                           "--strip", str(largest), "--n-u", "8", "--n-v", "3")
     assert code == 0 and math.isfinite(json.loads(stdout)["sup_error"])
-
-
-def test_verify_four_samples_suffice(capsys):
-    code, stdout, _ = run(capsys, "verify", "h1", "--samples", "4")
-    assert code == 0 and json.loads(stdout)["isometries"]["all_pass"]
 
 
 class TestGenerateSelectors:
