@@ -108,16 +108,18 @@ class LaurentPoly:
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.coeffs, dtype=complex)).copy()
-        _require_finite(arr.view(float), "Laurent coefficients")
-        top = np.abs(arr).max() if arr.size else 0.0
+        arr = np.array(self.coeffs, dtype=complex, ndmin=1)
+        mag = np.abs(arr)
+        top = mag.max() if arr.size else 0.0
+        if not np.isfinite(top):  # a NaN or infinite coefficient, or overflow
+            _require_finite(arr.view(float), "Laurent coefficients")
         lowest = self.lowest
         if top == 0.0:
             arr = np.zeros(1, dtype=complex)
             lowest = 0
         else:
-            arr[np.abs(arr) <= DROP_TOL * top] = 0.0
-            keep = np.nonzero(arr)[0]
+            arr[mag <= DROP_TOL * top] = 0.0
+            keep = np.flatnonzero(arr)
             lowest += keep[0]
             arr = arr[keep[0] : keep[-1] + 1]
         arr.setflags(write=False)

@@ -10,9 +10,7 @@ producing the non-orientable quotient mesh).
 from __future__ import annotations
 
 import io
-import itertools
 import os
-import re
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -76,18 +74,19 @@ class Mesh:
     metadata: dict = field(default_factory=dict)
 
     def validate(self):
-        if not np.all(np.isfinite(self.vertices)):
-            raise DomainError("mesh contains non-finite vertices")
-        if not np.all(np.isfinite(self.normals)):
-            raise DomainError("mesh contains non-finite normals")
+        self.check_records()
         lengths = np.linalg.norm(self.normals, axis=1)
         if np.abs(lengths - 1.0).max() > 1e-6:
             raise DomainError("normals are not unit length")
-        return self.check_face_range()
+        return self
 
-    def check_face_range(self, source="mesh"):
-        """Raise DomainError, naming source, unless every face index lies in
-        [0, len(vertices)); the readers check this much of a foreign file."""
+    def check_records(self, source="mesh"):
+        """Raise DomainError, naming source, unless every vertex and normal is
+        finite and every face index lies in [0, len(vertices)); the readers
+        check this much of a foreign file, and the writers of their mesh."""
+        for what in ("vertices", "normals"):
+            if not np.isfinite(getattr(self, what)).all():
+                raise DomainError(f"{source} contains non-finite {what}")
         if self.faces.size and (
             self.faces.min() < 0 or self.faces.max() >= len(self.vertices)
         ):
@@ -141,12 +140,17 @@ def build_mesh(smap: SurfaceMap, spec: SamplingSpec = SamplingSpec()) -> Mesh:
 # OBJ
 # ---------------------------------------------------------------------------
 
-#: records formatted or parsed per block; bounds the text held in memory
+#: records formatted per block by write_obj; bounds the text held in memory
 OBJ_BLOCK = 4096
 
-# the optional /texture/normal fields after a face's vertex index; a token
-# that starts with "/" keeps it, so its missing vertex index fails to parse
-_FACE_FIELD_TAIL = re.compile(r"(?<=\S)/\S*")
+#: bytes read_obj parses per chunk; bounds the memory a read holds
+OBJ_CHUNK = 1 << 18
+
+
+def _is_space(text: np.ndarray) -> np.ndarray:
+    """Where the bytes are ASCII whitespace to both str.split and np.loadtxt:
+    9..13 and 28..32 (the uint8 differences wrap below 0)."""
+    return (text - np.uint8(9) <= 4) | (text - np.uint8(28) <= 4)
 
 
 def _write_records(fh, fmt: str, rows: np.ndarray):
@@ -157,11 +161,12 @@ def _write_records(fh, fmt: str, rows: np.ndarray):
 
 def _check_writable(mesh: Mesh, path):
     """What both writers need before they create the file: one normal per
-    vertex (OBJ faces are a//a) and face indices in the vertex range."""
+    vertex (OBJ faces are a//a), finite coordinates and face indices in the
+    vertex range."""
     if mesh.normals.shape != mesh.vertices.shape:
         raise DomainError(f"{path}: cannot write {len(mesh.normals)} normals "
                           f"for {len(mesh.vertices)} vertices (need one each)")
-    mesh.check_face_range(path)
+    mesh.check_records(path)
 
 
 def write_obj(mesh: Mesh, path):
@@ -181,49 +186,86 @@ def write_obj(mesh: Mesh, path):
 def read_obj(path) -> Mesh:
     """Read v, vn and f records and skip every other kind.
 
-    Each v and vn record needs exactly three numbers, and each f record
-    exactly three vertex references of the form a, a/t, a//n or a/t/n, whose
-    vertex index a lies in 1..len(vertices); anything else raises
-    DomainError.  Lines are parsed in blocks of OBJ_BLOCK, each record kind
-    of a block by one numpy call.
+    Each v and vn record needs exactly three finite numbers, and each f
+    record exactly three vertex references a, a/t, a//n or a/t/n whose vertex
+    index a lies in 1..len(vertices); anything else raises DomainError.  The
+    normals are the vn records as listed, not resolved per vertex from a//n.
+    LF, CR and CRLF end lines; a kind token starts its line after any ASCII
+    whitespace.  Skipped lines may hold any bytes, records only ASCII.  The
+    file is read in chunks of OBJ_CHUNK bytes, each cut at its last line
+    end, so memory is bounded by the chunk and the longest line.  numpy
+    classifies a chunk's lines and one np.loadtxt call parses each kind, so
+    no Python code runs per line.
     """
     parts = {"v": [np.empty((0, 3))], "vn": [np.empty((0, 3))],
              "f": [np.empty((0, 3), dtype=np.int64)]}
-    with open(path) as fh:
-        for block in iter(lambda: list(itertools.islice(fh, OBJ_BLOCK)), []):
-            rests = {kind: [] for kind in parts}
-            for line in block:
-                head = line.split(None, 1)
-                if head and head[0] in rests:
-                    # a bare kind token stands in for its missing fields,
-                    # and fails to parse as a number
-                    rests[head[0]].append(head[-1])
-            for kind, lines in rests.items():
-                if lines:
-                    parts[kind].append(_parse_records(path, kind, lines))
-    vertices, normals, faces = (np.concatenate(parts[k]) for k in ("v", "vn", "f"))
+    rest = []  # the pieces of a line that no chunk has ended yet
+    with open(path, "rb") as fh:
+        while data := fh.read(OBJ_CHUNK):
+            cut = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
+            if cut:
+                _read_chunk(path, b"".join([*rest, data[:cut]]), parts)
+                rest = []
+            rest.append(data[cut:])
+    _read_chunk(path, b"".join(rest), parts)
+    vertices, normals, faces = (np.concatenate(p) for p in parts.values())
     # check the int64 indices, before the int32 cast could wrap one into range
-    mesh = Mesh(vertices=vertices, normals=normals, faces=faces).check_face_range(path)
+    mesh = Mesh(vertices=vertices, normals=normals, faces=faces).check_records(path)
     mesh.faces = faces.astype(np.int32)
     return mesh
 
 
-def _parse_records(path, kind: str, lines: list) -> np.ndarray:
-    """One block's records of one kind, without the kind token, as an
-    (n, 3) array: floats for v/vn, zero-based vertex indices for f."""
-    try:
-        if kind == "f":
-            text = io.StringIO(_FACE_FIELD_TAIL.sub("", "".join(lines)))
-            rows = np.loadtxt(text, dtype=np.int64, ndmin=2, comments=None) - 1
-        else:
-            rows = np.loadtxt(lines, ndmin=2, comments=None)
-    except ValueError:  # a token that is not a number, or ragged rows
+def _read_chunk(path, chunk: bytes, parts: dict):
+    """Append the chunk's v, vn and f records to parts, one array per kind."""
+    # every line ends in LF: each CR becomes one (a CRLF leaves an empty
+    # line), and one is appended after the chunk's last line
+    buf = np.frombuffer(chunk + b"\n", dtype=np.uint8).copy()
+    np.putmask(buf, buf == 13, 10)
+    ends = np.flatnonzero(buf == 10)
+    starts = np.r_[0, ends[:-1] + 1]
+    indented = _is_space(buf[starts]) & (buf[starts] != 10)
+    if indented.any():  # start at the first token, or at the end of a blank line
+        token = np.r_[np.flatnonzero(~_is_space(buf)), len(buf)]
+        starts[indented] = np.minimum(
+            token[np.searchsorted(token, starts[indented])], ends[indented])
+    # each line's first three bytes, or its line end where it is shorter
+    c0, c1, c2 = (buf[np.minimum(starts + k, ends)] for k in range(3))
+    kind = np.zeros(len(starts), dtype=np.uint8)
+    kind[(c0 == ord("v")) & _is_space(c1)] = 1
+    kind[(c0 == ord("v")) & (c1 == ord("n")) & _is_space(c2)] = 2
+    kind[(c0 == ord("f")) & _is_space(c1)] = 3
+    # blank the kind tokens; a bare token leaves a blank line, one row short
+    buf[starts[kind > 0]] = buf[starts[kind == 2] + 1] = 32
+    line_kind = np.repeat(kind, np.diff(ends, prepend=-1))
+    for code, (name, out) in enumerate(parts.items(), 1):
+        if count := np.count_nonzero(kind == code):
+            out.append(_parse_records(path, name, buf[line_kind == code], count))
+
+
+def _parse_records(path, kind: str, text: np.ndarray, count: int) -> np.ndarray:
+    """One chunk's records of one kind, kind tokens blanked, as a (count, 3)
+    array: floats for v/vn, zero-based vertex indices for f."""
+    rows, in_ascii = np.empty(0), text.max() < 128
+    slash = np.flatnonzero(text == ord("/")) if kind == "f" else ()
+    if len(slash):  # blank each token from its first "/" on: the /t/n fields
+        space = np.flatnonzero(_is_space(text))  # text ends in a line end
+        token = np.searchsorted(space, slash)
+        # a token that starts with "/" keeps it, and fails to parse
+        first = np.r_[True, token[1:] != token[:-1]] & ~_is_space(text[slash - 1])
+        flip = np.zeros(len(text), dtype=bool)  # on at a first "/", off at its token's end
+        flip[slash[first]] = flip[space[token[first]]] = True
+        np.putmask(text, np.logical_xor.accumulate(flip), 32)
+    text = text.tobytes().decode("latin-1")
+    try:  # a token that is not a number, or ragged rows
+        if in_ascii and not text.isspace():  # np.loadtxt warns on text without data
+            rows = np.loadtxt(io.StringIO(text), dtype=np.int64 if kind == "f" else float,
+                              ndmin=2, comments=None)
+    except ValueError:
         pass
-    else:
-        if rows.shape == (len(lines), 3):
-            return rows
+    if rows.shape == (count, 3):
+        return rows - 1 if kind == "f" else rows
     what = "integer vertex references" if kind == "f" else "numbers"
-    raise DomainError(f"{path}: each OBJ '{kind}' record needs exactly 3 {what}")
+    raise DomainError(f"{path}: each OBJ '{kind}' record needs exactly 3 {what}, in ASCII")
 
 
 # ---------------------------------------------------------------------------
@@ -291,4 +333,4 @@ def read_ply(path) -> Mesh:
     return Mesh(
         vertices=data[:, :3].copy(), normals=data[:, 3:].copy(),
         faces=records["i"].astype(np.int32),
-    ).check_face_range(path)
+    ).check_records(path)

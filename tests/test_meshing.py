@@ -1,3 +1,6 @@
+import io
+import itertools
+import re
 import struct
 
 import numpy as np
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from henneberg import (
     DomainError,
+    Mesh,
     SamplingSpec,
     build_mesh,
     meshing,
@@ -160,9 +164,16 @@ class TestExport:
     "f 1 2 4\n",
     "f -1 2 3\n",
     "f 1 2 4294967297\n",
+    "f /1 2 3 3\n",
+    "f 1 2 3 /3/3\n",
+    "f 1 2 //3 3\n",
+    "v 1e400 0 0\n",
+    "vn 0 -1e999 0\n",
 ], ids=["v-two", "v-word", "v-four", "v-bare", "vn-two", "vn-ragged",
         "f-quad", "f-two", "f-word", "f-no-vertex", "f-zero", "f-past-end",
-        "f-negative", "f-wraps-int32"])
+        "f-negative", "f-wraps-int32", "f-four-one-without-vertex",
+        "f-four-last-without-vertex", "f-four-only-normal", "v-overflows",
+        "vn-overflows"])
 def test_obj_reader_rejects_malformed(tmp_path, text):
     path = tmp_path / "m.obj"
     path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\n" + text)
@@ -185,14 +196,67 @@ def test_obj_reader_face_forms_and_skipped_kinds(tmp_path):
 
 
 def test_obj_reader_checks_every_block(tmp_path, monkeypatch):
-    # a bad record after the first block is still found
+    # a bad record after the first block (write_obj) or chunk (read_obj)
+    # is still found
     monkeypatch.setattr(meshing, "OBJ_BLOCK", 2)
+    monkeypatch.setattr(meshing, "OBJ_CHUNK", 16)
     path = tmp_path / "m.obj"
     path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 2 3\nv 1 2\n")
     with pytest.raises(DomainError):
         read_obj(path)
     path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 3 2 1\n")
     assert read_obj(path).faces.tolist() == [[0, 1, 2], [2, 1, 0]]
+
+
+def test_obj_reader_skips_any_bytes_in_skipped_lines(tmp_path):
+    path = tmp_path / "m.obj"
+    path.write_bytes(b"# caf\xe9\nv 0 0 0\nv 1 0 0\nv 0 1 0\no \xff\xfe\n"
+                     b"vt \x80 0\n\xe9 v 1 2\nf 1 2 3\n")
+    mesh = read_obj(path)
+    assert mesh.vertices.shape == (3, 3) and mesh.faces.tolist() == [[0, 1, 2]]
+
+
+@pytest.mark.parametrize("record", [
+    b"v 0 0 0\xe9\n",
+    b"vn 0 \xff 1\n",
+    b"v 1 2 \xc3\xa93\n",
+    b"f 1 2 3\xe9\n",
+    b"f 1/\xe9 2 3\n",
+], ids=["v-latin-1", "vn-byte", "v-utf-8", "f-latin-1", "f-in-tail"])
+def test_obj_reader_refuses_bytes_outside_ascii_in_records(tmp_path, record):
+    # the file once reached a raw UnicodeDecodeError
+    path = tmp_path / "m.obj"
+    path.write_bytes(b"v 0 0 0\nv 1 0 0\nv 0 1 0\n" + record)
+    with pytest.raises(DomainError, match="m.obj"):
+        read_obj(path)
+
+
+@pytest.mark.parametrize("fmt", ["obj", "ply"])
+@pytest.mark.parametrize("what", ["vertices", "normals"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_readers_refuse_non_finite(tmp_path, fmt, what, value):
+    # the per-record oracles write the files the writers refuse to write
+    mesh = build_mesh(surface_hm(2), SamplingSpec(n_r=3, n_theta=4))
+    getattr(mesh, what)[5, 1] = value
+    path = tmp_path / f"m.{fmt}"
+    if fmt == "obj":
+        path.write_text(_per_record_obj(mesh))
+    else:
+        path.write_bytes(_struct_ply(mesh))
+    with pytest.raises(DomainError, match=rf"m\.{fmt} contains non-finite {what}"):
+        (read_obj if fmt == "obj" else read_ply)(path)
+
+
+@pytest.mark.parametrize("what", ["vertices", "normals"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_writers_refuse_non_finite(tmp_path, what, value):
+    mesh = build_mesh(surface_hm(2), SamplingSpec(n_r=3, n_theta=4))
+    getattr(mesh, what)[5, 1] = value
+    for writer, name in ((write_obj, "out.obj"), (write_ply, "out.ply")):
+        out = tmp_path / name
+        with pytest.raises(DomainError, match=f"{name} contains non-finite {what}"):
+            writer(mesh, out)
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("normals", ["", "vn 0 0 1\n", "vn 0 0 1\n" * 4],
@@ -323,8 +387,10 @@ def test_vectorised_output_matches_per_record_oracles(
 
     out = tmp_path_factory.mktemp("oracle")
     with pytest.MonkeyPatch.context() as mp:
-        # small blocks put block boundaries inside every record kind
+        # small blocks and chunks put their boundaries inside every record
+        # kind, and small chunks inside records
         mp.setattr(meshing, "OBJ_BLOCK", block)
+        mp.setattr(meshing, "OBJ_CHUNK", block)
         write_obj(mesh, out / "m.obj")
         obj_back = read_obj(out / "m.obj")
     assert (out / "m.obj").read_text() == _per_record_obj(mesh)
@@ -340,3 +406,111 @@ def test_default_grid_obj_matches_per_record_oracle(tmp_path):
     mesh = build_mesh(surface_hm(3))
     write_obj(mesh, tmp_path / "m.obj")
     assert (tmp_path / "m.obj").read_text() == _per_record_obj(mesh)
+
+
+# ---------------------------------------------------------------------------
+# The line-by-line reader read_obj had before it parsed byte chunks by
+# record kind, kept as an oracle for what it accepts and returns.
+# ---------------------------------------------------------------------------
+
+_ORACLE_BLOCK = 4096
+
+# the optional /texture/normal fields after a face's vertex index; a token
+# that starts with "/" keeps it, so its missing vertex index fails to parse
+_FACE_FIELD_TAIL = re.compile(r"(?<=\S)/\S*")
+
+
+def _line_by_line_read_obj(path) -> Mesh:
+    parts = {"v": [np.empty((0, 3))], "vn": [np.empty((0, 3))],
+             "f": [np.empty((0, 3), dtype=np.int64)]}
+    with open(path) as fh:
+        for block in iter(lambda: list(itertools.islice(fh, _ORACLE_BLOCK)), []):
+            rests = {kind: [] for kind in parts}
+            for line in block:
+                head = line.split(None, 1)
+                if head and head[0] in rests:
+                    # a bare kind token stands in for its missing fields,
+                    # and fails to parse as a number
+                    rests[head[0]].append(head[-1])
+            for kind, lines in rests.items():
+                if lines:
+                    parts[kind].append(_line_by_line_records(path, kind, lines))
+    vertices, normals, faces = (np.concatenate(parts[k]) for k in ("v", "vn", "f"))
+    mesh = Mesh(vertices=vertices, normals=normals, faces=faces).check_records(path)
+    mesh.faces = faces.astype(np.int32)
+    return mesh
+
+
+def _line_by_line_records(path, kind: str, lines: list) -> np.ndarray:
+    try:
+        if kind == "f":
+            text = io.StringIO(_FACE_FIELD_TAIL.sub("", "".join(lines)))
+            rows = np.loadtxt(text, dtype=np.int64, ndmin=2, comments=None) - 1
+        else:
+            rows = np.loadtxt(lines, ndmin=2, comments=None)
+    except ValueError:  # a token that is not a number, or ragged rows
+        pass
+    else:
+        if rows.shape == (len(lines), 3):
+            return rows
+    raise DomainError(f"{path}: malformed OBJ '{kind}' record")
+
+
+_NUMBER = st.one_of(st.integers(-99, 99).map(str),
+                    st.floats(allow_nan=False, allow_infinity=False).map(repr))
+_WORD = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6)
+
+
+@st.composite
+def _obj_text(draw):
+    """ASCII OBJ text: six vertices among well-formed v/vn/f records and
+    skipped kinds, in every face form, with indents, tabs, the other ASCII
+    whitespace and LF, CRLF and CR line ends; half the texts hold one
+    malformed record as well."""
+    ref = st.tuples(st.integers(1, 6), st.sampled_from(["", "/2", "//3", "/2/3", "/", "/x"]))
+    lines = [["v", *draw(st.lists(_NUMBER, min_size=3, max_size=3))] for _ in range(6)]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["v", "vn", "f", "f", "vt", "#", "o", ""]))
+        if kind == "f":
+            fields = [f"{a}{tail}" for a, tail in draw(st.lists(ref, min_size=3, max_size=3))]
+        elif kind in ("v", "vn", "vt"):
+            fields = draw(st.lists(_NUMBER, min_size=3, max_size=3))
+        else:
+            fields = draw(st.lists(_WORD, max_size=3))
+        lines.append([kind, *fields])
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(["v", "vn", "f"]))
+        fields = ["1" if kind == "f" else "0.5"] * draw(st.integers(0, 4))
+        if len(fields) >= 3:
+            fields[draw(st.integers(0, 2))] = draw(
+                st.sampled_from(["x", "/1", "0", "-1", "7", "1.5", "1e400"]))
+        lines.append([kind, *fields])
+    text = "".join(
+        draw(st.sampled_from(["", "", "", " ", "\t", " \t ", "\x0c"]))
+        + draw(st.sampled_from([" ", " ", "\t", "  ", "\x1f", " \x0b"])).join(line)
+        + draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        for line in draw(st.permutations(lines))
+    )
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(text=_obj_text(), chunk=st.sampled_from([1, 7, 64]))
+def test_chunked_obj_reader_matches_line_by_line_oracle(tmp_path_factory, text, chunk):
+    path = tmp_path_factory.mktemp("obj") / "m.obj"
+    path.write_bytes(text.encode("ascii"))
+    try:
+        want = _line_by_line_read_obj(path)
+    except DomainError:
+        want = None
+    with pytest.MonkeyPatch.context() as mp:
+        # small chunks split records, and CRLF line ends, between chunks
+        mp.setattr(meshing, "OBJ_CHUNK", chunk)
+        if want is None:
+            with pytest.raises(DomainError):
+                read_obj(path)
+            return
+        got = read_obj(path)
+    for what in ("vertices", "normals", "faces"):
+        a, b = getattr(got, what), getattr(want, what)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
