@@ -80,10 +80,13 @@ def cis_pi(q) -> complex:
 
 
 def cis(angle: float) -> complex:
-    """e^{i angle} for a float angle in radians; within 1e-14 of a quarter
-    turn k pi/2 it is the exact value cis_pi(k/2)."""
-    k = round(2 * angle / math.pi)
-    if abs(angle - k * math.pi / 2) < 1e-14:
+    """e^{i angle} for a finite float angle in radians; within 1e-14 of a
+    quarter turn k pi/2 it is the exact value cis_pi(k/2)."""
+    if not math.isfinite(angle):
+        raise DomainError(f"angle must be finite, got {angle!r}")
+    quarter = math.pi / 2  # dividing by it cannot overflow as 2 * angle can
+    k = round(angle / quarter)
+    if abs(angle - k * quarter) < 1e-14:
         return cis_pi(Fraction(k, 2))
     return complex(math.cos(angle), math.sin(angle))
 
@@ -128,15 +131,10 @@ class LaurentPoly:
 
     # -- constructors ---------------------------------------------------
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls(0, np.zeros(1, dtype=complex))
-
-    @classmethod
     def from_dict(cls, terms: dict) -> "LaurentPoly":
-        if not terms:
-            return cls.zero()
-        lo = min(terms)
-        arr = np.zeros(max(terms) - lo + 1, dtype=complex)
+        """{exponent: coefficient}; an empty dict is the zero polynomial."""
+        lo = min(terms, default=0)
+        arr = np.zeros(max(terms, default=0) - lo + 1, dtype=complex)
         for e, c in terms.items():
             arr[e - lo] = c
         return cls(lo, arr)
@@ -157,14 +155,10 @@ class LaurentPoly:
         return bool(np.all(self.coeffs == 0))
 
     # -- arithmetic -------------------------------------------------------
-    def __mul__(self, other):
-        if isinstance(other, LaurentPoly):
-            return LaurentPoly(
-                self.lowest + other.lowest, np.convolve(self.coeffs, other.coeffs)
-            )
-        return self.scale(other)
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+        return LaurentPoly(
+            self.lowest + other.lowest, np.convolve(self.coeffs, other.coeffs)
+        )
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         lo = min(self.lowest, other.lowest)
@@ -218,9 +212,6 @@ class LaurentPoly:
                 acc = acc * w + c
             out += acc * w
         return out[0] if scalar else out
-
-    def __call__(self, z):
-        return self.evaluate(z)
 
     def __str__(self):
         terms = [
@@ -293,17 +284,11 @@ class BranchConfiguration:
     def antipodes(self) -> np.ndarray:
         return -1.0 / np.conj(self.branch_values())
 
-    def angle_sum_pi(self):
-        """Sum of the angles as an exact Fraction of pi, or None if untagged."""
-        if self.angles_pi is None:
-            return None
-        return sum(self.angles_pi, Fraction(0))
-
     def unit_product(self) -> complex:
-        """prod_j a_j / conj(a_j) = e^{2i sum theta_j}."""
-        total = self.angle_sum_pi()
-        if total is not None:
-            return cis_pi(2 * total)
+        """prod_j a_j / conj(a_j) = e^{2i sum theta_j}, exact for tagged
+        angles."""
+        if self.angles_pi is not None:
+            return cis_pi(2 * sum(self.angles_pi, Fraction(0)))
         return complex(np.prod(np.exp(2j * np.asarray(self.angles))))
 
     def permuted(self, order: Sequence[int]) -> "BranchConfiguration":

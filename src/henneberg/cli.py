@@ -67,10 +67,13 @@ def _load_json(path) -> dict:
     return raw
 
 
+def _is_number(v) -> bool:
+    """A JSON number: int or float, not bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _is_number_pair(v) -> bool:
-    return isinstance(v, list) and len(v) == 2 and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in v
-    )
+    return isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))
 
 
 def load_data_file(path, raw=None) -> WeierstrassData:
@@ -103,7 +106,7 @@ def load_data_file(path, raw=None) -> WeierstrassData:
 def _sampling_from(args, config: dict) -> SamplingSpec:
     """The config's "sampling" block over SamplingSpec's defaults, then the
     command-line flags over both; each config value must have its default's
-    type (an int passes for a float, a bool for neither)."""
+    type (any number passes for a float, a bool for nothing but a bool)."""
     sampling = config.get("sampling", {})
     if not isinstance(sampling, dict):
         raise CliError(f"{args.config}: field 'sampling' must be an object")
@@ -113,8 +116,8 @@ def _sampling_from(args, config: dict) -> SamplingSpec:
         if key not in defaults:
             raise CliError(f"{args.config}: unknown sampling key '{key}'")
         default = defaults[key]
-        kind = (int, float) if isinstance(default, float) else type(default)
-        if not isinstance(value, kind) or isinstance(value, bool) != isinstance(default, bool):
+        if not (_is_number(value) if isinstance(default, float)
+                else type(value) is type(default)):
             raise CliError(f"{args.config}: sampling '{key}' must be "
                            f"{type(default).__name__}, got {value!r}")
     flags = {"r_min": args.r_min, "r_max": args.r_max, "n_r": args.n_r,
@@ -275,12 +278,11 @@ def cmd_search_m1(args) -> int:
 
 def _moduli_from_file(path) -> ModuliPoint:
     raw = _load_json(path)
-    try:
-        return ModuliPoint(
-            raw["r1"], raw["r2"], raw["r3"], raw["theta2"], raw["theta3"], raw["beta"]
-        )
-    except (KeyError, TypeError) as exc:
-        raise CliError(f"{path}: invalid moduli point ({exc})")
+    keys = ("r1", "r2", "r3", "theta2", "theta3", "beta")
+    values = [raw.get(key) for key in keys]
+    if not all(map(_is_number, values)):
+        raise CliError(f"{path}: invalid moduli point: {', '.join(keys)} must be numbers")
+    return ModuliPoint(*values)
 
 
 def cmd_continue(args) -> int:

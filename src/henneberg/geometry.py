@@ -28,7 +28,8 @@ closed form: theta -> theta + pi q multiplies c_k by e^{i pi q k}, theta ->
 negates l_j.  The functions r^k cos k theta, r^k sin k theta (k != 0), ln r
 and 1 are linearly independent, so a map induces the motion Q X + t exactly
 when the coefficient rows satisfy T = Q S; Q is their orthogonal Procrustes
-fit.  verify_isometry keeps the sampled check for arbitrary evaluators.
+fit, the same one (_procrustes) that fit_rigid_motion makes of point sets.
+verify_isometry keeps the sampled check for arbitrary evaluators.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 from .algebra import LaurentPoly
 from .errors import DomainError, StructureError
 from .period import symmetric_example
-from .surfaces import symmetric_phase
+from .surfaces import SurfaceMap, _polar, symmetric_phase
 from .weierstrass import (
     IntegratedForms,
     WeierstrassData,
@@ -292,13 +293,9 @@ class BjorlingPatch:
                          self.normal_sign * integral.imag], axis=-1)
 
     def surface_map(self):
-        from .surfaces import SurfaceMap
-
         def chart(r, theta):
-            r = np.asarray(r, dtype=float)
-            if np.any(r <= 0):
-                raise DomainError("radius must be positive")
-            return np.asarray(theta, dtype=float), -np.log(r)
+            r, theta = _polar(r, theta)
+            return theta, -np.log(r)
 
         def normal(r, theta):
             u, v = chart(r, theta)
@@ -341,10 +338,6 @@ class RigidMotion:
         return np.asarray(points) @ self.matrix.T + self.translation
 
     @classmethod
-    def identity(cls):
-        return cls(np.eye(3), np.zeros(3))
-
-    @classmethod
     def rotation_z(cls, angle: float, flip_z: bool = False):
         c, s = math.cos(angle), math.sin(angle)
         q = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, -1.0 if flip_z else 1.0]])
@@ -357,18 +350,22 @@ class RigidMotion:
         return cls(np.eye(3) - 2.0 * np.outer(n, n), np.zeros(3))
 
 
-def fit_rigid_motion(source, target) -> RigidMotion:
-    """Least-squares orthogonal Procrustes fit target ~ Q source + t.
+def _procrustes(target, source):
+    """The orthogonal Q minimising |target - Q source| over the columns,
+    batched over leading axes of ``target``: u vt from the SVD of
+    target source^T.  No determinant constraint: improper motions
+    (reflections) are admitted, which the isometry groups here require."""
+    u, _, vt = np.linalg.svd(target @ source.T)
+    return u @ vt
 
-    No determinant constraint: improper motions (reflections) are admitted,
-    which the isometry groups here require.
-    """
+
+def fit_rigid_motion(source, target) -> RigidMotion:
+    """Least-squares orthogonal Procrustes fit target ~ Q source + t of two
+    point sets, one point per row."""
     a = np.asarray(source, dtype=float)
     b = np.asarray(target, dtype=float)
     ca, cb = a.mean(axis=0), b.mean(axis=0)
-    h = (b - cb).T @ (a - ca)
-    u, _, vt = np.linalg.svd(h)
-    q = u @ vt
+    q = _procrustes((b - cb).T, (a - ca).T)
     return RigidMotion(q, cb - q @ ca)
 
 
@@ -457,16 +454,22 @@ def verify_isometry(surface, pmap: ParameterMap, motion: RigidMotion = None,
     return IsometryCertificate(pmap, motion, residual, rel_tol * max(diameter, 1e-30))
 
 
+def _shift_turns(maps: Sequence[ParameterMap]):
+    """(N, ks): N the lcm of the maps' shift denominators and each shift
+    written as k pi / N with integer k."""
+    den = math.lcm(*(g.shift_pi.denominator for g in maps))
+    return den, [g.shift_pi.numerator * (den // g.shift_pi.denominator) for g in maps]
+
+
 def _close_group(generators: Sequence[ParameterMap], cap: int):
     """The group the generators generate, as words in them grown from the
     identity (in a finite group every inverse is a positive power).
 
     Elements are closed as integer triples (negate, k, invert), the shift
-    being k pi / N with N the lcm of the generators' shift denominators and
-    k taken mod 2N; ParameterMaps are made for the sorted result only."""
-    den = math.lcm(*(g.shift_pi.denominator for g in generators))
-    turns = [(g.negate, g.shift_pi.numerator * (den // g.shift_pi.denominator),
-              g.invert) for g in generators]
+    being k pi / N as _shift_turns writes it and k taken mod 2N;
+    ParameterMaps are made for the sorted result only."""
+    den, ks = _shift_turns(generators)
+    turns = [(g.negate, k, g.invert) for g, k in zip(generators, ks)]
     group = {(False, 0, False)}
     frontier = list(group)
     while frontier:
@@ -531,8 +534,7 @@ def _certify_on_coefficients(forms: IntegratedForms, maps, sign: int = 1):
 
     # X o sigma, as ParameterMap.apply orders its steps: c_k -> c_k e^{i pi q k},
     # conjugated for theta -> -theta; r -> 1/r moves conj(c_k) to -k, ln r to -ln r
-    den = math.lcm(*(g.shift_pi.denominator for g in maps))
-    turns = [g.shift_pi.numerator * (den // g.shift_pi.denominator) for g in maps]
+    den, turns = _shift_turns(maps)
     units = np.exp(1j * math.pi / den * np.arange(2 * den))
     moved = coeffs * units[np.outer(turns, exps) % (2 * den)][:, None, :]
     negate = np.array([g.negate for g in maps])[:, None, None]
@@ -542,10 +544,9 @@ def _certify_on_coefficients(forms: IntegratedForms, maps, sign: int = 1):
     source = _coefficient_rows(coeffs, logs)
     target = _coefficient_rows(moved, np.where(invert[:, :, 0], -logs, logs))
 
-    # orthogonal Procrustes on the rows, target ~ Q source, as in
-    # fit_rigid_motion; the constant terms are invariant, so t = c - Q c
-    u, _, vt = np.linalg.svd(target @ source.T)
-    qs = u @ vt
+    # orthogonal Procrustes on the rows, target ~ Q source; the constant
+    # terms are invariant, so t = c - Q c
+    qs = _procrustes(target, source)
     residuals = np.abs(target - qs @ source).max(axis=(1, 2))
     shifts = sign * (constants - qs @ constants)
     tolerance = ISOMETRY_REL_TOL * float(np.abs(source).max())

@@ -556,16 +556,19 @@ def continue_from(p0: ModuliPoint, r1: float, r2: float, tol: float = 1e-12,
 # ---------------------------------------------------------------------------
 
 
+def _clamped_sqrt(x: float, message: str) -> float:
+    """sqrt(x), reading x in [-1e-9, 0) as a rounded 0; DomainError with
+    ``message`` for x below that."""
+    if x < -1e-9:
+        raise DomainError(message)
+    return math.sqrt(max(x, 0.0))
+
+
 def family_sqrt_arg(theta2: float) -> float:
     """sqrt(1 - 8 cos(2 t) - 8 cos(4 t)), the square root entering the
     family formulas; defined where the radicand is nonnegative."""
     radicand = 1.0 - 8.0 * math.cos(2 * theta2) - 8.0 * math.cos(4 * theta2)
-    if radicand < 0:
-        if radicand > -1e-9:
-            radicand = 0.0
-        else:
-            raise DomainError(f"square root undefined at theta2={theta2!r}")
-    return math.sqrt(radicand)
+    return _clamped_sqrt(radicand, f"square root undefined at theta2={theta2!r}")
 
 
 def _in_family_domain(theta2: float) -> bool:
@@ -591,10 +594,7 @@ class FamilyPoint:
         )
 
     def weierstrass(self) -> WeierstrassData:
-        config = BranchConfiguration(
-            (self.r1, self.r2, self.r2), (0.0, self.theta2, -self.theta2)
-        )
-        return WeierstrassData(1.0j, config)
+        return self.moduli_point().weierstrass()
 
 
 def family_theta2(theta2: float, sign: int = 1) -> FamilyPoint:
@@ -612,12 +612,7 @@ def family_theta2(theta2: float, sign: int = 1) -> FamilyPoint:
             f"theta2={theta2!r} outside (pi/4, pi/3] U [2pi/3, 3pi/4)"
         )
     f = family_sqrt_arg(theta2)
-    excess = f - 3.0
-    if excess < 0:
-        if excess < -1e-9:
-            raise DomainError(f"family undefined at theta2={theta2!r}")
-        excess = 0.0
-    root = math.sqrt(excess)
+    root = _clamped_sqrt(f - 3.0, f"family undefined at theta2={theta2!r}")
     c2 = math.cos(2 * theta2)
     gap1 = root * (f + 3.0 + 4.0 * c2) / (8.0 * _SQRT2 * math.cos(theta2) * c2)
     gap2 = -root / _SQRT2

@@ -21,11 +21,18 @@ EXACTNESS_TOL = 1e-12
 
 
 def _polar(r, theta):
+    """(r, theta) as broadcast float arrays; DomainError unless r > 0."""
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     if np.any(r <= 0):
         raise DomainError("radius must be positive")
     return np.broadcast_arrays(r, theta)
+
+
+def _polar_point(r, theta):
+    """z = r e^{i theta} on the punctured plane, checked by _polar."""
+    r, t = _polar(r, theta)
+    return r * np.exp(1j * t)
 
 
 def eval_h1(r, theta):
@@ -198,11 +205,6 @@ class Hypocycloid:
     def cusp_count(self) -> int:
         return self.ratio.numerator
 
-    @property
-    def turns(self) -> int:
-        """Parameter periods (multiples of 2 pi) needed to close the curve."""
-        return self.ratio.denominator
-
     @classmethod
     def standard(cls, m) -> "Hypocycloid":
         """The family r = 1/(m+2), R = (2m+2)/(m(m+2)) traced by the
@@ -249,8 +251,7 @@ class SurfaceMap:
     def normal_at(self, r, theta):
         if self.normal is not None:
             return self.normal(r, theta)
-        z = np.asarray(r, dtype=float) * np.exp(1j * np.asarray(theta, dtype=float))
-        return unit_normal(z)
+        return unit_normal(_polar_point(r, theta))
 
 
 def surface_h1() -> SurfaceMap:
@@ -275,15 +276,9 @@ def surface_limit_m2() -> SurfaceMap:
 
 def surface_integrated(data: WeierstrassData, base=...) -> SurfaceMap:
     imm = Immersion(data, base)
-    return SurfaceMap(
-        "integrated",
-        lambda r, t: imm(np.asarray(r, dtype=float) * np.exp(1j * np.asarray(t))),
-    )
+    return SurfaceMap("integrated", lambda r, t: imm(_polar_point(r, t)))
 
 
 def surface_associated(data: WeierstrassData, phase_angle: float) -> SurfaceMap:
     imm = Immersion(_associated_data(data, phase_angle), None)
-    return SurfaceMap(
-        f"associated-{phase_angle:.6g}",
-        lambda r, t: imm(np.asarray(r, dtype=float) * np.exp(1j * np.asarray(t))),
-    )
+    return SurfaceMap(f"associated-{phase_angle:.6g}", lambda r, t: imm(_polar_point(r, t)))

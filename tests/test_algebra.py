@@ -141,6 +141,15 @@ class TestCis:
     def test_exact_near_quarter_turns(self, k, offset):
         assert _bits(cis(k * math.pi / 2 + offset)) == _bits(_QUARTERS[k % 4])
 
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, angle):
+        with pytest.raises(DomainError, match="angle must be finite"):
+            cis(angle)
+
+    @pytest.mark.parametrize("angle", [1e308, -1.7e308, sys.float_info.max])
+    def test_huge_finite_angle_has_unit_modulus(self, angle):
+        assert abs(abs(cis(angle)) - 1.0) < 1e-15
+
 
 class TestExpandProduct:
     def test_h1_configuration(self):

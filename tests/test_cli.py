@@ -536,6 +536,49 @@ class TestBjorling:
         assert code == 0 and shapes == [(3, 16)]
 
 
+#: `generate` to OBJ at a 9x16 grid: the SHA-256 of the output of the only
+#: selectors that evaluate surface_integrated and surface_associated
+#: (numpy 2.4, x86-64 Linux)
+GENERATE_PINS = {
+    "family": (["--theta2", "1.0"],
+               "fe9fbf275eadfa3f422993b18f56aa8a9ba4e259e752a2a0d7fc873bdd31dfbe"),
+    "associated": (["--m", "3", "--phi", "0.7"],
+                   "b8d6b2b93665d7058dc5f68f59ccc4ac74efe2d6d71cdb81d12b0125c0cba73b"),
+}
+
+
+@pytest.mark.parametrize("selector", GENERATE_PINS)
+def test_generate_outputs_pinned(capsys, tmp_path, selector):
+    params, sha = GENERATE_PINS[selector]
+    out = tmp_path / "s.obj"
+    code, _, _ = run(capsys, "generate", selector, *params,
+                     "--nr", "9", "--ntheta", "16", "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
+
+
+@pytest.mark.parametrize("phi", ["nan", "inf", "-inf"])
+def test_associated_non_finite_phi_exits_2(capsys, tmp_path, phi):
+    out = tmp_path / "a.obj"
+    code, stdout, err = run(capsys, "generate", "associated", "--m", "3",
+                            f"--phi={phi}", "--out", str(out))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", [True, False, None, "1.0", [1.0]])
+@pytest.mark.parametrize("key", ["r1", "theta3", "beta"])
+def test_continue_from_non_number_exits_2(capsys, tmp_path, key, value):
+    # a JSON boolean is not a number, as for --data and --config
+    point = {"r1": 1.0, "r2": 1.0, "r3": 1.0, "theta2": math.pi / 3,
+             "theta3": 2 * math.pi / 3, "beta": math.pi / 2, key: value}
+    start = tmp_path / "start.json"
+    start.write_text(json.dumps(point))
+    code, stdout, err = run(capsys, "continue", "--from", str(start), "--r1", "1", "--r2", "1")
+    assert code == 2 and stdout == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["bjorling", "--cusps", "3", "--strip", "nan"],
     ["bjorling", "--cusps", "3", "--strip", "inf"],

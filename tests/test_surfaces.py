@@ -26,6 +26,7 @@ from henneberg import (
     symmetric_example,
     symmetric_phase,
 )
+from henneberg.surfaces import surface_associated, surface_integrated
 from conftest import random_annulus
 
 
@@ -317,3 +318,21 @@ class TestCanonicalPhaseData:
         r, th = random_annulus(rng, 300)
         x = immersion(data, r * np.exp(1j * th))
         assert np.abs(x - eval_hm_odd(m, r, th)).max() < 1e-11
+
+
+class TestPolarChartRule:
+    """The integrated and associated maps share the closed forms' chart:
+    r <= 0 is rejected, both when evaluated and in normal_at."""
+
+    @pytest.fixture(params=["integrated", "associated"])
+    def smap(self, request):
+        if request.param == "integrated":
+            return surface_integrated(family_theta2(1.0).weierstrass())
+        return surface_associated(symmetric_example(3), 0.7)
+
+    @pytest.mark.parametrize("r", [0.0, -0.5, np.array([1.0, 0.0, 2.0])])
+    def test_nonpositive_radius_rejected(self, smap, r):
+        with pytest.raises(DomainError, match="radius must be positive"):
+            smap(r, 0.3)
+        with pytest.raises(DomainError, match="radius must be positive"):
+            smap.normal_at(r, 0.3)
