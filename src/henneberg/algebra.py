@@ -79,15 +79,28 @@ def cis_pi(q) -> complex:
     return complex(math.cos(angle), math.sin(angle))
 
 
+def pi_turns(qs) -> tuple[int, list[int]]:
+    """(N, ks): N the lcm of the denominators of the rationals q and each q
+    written as k / N, so that e^{i pi q} = zeta^k with zeta = e^{i pi / N}."""
+    n = math.lcm(*(q.denominator for q in qs))
+    return n, [q.numerator * (n // q.denominator) for q in qs]
+
+
 def cis(angle: float) -> complex:
-    """e^{i angle} for a finite float angle in radians; within 1e-14 of a
-    quarter turn k pi/2 it is the exact value cis_pi(k/2)."""
+    """e^{i angle} for a finite float angle in radians.
+
+    For |angle| < 64, an angle within 1e-14 of a quarter turn k pi/2 gives
+    the exact value cis_pi(k/2).  From 64 on, the spacing of doubles exceeds
+    that window, so the nearest double to k pi/2 would match every angle
+    near it; there the result is always complex(cos(angle), sin(angle)).
+    """
     if not math.isfinite(angle):
         raise DomainError(f"angle must be finite, got {angle!r}")
-    quarter = math.pi / 2  # dividing by it cannot overflow as 2 * angle can
-    k = round(angle / quarter)
-    if abs(angle - k * quarter) < 1e-14:
-        return cis_pi(Fraction(k, 2))
+    if math.ulp(angle) < 1e-14:  # |angle| < 64
+        quarter = math.pi / 2
+        k = round(angle / quarter)
+        if abs(angle - k * quarter) < 1e-14:
+            return cis_pi(Fraction(k, 2))
     return complex(math.cos(angle), math.sin(angle))
 
 
@@ -317,12 +330,10 @@ def expand_product(config: BranchConfiguration) -> LaurentPoly:
     are set to zero.  Raises DomainError when the largest coefficient is so
     large that this rule would also drop the unit-modulus end terms.
     """
-    tags = config.angles_pi
-    # every e^{i pi q} is a power of zeta = e^{i pi / N}, N the common denominator
-    n = None if tags is None else math.lcm(*(q.denominator for q in tags))
+    n, turns = (None, None) if config.angles_pi is None else pi_turns(config.angles_pi)
     if n is not None and n <= MAX_FIELD_ORDER:
         try:
-            coeffs = _cyclotomic_product(config.moduli, tags, n)
+            coeffs = _cyclotomic_product(config.moduli, turns, n)
         except OverflowError:  # an exact coefficient beyond the float range
             coeffs = np.array([math.inf])
     else:
@@ -343,9 +354,10 @@ def expand_product(config: BranchConfiguration) -> LaurentPoly:
     return LaurentPoly(0, re + 1j * im)
 
 
-def _cyclotomic_product(moduli, tags, n: int) -> np.ndarray:
+def _cyclotomic_product(moduli, turns, n: int) -> np.ndarray:
     """Coefficients of the branch polynomial computed exactly in Q(zeta),
-    zeta = e^{i pi / N}, N = n, then rounded once each.
+    zeta = e^{i pi / N}, N = n, then rounded once each; the angle of each
+    branch value is turns[j] pi / N.
 
     A coefficient is held as a row of integer coordinates on the powers
     zeta^0 .. zeta^{2N-1}, over a common denominator when some radial gap
@@ -361,10 +373,10 @@ def _cyclotomic_product(moduli, tags, n: int) -> np.ndarray:
     # int64 arithmetic is exact modulo 2^64, so they come out exact.
     scale = math.lcm(*(gap.denominator for gap in gaps))
     dtype = object if any(gaps) else np.int64
-    acc = np.zeros((2 * len(tags) + 1, 2 * n), dtype=dtype)
+    acc = np.zeros((2 * len(turns) + 1, 2 * n), dtype=dtype)
     acc[0, 0] = 1
-    for q, gap in zip(tags, gaps):
-        k = q.numerator * (n // q.denominator) % (2 * n)
+    for k, gap in zip(turns, gaps):
+        k %= 2 * n
         out = np.roll(acc, 2 * k, axis=1) * -scale
         if gap:
             out[1:] -= np.roll(acc[:-1], k, axis=1) * int(gap * scale)
@@ -377,7 +389,7 @@ def _cyclotomic_product(moduli, tags, n: int) -> np.ndarray:
         rows[:, top - degree : top + 1] -= rows[:, top : top + 1] * phi
     # exact integer dot products with the fixed-point basis, each divided
     # (correctly rounded) once
-    denom = scale ** len(tags) << _FIXED_BITS
+    denom = scale ** len(turns) << _FIXED_BITS
     return np.array(
         [
             complex(sum(map(operator.mul, row, cos)) / denom,

@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import LaurentPoly
+from .algebra import LaurentPoly, pi_turns
 from .errors import DomainError, StructureError
 from .period import symmetric_example
 from .surfaces import SurfaceMap, _polar, symmetric_phase
@@ -454,21 +454,14 @@ def verify_isometry(surface, pmap: ParameterMap, motion: RigidMotion = None,
     return IsometryCertificate(pmap, motion, residual, rel_tol * max(diameter, 1e-30))
 
 
-def _shift_turns(maps: Sequence[ParameterMap]):
-    """(N, ks): N the lcm of the maps' shift denominators and each shift
-    written as k pi / N with integer k."""
-    den = math.lcm(*(g.shift_pi.denominator for g in maps))
-    return den, [g.shift_pi.numerator * (den // g.shift_pi.denominator) for g in maps]
-
-
 def _close_group(generators: Sequence[ParameterMap], cap: int):
     """The group the generators generate, as words in them grown from the
     identity (in a finite group every inverse is a positive power).
 
     Elements are closed as integer triples (negate, k, invert), the shift
-    being k pi / N as _shift_turns writes it and k taken mod 2N;
+    being k pi / N as pi_turns writes it and k taken mod 2N;
     ParameterMaps are made for the sorted result only."""
-    den, ks = _shift_turns(generators)
+    den, ks = pi_turns([g.shift_pi for g in generators])
     turns = [(g.negate, k, g.invert) for g, k in zip(generators, ks)]
     group = {(False, 0, False)}
     frontier = list(group)
@@ -534,7 +527,7 @@ def _certify_on_coefficients(forms: IntegratedForms, maps, sign: int = 1):
 
     # X o sigma, as ParameterMap.apply orders its steps: c_k -> c_k e^{i pi q k},
     # conjugated for theta -> -theta; r -> 1/r moves conj(c_k) to -k, ln r to -ln r
-    den, turns = _shift_turns(maps)
+    den, turns = pi_turns([g.shift_pi for g in maps])
     units = np.exp(1j * math.pi / den * np.arange(2 * den))
     moved = coeffs * units[np.outer(turns, exps) % (2 * den)][:, None, :]
     negate = np.array([g.negate for g in maps])[:, None, None]

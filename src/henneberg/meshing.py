@@ -9,6 +9,7 @@ producing the non-orientable quotient mesh).
 
 from __future__ import annotations
 
+import functools
 import io
 import os
 from dataclasses import asdict, dataclass, field
@@ -153,10 +154,181 @@ def _is_space(text: np.ndarray) -> np.ndarray:
     return (text - np.uint8(9) <= 4) | (text - np.uint8(28) <= 4)
 
 
-def _write_records(fh, fmt: str, rows: np.ndarray):
+# "%.17g" in numpy.  A double x with 10^-6 <= |x| < 10^17 has a decimal
+# exponent k in -6..16, so x * 10^(16-k) lies in [10^16, 10^17) and needs
+# powers of ten up to 10^22, all exact doubles.  Dekker's two-product forms
+# that product exactly as hi + lo; rounding it half-even to an integer gives
+# the 17 significant digits of Python's correctly rounded conversion.
+
+#: 10^0 .. 10^22, each an exact double
+_POW10 = np.array([float(10**p) for p in range(23)])
+
+#: Veltkamp's splitter 2^27 + 1: a double splits into two 26-bit halves
+_SPLIT = 134217729.0
+
+#: a float field: a sign byte, up to 22 mantissa bytes, a 4-byte exponent
+_FLOAT_WIDTH = 27
+
+
+@functools.cache
+def _float_tables():
+    """The read-only tables of _float_fields, built on first use:
+
+    - the ASCII digits "0000" .. "9999", one 4-byte word each;
+    - the trailing zero digits of each 4-digit group, 4 for "0000";
+    - the field bytes "%.17g" keeps, in row (23 * negative + k + 6) * 17 +
+      the trailing zeros of the 17 digits.  -4 <= k <= 16 is fixed
+      notation, with 1 + max(k, 0) integer digits; k = -6, -5 is d.ddd
+      plus the exponent.  Fraction zeros are stripped, and the point goes
+      with the last fraction digit.
+    """
+    n = np.arange(10000, dtype=np.uint16)
+    ascii4 = (np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1)
+              .astype(np.uint8) + ord("0")).view(np.uint32).ravel()
+    tz4 = sum((n % 10**j == 0).astype(np.int8) for j in range(1, 5))
+    neg, k, tz = np.ix_([0, 1], np.arange(-6, 17), np.arange(17))
+    e = np.where(k < -4, 0, k)
+    fraction = np.maximum(16 - e - tz, 0)
+    end = 2 + np.maximum(e, 0) + (fraction > 0) * (fraction + 1)
+    col = np.arange(_FLOAT_WIDTH)
+    keep = (((col >= 1 - neg[..., None]) & (col < end[..., None]))
+            | ((k[..., None] < -4) & (col >= _FLOAT_WIDTH - 4))).reshape(-1, _FLOAT_WIDTH)
+    for table in (ascii4, tz4, keep):
+        table.flags.writeable = False
+    return ascii4, tz4, keep
+
+
+def _split(a):
+    t = a * _SPLIT
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _two_product(a, b):
+    """(p, e) with p = fl(a * b) and p + e = a * b exactly (Dekker 1971);
+    numpy has no fused multiply-add."""
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _float_digits(x: np.ndarray):
+    """(fast, key, digits) for the doubles x: where fast, x rounds to
+    digits * 10^(k-16) with 10^16 <= digits < 10^17, and key = k + 6."""
+    ax = np.abs(x)
+    fast = (ax >= 1e-6) & (ax < 1e17)
+    ax[~fast] = 1.0
+    k = np.clip(np.floor(np.log10(ax)), -6, 16).astype(np.int64)
+    # log10 can miss k by one near a power of ten; each step moves k towards
+    # the exponent the exact product shows, until it stops or is clipped
+    while True:
+        hi, lo = _two_product(ax, _POW10[16 - k])
+        step = (((hi > 1e17) | ((hi == 1e17) & (lo >= 0))).astype(np.int64)
+                - ((hi < 1e16) | ((hi == 1e16) & (lo < 0))))
+        moved = np.clip(k + step, -6, 16)
+        if (moved == k).all():
+            break
+        k = moved
+    fast &= step == 0
+    # hi is an even integer here, so half-even rounding of lo rounds hi + lo.
+    # It never carries to 10^17: the largest double below each 10^(k+1)
+    # scales to at least 4.5 below 10^17.
+    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    return fast, (k + 6).astype(np.uint8), digits
+
+
+def _float_fields(x: np.ndarray, text: np.ndarray, keep: np.ndarray):
+    """Write the doubles x as "%.17g" into the (len(x), _FLOAT_WIDTH) views
+    text and keep: row i of text where keep is set.  Values outside the fast
+    range, 0 and subnormals among them, are formatted one by one with %."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    ascii4, tz4, keep_rows = _float_tables()
+    fast, key, digits = _float_digits(x)
+    # sorted by exponent, each exponent's layout is one slice copy
+    order = np.argsort(key, kind="stable")
+    key, digits = key[order], digits[order]
+    head, low = np.divmod(digits, 10**8)
+    lead, mid = np.divmod(head, 10**8)
+    groups = np.stack([lead, mid // 10**4, mid % 10**4, low // 10**4, low % 10**4], axis=1)
+    tz = tz4[groups[:, 4]]
+    for g in (3, 2, 1):  # the first digit is never 0, so tz <= 16
+        tz += (tz == 4 * (4 - g)) * tz4[groups[:, g]]
+    # "0" and the groups "000d0", then d1 ... d16 from byte 3 on
+    src = np.empty((len(x), 24), np.uint8)
+    src[:, 3] = ord("0")
+    src.view(np.uint32)[:, 1:] = ascii4[groups]
+    out = np.empty((len(x), _FLOAT_WIDTH), np.uint8)
+    out[:, 0] = ord("-")
+    bounds = np.r_[0, np.flatnonzero(np.diff(key)) + 1, len(x)]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        k = int(key[start]) - 6
+        e = 0 if k < -4 else k
+        a = 7 + min(e, 0)  # the first byte of src shown
+        q = 1 + max(e, 0)  # the digits before the point
+        rows, digs = out[start:stop], src[start:stop]
+        rows[:, 1:1 + q] = digs[:, a:a + q]
+        rows[:, 1 + q] = ord(".")
+        rows[:, 2 + q:26 - a] = digs[:, a + q:]
+        if k < -4:
+            rows[:, -4:] = np.frombuffer(b"e-0%d" % -k, np.uint8)
+    text[order] = out
+    code = np.empty(len(x), np.intp)
+    code[order] = 17 * key.astype(np.intp) + tz
+    keep[...] = keep_rows[code + 23 * 17 * np.signbit(x)]
+
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        words = np.array([OBJ_FLOAT_FMT % v for v in x[slow].tolist()],
+                         dtype=f"S{_FLOAT_WIDTH}").view(np.uint8).reshape(len(slow), -1)
+        text[slow] = words
+        keep[slow] = words != 0
+
+
+def _ref_fields(n: int):
+    """(width, fill) for references to vertices 0..n-1: fill(faces, text,
+    keep) writes each index of faces as the field "a//a", a = index + 1.
+    A table row holds a right-aligned in w bytes, "//", a left-aligned, w
+    the digits of n; the mask for a's digit count keeps "a//a"."""
+    w = len(str(n))
+    table = np.empty((n, 2 * w + 2), np.uint8)
+    digits = np.empty(n, np.uint8)
+    for d in range(1, w + 1):  # the a with d digits form one slice
+        lo, hi = 10**(d - 1) - 1, min(10**d - 1, n)
+        a = np.arange(lo + 1, hi + 1)
+        for c in range(d):
+            table[lo:hi, w - 1 - c] = table[lo:hi, w + 1 + d - c] = a // 10**c % 10 + ord("0")
+        digits[lo:hi] = d
+    table[:, w:w + 2] = ord("/")
+    d, col = np.arange(w + 1)[:, None], np.arange(2 * w + 2)
+    masks = (col >= w - d) & (col < w + 2 + d)
+
+    def fill(faces, text, keep):
+        faces = faces.ravel()
+        text[...] = table[faces]
+        keep[...] = masks[digits[faces]]
+
+    return 2 * w + 2, fill
+
+
+def _write_records(fh, kind: bytes, rows: np.ndarray, width: int, fill):
+    """Write one record "kind f0 f1 f2" per row of rows, OBJ_BLOCK rows at a
+    time.  Each field is one buffer row: the record's head on the first,
+    then width bytes that fill(block, text, keep) writes together with the
+    mask of those to keep, then " " or the line end."""
+    head = len(kind) + 1
+    count = min(len(rows), OBJ_BLOCK)
+    text = np.empty((count, 3, head + width + 1), np.uint8)
+    keep = np.zeros(text.shape, bool)
+    text[:, 0, :head] = np.frombuffer(kind + b" ", np.uint8)
+    text[..., -1] = np.frombuffer(b"  \n", np.uint8)
+    keep[:, 0, :head] = keep[..., -1] = True
+    text, keep = text.reshape(3 * count, -1), keep.reshape(3 * count, -1)
     for start in range(0, len(rows), OBJ_BLOCK):
-        chunk = rows[start:start + OBJ_BLOCK]
-        fh.write((fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
+        block = rows[start:start + OBJ_BLOCK]
+        n = 3 * len(block)
+        fill(block, text[:n, head:-1], keep[:n, head:-1])
+        fh.write(text[:n][keep[:n]])
 
 
 def _check_writable(mesh: Mesh, path):
@@ -171,16 +343,20 @@ def _check_writable(mesh: Mesh, path):
 
 def write_obj(mesh: Mesh, path):
     """Write v/vn/f records; floats carry 17 significant digits so a
-    re-parse reproduces the vertices bit-exactly.  Each face reference is
-    looked up in a per-vertex table of "a//a" strings."""
+    re-parse reproduces the vertices bit-exactly.
+
+    The text is exactly what "%.17g" formatting gives, built in numpy
+    blocks of OBJ_BLOCK records.  A float with 10^-6 <= |x| < 10^17 is
+    formatted from an exact two-product x * 10^(16-k); any other value,
+    0 and subnormals among them, goes through "%.17g" one by one.  Face
+    references are gathered from a per-vertex byte table of "a//a".
+    """
     _check_writable(mesh, path)
-    xyz = " ".join([OBJ_FLOAT_FMT] * 3) + "\n"
-    refs = np.array([f"{a}//{a}" for a in range(1, len(mesh.vertices) + 1)],
-                    dtype=object)
-    with open(path, "w") as fh:
-        _write_records(fh, "v " + xyz, mesh.vertices.reshape(-1, 3))
-        _write_records(fh, "vn " + xyz, mesh.normals.reshape(-1, 3))
-        _write_records(fh, "f %s %s %s\n", refs[mesh.faces.reshape(-1, 3)])
+    ref_width, fill_refs = _ref_fields(len(mesh.vertices))
+    with open(path, "wb") as fh:
+        _write_records(fh, b"v", mesh.vertices.reshape(-1, 3), _FLOAT_WIDTH, _float_fields)
+        _write_records(fh, b"vn", mesh.normals.reshape(-1, 3), _FLOAT_WIDTH, _float_fields)
+        _write_records(fh, b"f", mesh.faces.reshape(-1, 3), ref_width, fill_refs)
 
 
 def read_obj(path) -> Mesh:

@@ -150,6 +150,12 @@ class TestCis:
     def test_huge_finite_angle_has_unit_modulus(self, angle):
         assert abs(abs(cis(angle)) - 1.0) < 1e-15
 
+    @pytest.mark.parametrize("angle", [1e16, 1e20, -3e17])
+    def test_huge_angle_is_not_snapped(self, angle):
+        # past |angle| = 64 the double nearest k pi/2 lies within 1e-14 of
+        # most angles, which says nothing about a quarter turn
+        assert _bits(cis(angle)) == _bits(complex(math.cos(angle), math.sin(angle)))
+
 
 class TestExpandProduct:
     def test_h1_configuration(self):

@@ -557,6 +557,25 @@ def test_generate_outputs_pinned(capsys, tmp_path, selector):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
 
 
+#: `generate` to OBJ at the default 129x256 grid, full and quotient: the
+#: SHA-256 of the text that "%.17g" formatting of every float gives
+#: (numpy 2.4, x86-64 Linux)
+FULL_GRID_PINS = {
+    "h1": (["h1"], "111bae4e57d1007941869f148a031486088045bc29e60cac3e72b5583dbd6e9b"),
+    "hm-even-2-quotient": (["hm-even", "--m", "2", "--quotient"],
+                           "3726ca0d40edf1a64ea346dcd605918beea99bc6a1fa714d44b9cc7e86b0538d"),
+}
+
+
+@pytest.mark.parametrize("name", FULL_GRID_PINS)
+def test_generate_full_grid_obj_pinned(capsys, tmp_path, name):
+    argv, sha = FULL_GRID_PINS[name]
+    out = tmp_path / "s.obj"
+    code, _, _ = run(capsys, "generate", *argv, "--format", "obj", "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
+
+
 @pytest.mark.parametrize("phi", ["nan", "inf", "-inf"])
 def test_associated_non_finite_phi_exits_2(capsys, tmp_path, phi):
     out = tmp_path / "a.obj"

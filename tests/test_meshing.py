@@ -408,6 +408,49 @@ def test_default_grid_obj_matches_per_record_oracle(tmp_path):
     assert (tmp_path / "m.obj").read_text() == _per_record_obj(mesh)
 
 
+def _kernel_text(values) -> list:
+    """Each value as write_obj's float kernel renders it."""
+    x = np.asarray(values, dtype=np.float64)
+    text = np.zeros((len(x), meshing._FLOAT_WIDTH), np.uint8)
+    keep = np.zeros(text.shape, bool)
+    meshing._float_fields(x, text, keep)
+    return [row[mask].tobytes().decode("ascii") for row, mask in zip(text, keep)]
+
+
+#: every power of ten a double reaches, and its neighbours both ways; the
+#: fast path covers 1e-6 <= |x| < 1e17
+_TENS = np.array([float(f"1e{e}") for e in range(-323, 309)])
+_NEAR_TENS = np.concatenate([np.nextafter(_TENS, 0), _TENS, np.nextafter(_TENS, np.inf)])
+
+_FINITE_DOUBLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64)))
+    .filter(np.isfinite),
+    st.sampled_from(_NEAR_TENS.tolist()),
+    st.integers(-2**54, 2**54).map(lambda n: n / 2),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(_FINITE_DOUBLES, min_size=1, max_size=40).map(
+    lambda v: v + [-x for x in v]))
+def test_float_kernel_matches_percent_format(values):
+    assert _kernel_text(values) == ["%.17g" % v for v in values]
+
+
+def test_float_kernel_edges_and_bulk():
+    rng = np.random.default_rng(0)
+    bits = rng.integers(0, 2**64, 20000, dtype=np.uint64)
+    values = np.concatenate([
+        _NEAR_TENS, -_NEAR_TENS, [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308],
+        bits.view(np.float64)[np.isfinite(bits.view(np.float64))],
+        10 ** rng.uniform(-7, 18, 20000) * rng.choice([-1, 1], 20000),
+        np.arange(-4000, 4000) / 2,
+    ])
+    assert _kernel_text(values) == ["%.17g" % v for v in values.tolist()]
+
+
 # ---------------------------------------------------------------------------
 # The line-by-line reader read_obj had before it parsed byte chunks by
 # record kind, kept as an oracle for what it accepts and returns.
