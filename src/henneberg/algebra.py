@@ -226,14 +226,6 @@ class LaurentPoly:
             out += acc * w
         return out[0] if scalar else out
 
-    def __str__(self):
-        terms = [
-            f"({c:.6g})z^{self.lowest + k}"
-            for k, c in enumerate(self.coeffs)
-            if c != 0
-        ]
-        return " + ".join(terms) if terms else "0"
-
 
 def residue_at_zero(poly: LaurentPoly) -> complex:
     """Coefficient of z**-1."""

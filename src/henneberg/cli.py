@@ -92,7 +92,7 @@ def load_data_file(path, raw=None) -> WeierstrassData:
     if not isinstance(pairs, list) or not all(map(_is_number_pair, pairs)):
         raise CliError(f"{path}: field 'a' must be a list of [r, theta] number pairs")
     m = raw["m"]
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:  # a JSON true is an int to isinstance
         raise CliError(f"{path}: field 'm' must be a positive integer")
     if len(pairs) != m + 1:
         raise CliError(f"{path}: field 'a' must hold m+1 = {m + 1} pairs")

@@ -21,7 +21,8 @@ curve are counted the same way, from the Laurent polynomial that its
 discrete Fourier transform gives.
 
 The isometry group of the symmetric surface of complexity m is certified on
-the coefficients of its immersion, with nothing sampled.  Each coordinate is
+the coefficients of its immersion, symmetric_example(m).forms, with nothing
+sampled; enumerate_isometries is the one path to it.  Each coordinate is
 Re P_j(z) + l_j ln|z|, and the parameter maps act on the coefficients in
 closed form: theta -> theta + pi q multiplies c_k by e^{i pi q k}, theta ->
 -theta conjugates c_k, and r -> 1/r moves conj(c_k) to exponent -k and
@@ -51,7 +52,6 @@ from .weierstrass import (
     WeierstrassData,
     distinct_count,
     form_residues,
-    integrate_forms,
     unit_normal,
 )
 
@@ -549,18 +549,6 @@ def _certify_on_coefficients(forms: IntegratedForms, maps, sign: int = 1):
     ]
 
 
-def _symmetric_isometries(m: int, forms: IntegratedForms):
-    """enumerate_isometries on ``forms``, which the caller integrated from
-    symmetric_example(m)."""
-    order = 4 * m + 4
-    group = _close_group(isometry_generators(m), order)
-    if len(group) != order:
-        raise StructureError(
-            f"expected {order} isometries, generators closed at {len(group)}"
-        )
-    return _certify_on_coefficients(forms, group, symmetric_phase(m))
-
-
 def enumerate_isometries(m: int):
     """Close the generator set and certify every element on the closed form,
     symmetric_phase(m) times the raw immersion of symmetric_example(m);
@@ -572,7 +560,13 @@ def enumerate_isometries(m: int):
     the residual max |T - Q S| passes below 1e-9 max |S|.  Nothing is
     sampled.
     """
-    return _symmetric_isometries(m, integrate_forms(symmetric_example(m)))
+    order = 4 * m + 4
+    group = _close_group(isometry_generators(m), order)
+    if len(group) != order:
+        raise StructureError(
+            f"expected {order} isometries, generators closed at {len(group)}"
+        )
+    return _certify_on_coefficients(symmetric_example(m).forms, group, symmetric_phase(m))
 
 
 # ---------------------------------------------------------------------------

@@ -50,14 +50,8 @@ class SamplingSpec:
 
     @property
     def thetas(self) -> np.ndarray:
-        if self.quotient:
-            cols = self.n_theta // 2
-            if self.wrap:
-                return np.linspace(0.0, np.pi, cols, endpoint=False)
-            return np.linspace(0.0, np.pi, cols)
-        if self.wrap:
-            return np.linspace(0.0, 2 * np.pi, self.n_theta, endpoint=False)
-        return np.linspace(0.0, 2 * np.pi, self.n_theta)
+        span, count = (np.pi, self.n_theta // 2) if self.quotient else (2 * np.pi, self.n_theta)
+        return np.linspace(0.0, span, count, endpoint=not self.wrap)
 
     @property
     def inversion_symmetric(self) -> bool:

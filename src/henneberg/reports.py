@@ -7,21 +7,15 @@ import math
 import numpy as np
 
 from .errors import PeriodError
-from .geometry import (
-    ISOMETRY_REL_TOL,
-    _symmetric_isometries,
-    enumerate_isometries,
-    flux_exactness,
-)
+from .geometry import ISOMETRY_REL_TOL, enumerate_isometries, flux_exactness
 from .period import (
     PERIOD_TOL,
     ModuliPoint,
     horizontal_residual_m2,
     period_residuals,
-    symmetric_example,
     vertical_residual_m2,
 )
-from .weierstrass import WeierstrassData, integrate_forms, stability_report
+from .weierstrass import WeierstrassData, stability_report
 
 SCHEMA_VERSION = 1
 
@@ -118,11 +112,7 @@ def verification_report(
         ]
 
     if isometries_for is not None:
-        if data == symmetric_example(isometries_for):
-            # the forms of this data are the ones enumerate_isometries certifies
-            certs = _symmetric_isometries(isometries_for, integrate_forms(data))
-        else:
-            certs = enumerate_isometries(isometries_for)
+        certs = enumerate_isometries(isometries_for)
         report["isometries"] = {
             "count": len(certs),
             "all_pass": bool(all(c.passed for c in certs)),

@@ -274,8 +274,8 @@ def surface_limit_m2() -> SurfaceMap:
     return SurfaceMap("limit-m2", eval_limit_m2)
 
 
-def surface_integrated(data: WeierstrassData, base=...) -> SurfaceMap:
-    imm = Immersion(data, base)
+def surface_integrated(data: WeierstrassData) -> SurfaceMap:
+    imm = Immersion(data)
     return SurfaceMap("integrated", lambda r, t: imm(_polar_point(r, t)))
 
 

@@ -62,6 +62,16 @@ class WeierstrassData:
     def f(self) -> LaurentPoly:
         return self.branch_poly.shift(-self.m - 3).scale(self.c)
 
+    @cached_property
+    def phi(self) -> tuple:
+        """The three Weierstrass forms, derived once (phi_forms)."""
+        return phi_forms(self)
+
+    @cached_property
+    def forms(self) -> "IntegratedForms":
+        """Their termwise antiderivatives, derived once (integrate_forms)."""
+        return integrate_forms(self)
+
     def coefficient(self, h: int) -> complex:
         """A_h of the branch polynomial."""
         return self.branch_poly.coefficient(h)
@@ -82,7 +92,7 @@ def phi_forms(data: WeierstrassData):
 
 def form_residues(data: WeierstrassData) -> np.ndarray:
     """Residues at the origin of (phi_1, phi_2, phi_3)."""
-    return np.array([residue_at_zero(p) for p in phi_forms(data)])
+    return np.array([residue_at_zero(p) for p in data.phi])
 
 
 def metric_density(data: WeierstrassData, z):
@@ -102,10 +112,15 @@ def one_sided_residual(data: WeierstrassData) -> float:
 
 @dataclass(frozen=True)
 class IntegratedForms:
-    """Termwise antiderivatives of the forms plus their logarithmic parts."""
+    """Termwise antiderivatives of the forms plus their logarithmic parts (read-only)."""
 
     polys: tuple
     log_coeffs: np.ndarray
+
+    def __post_init__(self):
+        logs = np.array(self.log_coeffs, dtype=float)
+        logs.setflags(write=False)
+        object.__setattr__(self, "log_coeffs", logs)
 
     def evaluate(self, z):
         """Real immersion value at z (raw, integration constant zero)."""
@@ -129,7 +144,7 @@ def integrate_forms(data: WeierstrassData) -> IntegratedForms:
     """
     polys = []
     logs = np.zeros(3)
-    for j, phi in enumerate(phi_forms(data)):
+    for j, phi in enumerate(data.phi):
         res = phi.coefficient(-1)
         if abs(res.imag) >= RESIDUE_IM_TOL:
             raise PeriodError(
@@ -157,7 +172,7 @@ class Immersion:
 
     def __init__(self, data: WeierstrassData, base=...):
         self.data = data
-        self.forms = integrate_forms(data)
+        self.forms = data.forms
         if base is ...:
             base = default_base(data.m)
         self.base = base

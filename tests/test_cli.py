@@ -161,6 +161,7 @@ class TestGenerate:
         ({"c": [1, 0], "m": 1, "a": [[1, 0], [1, "pi/2"]]}, "'a'"),
         ({"c": [1, 0], "m": 1, "a": [[1, 0], [[1], 0.5]]}, "'a'"),
         ([1, 0], "JSON object"),
+        ({"c": [0, 1], "m": True, "a": [[1, 0], [1, 1.5708]]}, "'m'"),
     ])
     def test_bad_custom_data_exits_2(self, capsys, tmp_path, route, fields, want):
         # both routes go through the same loader and its checks
@@ -247,6 +248,40 @@ class TestVerify:
         _, out1, _ = run(capsys, "verify", "hm", "--m", "2")
         _, out2, _ = run(capsys, "verify", "hm", "--m", "2")
         assert out1 == out2
+
+    def test_isometries_enumerated_once(self, capsys, monkeypatch):
+        from henneberg import reports
+
+        calls = []
+        enumerate_isometries = reports.enumerate_isometries
+        monkeypatch.setattr(reports, "enumerate_isometries",
+                            lambda m: calls.append(m) or enumerate_isometries(m))
+        code, _, _ = run(capsys, "verify", "hm", "--m", "3")
+        assert code == 0 and calls == [3]
+
+    @pytest.mark.parametrize("argv", [
+        ["h1"], ["hm", "--m", "8"], ["family", "--theta2", "1.0"],
+    ])
+    def test_forms_derived_once_per_data(self, capsys, monkeypatch, argv):
+        from henneberg import weierstrass
+
+        calls = {"phi_forms": [], "integrate_forms": []}
+
+        def counted(name):
+            original = getattr(weierstrass, name)
+
+            def wrapper(data):
+                calls[name].append(data)
+                return original(data)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(weierstrass, name, counted(name))
+        code, _, _ = run(capsys, "verify", *argv)
+        assert code == 0
+        for name, seen in calls.items():
+            # each WeierstrassData instance derives its forms at most once
+            assert seen and all(sum(d is e for e in seen) == 1 for d in seen), name
 
 
 class TestSearch:
@@ -534,6 +569,39 @@ class TestBjorling:
         monkeypatch.setattr(cli, "bjorling_solve", solve)
         code, _, _ = run(capsys, "bjorling", "--cusps", "5", "--n-u", "16", "--n-v", "3")
         assert code == 0 and shapes == [(3, 16)]
+
+
+#: `verify` stdout: its SHA-256, recorded before each surface's forms were
+#: cached on its WeierstrassData (numpy 2.4, x86-64 Linux)
+VERIFY_PINS = {
+    "h1": (["h1"], "7f249d4dc2671ba0cd6de10ab4326dbf4781e782677f48d49c0a644710500ac2"),
+    "hm-1": (["hm", "--m", "1"],
+             "8b9edccf006d813899a80378df0debee49cfcb73f31c6073fd78094aa71ce844"),
+    "hm-2": (["hm", "--m", "2"],
+             "ecbdfc98805b7898affb196aa0884fbf0f4f083681a9995d4213b1af84921206"),
+    "hm-3": (["hm", "--m", "3"],
+             "6d770e0f4f8b7640cc0f72b1567a070de2956d577f6865754b20ae49a8e6eac4"),
+    "hm-4": (["hm", "--m", "4"],
+             "83317ebe17c5e5b2da27d453a0da3dfed0240c88cfee41d1f8303f2d72d32bb5"),
+    "hm-5": (["hm", "--m", "5"],
+             "901788dd0c7a465fcf92f5e7837b47f20aa8219764d4731f622a52586bd92762"),
+    "hm-6": (["hm", "--m", "6"],
+             "edc69ebb2f9a5861d9a818f5efabb37f8f88d6927baf79adbd0c0d2fe27f3c34"),
+    "hm-7": (["hm", "--m", "7"],
+             "f72903d2b3c1dd1c4e786101c237813572469910b47815804621a07a293adaa6"),
+    "hm-8": (["hm", "--m", "8"],
+             "e127b984d969aad4cc4562c184e98f8a82fd8ae954fbb9a2078003154ec82956"),
+    "family": (["family", "--theta2", "1.0"],
+               "97aa6a5f305ff1a35cd20c7717a1ff69b04c28be74f6031a3aadd16459644782"),
+}
+
+
+@pytest.mark.parametrize("name", VERIFY_PINS)
+def test_verify_stdout_pinned(capsys, name):
+    argv, sha = VERIFY_PINS[name]
+    code, stdout, _ = run(capsys, "verify", *argv)
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == sha
 
 
 #: `generate` to OBJ at a 9x16 grid: the SHA-256 of the output of the only

@@ -115,6 +115,20 @@ class TestIntegration:
         c_a2 = data.c * data.coefficient(2)
         assert abs(forms.log_coeffs[0] + c_a2.real) < 1e-12
 
+    def test_forms_are_read_only(self):
+        forms = integrate_forms(symmetric_example(3))
+        with pytest.raises(ValueError):
+            forms.log_coeffs[0] = 1.0
+        with pytest.raises(ValueError):
+            forms.polys[0].coeffs[0] = 1.0
+
+    def test_forms_derived_once_and_shared(self):
+        data = family_theta2(0.83).weierstrass()
+        assert data.phi is data.phi and data.forms is data.forms
+        assert Immersion(data).forms is data.forms
+        assert all(np.array_equal(p.coeffs, q.coeffs)
+                   for p, q in zip(data.forms.polys, integrate_forms(data).polys))
+
     def test_unsolved_data_rejected_with_residual(self):
         config = BranchConfiguration.from_polar([(2.0, 0.0), (1.0, math.pi / 2)])
         bad = WeierstrassData(1.0, config)
