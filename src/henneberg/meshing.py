@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import io
 import os
+import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -143,8 +144,9 @@ OBJ_CHUNK = 1 << 18
 
 
 def _is_space(text: np.ndarray) -> np.ndarray:
-    """Where the bytes are ASCII whitespace to both str.split and np.loadtxt:
-    9..13 and 28..32 (the uint8 differences wrap below 0)."""
+    """Where the bytes are ASCII whitespace, 9..13 and 28..32 (the uint8
+    differences wrap below 0): what str.split and np.loadtxt split at, and
+    so what read_obj splits its lines and records at."""
     return (text - np.uint8(9) <= 4) | (text - np.uint8(28) <= 4)
 
 
@@ -364,8 +366,14 @@ def read_obj(path) -> Mesh:
     whitespace.  Skipped lines may hold any bytes, records only ASCII.  The
     file is read in chunks of OBJ_CHUNK bytes, each cut at its last line
     end, so memory is bounded by the chunk and the longest line.  numpy
-    classifies a chunk's lines and one np.loadtxt call parses each kind, so
-    no Python code runs per line.
+    classifies a chunk's lines and splits its records into tokens, so no
+    Python code runs per line.  A vertex index of up to 8 digits is read
+    from one 8-byte word.  A decimal [-+]digits[.digits] is read as the
+    integer of its digits, one np.fromstring call per chunk, and rounded
+    exactly in numpy.  Each other field (an exponent, a long mantissa, an
+    exact tie between two doubles, a token that is not a number) goes to
+    np.loadtxt, so every value is the double float() gives and every field
+    np.loadtxt refuses raises DomainError.
     """
     parts = {"v": [np.empty((0, 3))], "vn": [np.empty((0, 3))],
              "f": [np.empty((0, 3), dtype=np.int64)]}
@@ -406,36 +414,151 @@ def _read_chunk(path, chunk: bytes, parts: dict):
     kind[(c0 == ord("f")) & _is_space(c1)] = 3
     # blank the kind tokens; a bare token leaves a blank line, one row short
     buf[starts[kind > 0]] = buf[starts[kind == 2] + 1] = 32
-    line_kind = np.repeat(kind, np.diff(ends, prepend=-1))
+    lengths = np.diff(ends, prepend=-1)
+    line_kind = np.repeat(kind, lengths)
     for code, (name, out) in enumerate(parts.items(), 1):
-        if count := np.count_nonzero(kind == code):
-            out.append(_parse_records(path, name, buf[line_kind == code], count))
+        if (mine := kind == code).any():  # each kind's text, and its line ends in it
+            out.append(_parse_records(path, name, buf[line_kind == code],
+                                      np.cumsum(lengths[mine]) - 1))
 
 
-def _parse_records(path, kind: str, text: np.ndarray, count: int) -> np.ndarray:
-    """One chunk's records of one kind, kind tokens blanked, as a (count, 3)
-    array: floats for v/vn, zero-based vertex indices for f."""
-    rows, in_ascii = np.empty(0), text.max() < 128
-    slash = np.flatnonzero(text == ord("/")) if kind == "f" else ()
-    if len(slash):  # blank each token from its first "/" on: the /t/n fields
-        space = np.flatnonzero(_is_space(text))  # text ends in a line end
-        token = np.searchsorted(space, slash)
-        # a token that starts with "/" keeps it, and fails to parse
-        first = np.r_[True, token[1:] != token[:-1]] & ~_is_space(text[slash - 1])
-        flip = np.zeros(len(text), dtype=bool)  # on at a first "/", off at its token's end
-        flip[slash[first]] = flip[space[token[first]]] = True
-        np.putmask(text, np.logical_xor.accumulate(flip), 32)
-    text = text.tobytes().decode("latin-1")
-    try:  # a token that is not a number, or ragged rows
-        if in_ascii and not text.isspace():  # np.loadtxt warns on text without data
-            rows = np.loadtxt(io.StringIO(text), dtype=np.int64 if kind == "f" else float,
-                              ndmin=2, comments=None)
-    except ValueError:
-        pass
-    if rows.shape == (count, 3):
-        return rows - 1 if kind == "f" else rows
+def _parse_records(path, kind: str, text: np.ndarray, lf: np.ndarray) -> np.ndarray:
+    """One chunk's records of one kind, kind tokens blanked and line ends at
+    lf, as a (len(lf), 3) array: floats for v/vn, zero-based vertex indices
+    for f.  Each record is a line of three tokens split at ASCII whitespace.
+    Vertex indices of up to 8 digits and decimals [-+]digits[.digits] are
+    read as integers in numpy; np.loadtxt reads every other field."""
     what = "integer vertex references" if kind == "f" else "numbers"
-    raise DomainError(f"{path}: each OBJ '{kind}' record needs exactly 3 {what}, in ASCII")
+    malformed = DomainError(f"{path}: each OBJ '{kind}' record needs exactly 3 {what}, in ASCII")
+    space = _is_space(text)
+    # text opens with a blanked kind token and ends in a line end, so its
+    # edges alternate between token starts and token ends
+    edges = np.flatnonzero(space[1:] != space[:-1]) + 1
+    starts, ends = edges[::2], edges[1::2]
+    if not (text.max() < 128 and len(starts) == 3 * len(lf)
+            and (starts[2::3] < lf).all() and (starts[3::3] > lf[:-1]).all()):
+        raise malformed
+    read = _vertex_indices if kind == "f" else _decimals
+    values, done, field_ends = read(text, space, starts, ends)
+    if len(rest := np.flatnonzero(~done)):
+        try:
+            values[rest] = _load_fields(text, starts[rest], field_ends[rest], values.dtype)
+        except ValueError:  # a field that is not a number
+            raise malformed from None
+    rows = values.reshape(-1, 3)
+    return rows - 1 if kind == "f" else rows
+
+
+def _load_fields(text: np.ndarray, starts, ends, dtype) -> np.ndarray:
+    """np.loadtxt of the fields text[starts[i]:ends[i]], one per line."""
+    n = ends - starts + 1  # each field and the byte after it, made a line end
+    stops = np.cumsum(n)
+    lines = text[np.repeat(starts - stops + n, n) + np.arange(stops[-1])]
+    lines[stops - 1] = 10
+    col = np.loadtxt(io.StringIO(lines.tobytes().decode("ascii")), dtype=dtype,
+                     ndmin=2, comments=None)
+    if col.shape != (len(starts), 1):
+        raise ValueError("not one number per field")
+    return col[:, 0]
+
+
+def _vertex_indices(text, space, starts, ends):
+    """(values, done, field_ends) for face references: the vertex index is
+    the bytes before the token's first "/", unless that "/" leads it.
+    Where it is 1..8 digits (done), it is read from the little-endian word
+    of the token's first 8 bytes: shifted so that the digits fill its top
+    bytes under zero bytes, then three multiplies join neighbouring digit
+    groups (by 1 + 10 * 2^8, 1 + 100 * 2^16 and 1 + 10^4 * 2^32)."""
+    padded = np.concatenate([text, np.zeros(8, np.uint8)])
+    w = np.ndarray(len(text), "<u8", padded, strides=(1,))[starts]
+    # x < 10 in a digit's byte; adding 6 carries any other ASCII byte into
+    # its high half, and never into the next byte
+    x = w ^ np.uint64(0x3030303030303030)
+    odd = ((x + np.uint64(0x0606060606060606)) | x) & np.uint64(0xF0F0F0F0F0F0F0F0)
+    lowest = (odd & (~odd + np.uint64(1))).astype(np.float64)
+    n = np.where(odd == 0, 8, (np.frexp(lowest)[1] - 1) // 8)  # the leading digits
+    stop = starts + n
+    done = (n > 0) & (space[stop] | (text[stop] == ord("/")))
+    n[~done] = 8
+    w = x << (np.uint64(8) * (8 - n).astype(np.uint64))
+    w = w * np.uint64(1 + 10 * 2**8) >> np.uint64(8)
+    w = (w & np.uint64(0x00FF00FF00FF00FF)) * np.uint64(1 + 100 * 2**16) >> np.uint64(16)
+    w = (w & np.uint64(0x0000FFFF0000FFFF)) * np.uint64(1 + 10**4 * 2**32) >> np.uint64(32)
+    field_ends = ends.copy()
+    if len(rest := np.flatnonzero(~done)):
+        slash = np.flatnonzero(text == ord("/"))
+        first = np.r_[slash, len(text)][np.searchsorted(slash, starts[rest])]
+        cut = (first > starts[rest]) & (first < ends[rest])
+        field_ends[rest[cut]] = first[cut]
+    return w.astype(np.int64), done, field_ends
+
+
+def _decimals(text, space, starts, ends):
+    """(values, done, ends) for decimal tokens: a token [-+]digits[.digits]
+    with at least one digit, whose digits read as an integer D < 2^62 with
+    f <= 22 of them after the point (done), is rounded from D / 10^f.  One
+    np.fromstring call reads the digits of every token as an integer."""
+    size = len(starts)
+    digit_or_space = space | (text - np.uint8(48) <= 9)
+    at = np.flatnonzero(~digit_or_space)  # points, signs and any other byte
+    odd = text[at]
+    point = odd == ord(".")
+    first = text[starts]
+    signed = (first == ord("-")) | (first == ord("+"))
+    leading_sign = space[at - 1] & ((odd == ord("-")) | (odd == ord("+")))
+    dotted = np.searchsorted(starts, at[point], "right") - 1
+    strays = np.searchsorted(starts, at[~(point | leading_sign)], "right") - 1
+    points = np.bincount(dotted, minlength=size)
+    has_digits = ends - starts > points + signed + np.bincount(strays, minlength=size)
+    places = np.zeros(size, dtype=np.intp)
+    places[dotted] = ends[dotted] - at[point] - 1
+    done = has_digits & (points <= 1) & (places < len(_POW10))
+    done[strays] = False
+    runs = text[digit_or_space]
+    np.putmask(runs, runs < 48, 32)  # np.fromstring skips only C whitespace
+    try:
+        with warnings.catch_warnings():  # numpy 1.x warns on unmatched data
+            warnings.simplefilter("error", DeprecationWarning)
+            parsed = np.fromstring(runs.tobytes(), dtype=np.int64, sep=" ")
+    except (ValueError, DeprecationWarning):
+        parsed = ()
+    mantissa = np.zeros(size, dtype=np.int64)
+    if len(parsed) == np.count_nonzero(has_digits):
+        mantissa[has_digits] = parsed
+    else:
+        done[:] = False
+    done &= mantissa < 2**62  # a saturated integer reads 2^63 - 1
+    mantissa[~done] = places[~done] = 0
+    values = _decimal_quotients(mantissa, places)
+    done &= ~np.isnan(values)
+    np.negative(values, out=values, where=first == ord("-"))
+    return values, done, ends
+
+
+def _decimal_quotients(mantissa: np.ndarray, places: np.ndarray) -> np.ndarray:
+    """The doubles nearest mantissa / 10^places for 0 <= mantissa < 2^62 and
+    0 <= places <= 22, or nan where a quotient lies within 1e-9 of a gap
+    of the midpoint between two neighbouring doubles.
+
+    Up to 2^53 both operands are exact doubles, so one division rounds
+    correctly (Clinger 1990).  A larger mantissa rounds to a double first.
+    The residual r = mantissa - q * 10^f, from the exact two-product the
+    writer uses, corrects the quotient q once.  The corrected q is then the
+    nearest double when |r| is below half of 10^f times the gap to q's lower
+    neighbour, the smaller of its two gaps; the 1e-9 margin covers the
+    roundings in r."""
+    scale = _POW10[places]
+    q = mantissa / scale
+    big = np.flatnonzero(mantissa > 2**53)
+    if len(big):
+        m, p, q0 = mantissa[big], scale[big], q[big]
+        hi, lo = _two_product(q0, p)
+        r = (m - hi.astype(np.int64)) - lo  # hi is an integer, so m - hi is exact
+        q1 = q0 + r / p
+        r -= (q1 - q0) * p
+        q1[np.abs(r) >= (0.5 - 1e-9) * p * (q1 - np.nextafter(q1, 0))] = np.nan
+        q[big] = q1
+    return q
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import logging
 import math
@@ -642,6 +643,27 @@ def test_generate_full_grid_obj_pinned(capsys, tmp_path, name):
     code, _, _ = run(capsys, "generate", *argv, "--format", "obj", "--out", str(out))
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
+
+
+def test_full_grid_obj_read_back_leaves_only_exponents_to_loadtxt(capsys, tmp_path, monkeypatch):
+    # read_obj reads every face reference and every decimal without an
+    # exponent as integers, so a silent fall back to np.loadtxt fails here
+    argv, sha = FULL_GRID_PINS["h1"]
+    out = tmp_path / "h1.obj"
+    code, _, _ = run(capsys, "generate", *argv, "--format", "obj", "--out", str(out))
+    assert code == 0 and hashlib.sha256(out.read_bytes()).hexdigest() == sha
+    real, loaded = np.loadtxt, {}
+
+    def counting(fname, dtype=float, **kwargs):
+        loaded.setdefault(np.dtype(dtype).kind, []).extend(fname.getvalue().split())
+        return real(io.StringIO(fname.getvalue()), dtype=dtype, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting)
+    mesh = read_obj(out)
+    assert mesh.faces.shape == (2 * 128 * 256, 3)
+    exponents = [t for t in out.read_text().split() if "e" in t]
+    assert 0 < len(exponents) < 1500  # of 2 * 99,072 v and vn fields
+    assert list(loaded) == ["f"] and sorted(loaded["f"]) == sorted(exponents)
 
 
 @pytest.mark.parametrize("phi", ["nan", "inf", "-inf"])

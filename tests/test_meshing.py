@@ -1,7 +1,9 @@
+import decimal
 import io
 import itertools
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -499,8 +501,45 @@ def _line_by_line_records(path, kind: str, lines: list) -> np.ndarray:
     raise DomainError(f"{path}: malformed OBJ '{kind}' record")
 
 
-_NUMBER = st.one_of(st.integers(-99, 99).map(str),
-                    st.floats(allow_nan=False, allow_infinity=False).map(repr))
+#: wide enough for the exact decimal of any double
+_EXACT = decimal.Context(prec=1200)
+
+
+def _midpoint(x: float) -> decimal.Decimal:
+    """The exact decimal halfway between x and the next double up."""
+    up = decimal.Decimal(float(np.nextafter(x, np.inf)))
+    return _EXACT.divide(_EXACT.add(decimal.Decimal(x), up), 2)
+
+
+def _near_tie(x: float, digits: int, rounding: str) -> str:
+    """x's midpoint rounded to digits significant digits, in fixed notation."""
+    return f"{decimal.Context(prec=digits, rounding=rounding).plus(_midpoint(x)):f}"
+
+
+def _with_point(digits: int, at: int, sign: str) -> str:
+    text = str(digits)
+    return f"{sign}{text[:at]}.{text[at:]}"
+
+
+_BELOW_MAX = _FINITE_DOUBLES.filter(lambda x: abs(x) < 1.7e308)
+
+#: every decimal form: integers, repr, "%.17g" and "%.20f" of any double,
+#: exponents, signed zeros and bare points, 18- to 23-digit mantissas, and
+#: the midpoints of doubles written in full or to 18 or 19 digits
+_NUMBER = st.one_of(
+    st.integers(-99, 99).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    _FINITE_DOUBLES.map(lambda x: "%.17g" % x),
+    _FINITE_DOUBLES.map(lambda x: "%.20f" % x),
+    st.sampled_from(["0", "-0", "-0.0", "+0", "+1.5", ".5", "-.5", "1.", "007.25",
+                     "1e5", "-2.5E-3", "+7e+2", "9223372036854775807", "-9223372036854775808",
+                     "4611686018427387904", "4611686018427387903.5"]),
+    st.builds(_with_point, st.integers(10**17, 10**23 - 1), st.integers(0, 23),
+              st.sampled_from(["", "-", "+"])),
+    _BELOW_MAX.map(lambda x: f"{_midpoint(x):f}"),
+    st.builds(_near_tie, _BELOW_MAX, st.sampled_from([18, 19]),
+              st.sampled_from([decimal.ROUND_FLOOR, decimal.ROUND_CEILING])),
+)
 _WORD = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6)
 
 
@@ -557,3 +596,94 @@ def test_chunked_obj_reader_matches_line_by_line_oracle(tmp_path_factory, text, 
     for what in ("vertices", "normals", "faces"):
         a, b = getattr(got, what), getattr(want, what)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _integer_route(token: str) -> bool:
+    """Whether read_obj reads the decimal token without np.loadtxt."""
+    m = re.fullmatch(r"[-+]?([0-9]*)\.?([0-9]*)", token)
+    if not (m and (digits := m[1] + m[2])) or int(digits) >= 2**62 or len(m[2]) > 22:
+        return False
+    # and not an exact tie: halfway between two neighbouring doubles
+    value, x = decimal.Decimal(token), float(token)
+    below = x if value > decimal.Decimal(x) else float(np.nextafter(x, -np.inf))
+    return value != _midpoint(below)
+
+
+def test_decimal_fields_read_like_float(tmp_path, monkeypatch):
+    # each field is the double float() gives for its token, and every token
+    # that _integer_route names is read without np.loadtxt
+    rng = np.random.default_rng(2)
+    bits = rng.integers(0, 2**64, 3000, dtype=np.uint64).view(np.float64)
+    scaled = 10 ** rng.uniform(-4, 18, 3000) * rng.choice([-1.0, 1.0], 3000)
+    tokens = ["%.17g" % x for x in bits[np.isfinite(bits)].tolist()]
+    tokens += ["%.17g" % x for x in scaled.tolist()] + ["%.20f" % x for x in scaled.tolist()]
+    for x in scaled.tolist():
+        tokens += [_near_tie(x, digits, rounding) for digits in (18, 19)
+                   for rounding in (decimal.ROUND_FLOOR, decimal.ROUND_CEILING)]
+    wide = 2.0 ** rng.uniform(50, 54, 500)  # midpoints of at most 19 digits
+    tokens += [f"{_midpoint(x):f}" for x in wide.tolist()]
+    tokens += ["99999999999999999999.5", "-99999999999999999999.5", "-9223372036854775808",
+               "9223372036854775808.0", "4611686018427387904", "4611686018427387903", "-0"]
+    tokens += ["0"] * (-len(tokens) % 3)
+    path = tmp_path / "m.obj"
+    path.write_text("".join(f"v {a} {b} {c}\n" for a, b, c in zip(*[iter(tokens)] * 3)))
+    real, loaded = np.loadtxt, []
+
+    def counting(fname, **kwargs):
+        loaded.extend(fname.getvalue().split())
+        return real(io.StringIO(fname.getvalue()), **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting)
+    got = read_obj(path).vertices.ravel()
+    assert got.tobytes() == np.array([float(t) for t in tokens]).tobytes()
+    assert sorted(loaded) == sorted(t for t in tokens if not _integer_route(t))
+    assert len(loaded) < len(tokens) / 2
+
+
+@pytest.mark.parametrize("record, row", [
+    (b"v 1.5.2 0 0\n", None),
+    (b"v 1-2.5 0 0\n", None),
+    (b"v --1.5 0 0\n", None),
+    (b"v 1_0.5 0 0\n", None),
+    (b"v 0x10 0 0\n", None),
+    (b"v 1.5\x00 0 0\n", None),
+    (b"v 1.5\x1c2\x1c3\n", [1.5, 2.0, 3.0]),
+    (b"f 99999999999999999999//1 2//2 3//3\n", None),
+    (b"f 000000001//1 00000002/5 +3\n", [0, 1, 2]),
+], ids=["two-points", "inner-sign", "two-signs", "underscore", "hex", "nul",
+        "file-separators", "f-past-int64", "f-nine-digits-and-sign"])
+def test_obj_reader_odd_tokens(tmp_path, record, row):
+    # np.loadtxt's outcome for the whole record: a token that float() or
+    # np.loadtxt refuses is malformed, and bytes 28..31 split fields
+    path = tmp_path / "m.obj"
+    path.write_bytes(b"v 0 0 0\nv 1 0 0\nv 0 1 0\n" + record)
+    if row is None:
+        with pytest.raises(DomainError):
+            read_obj(path)
+    else:
+        mesh = read_obj(path)
+        assert (mesh.faces[0] if record.startswith(b"f") else mesh.vertices[3]).tolist() == row
+
+
+@pytest.mark.parametrize("stop", ["warn", "raise"])
+def test_decimals_fall_back_where_fromstring_stops(tmp_path, monkeypatch, stop):
+    # on data it cannot read, np.fromstring raises in numpy 2 but in numpy
+    # 1.x warns (DeprecationWarning) and returns what it read so far
+    mesh = build_mesh(surface_h1(), SMALL)
+    path = tmp_path / "m.obj"
+    write_obj(mesh, path)
+    real = np.fromstring
+    message = "string or file could not be read to its end due to unmatched data"
+
+    def stops_early(*args, **kwargs):
+        if stop == "raise":
+            raise ValueError(message)
+        warnings.warn(message, DeprecationWarning)
+        return real(*args, **kwargs)[:-1]
+
+    monkeypatch.setattr(np, "fromstring", stops_early)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = read_obj(path)
+    assert back.vertices.tobytes() == mesh.vertices.tobytes()
+    assert back.normals.tobytes() == mesh.normals.tobytes()
