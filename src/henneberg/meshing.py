@@ -72,7 +72,7 @@ class Mesh:
     def validate(self):
         self.check_records()
         lengths = np.linalg.norm(self.normals, axis=1)
-        if np.abs(lengths - 1.0).max() > 1e-6:
+        if (np.abs(lengths - 1.0) > 1e-6).any():
             raise DomainError("normals are not unit length")
         return self
 
@@ -194,6 +194,15 @@ def _float_tables():
     return ascii4, tz4, keep
 
 
+def _take_rows(a: np.ndarray, index) -> np.ndarray:
+    """a[index] for a 2-D array a of fixed-width rows.  Each row is viewed
+    as one np.void item, so take copies it in one piece where fancy
+    indexing would copy it element by element.  a must be C-contiguous:
+    every caller passes a table or buffer that it built itself."""
+    rows = a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).reshape(len(a))
+    return rows.take(index).view(a.dtype).reshape(len(index), a.shape[1])
+
+
 def _split(a):
     t = a * _SPLIT
     hi = t - (t - a)
@@ -244,9 +253,11 @@ def _float_fields(x: np.ndarray, text: np.ndarray, keep: np.ndarray):
     # sorted by exponent, each exponent's layout is one slice copy
     order = np.argsort(key, kind="stable")
     key, digits = key[order], digits[order]
-    head, low = np.divmod(digits, 10**8)
-    lead, mid = np.divmod(head, 10**8)
-    groups = np.stack([lead, mid // 10**4, mid % 10**4, low // 10**4, low % 10**4], axis=1)
+    # digits < 10^17: head < 10^9 and low < 10^8 both fit in uint32
+    head, low = (h.astype(np.uint32) for h in np.divmod(digits, 10**8))
+    lead, mid = np.divmod(head, np.uint32(10**8))
+    groups = np.stack([lead, *np.divmod(mid, np.uint32(10**4)),
+                       *np.divmod(low, np.uint32(10**4))], axis=1)
     tz = tz4[groups[:, 4]]
     for g in (3, 2, 1):  # the first digit is never 0, so tz <= 16
         tz += (tz == 4 * (4 - g)) * tz4[groups[:, g]]
@@ -268,10 +279,11 @@ def _float_fields(x: np.ndarray, text: np.ndarray, keep: np.ndarray):
         rows[:, 2 + q:26 - a] = digs[:, a + q:]
         if k < -4:
             rows[:, -4:] = np.frombuffer(b"e-0%d" % -k, np.uint8)
-    text[order] = out
-    code = np.empty(len(x), np.intp)
-    code[order] = 17 * key.astype(np.intp) + tz
-    keep[...] = keep_rows[code + 23 * 17 * np.signbit(x)]
+    back = np.empty_like(order)  # the inverse permutation of order
+    back[order] = np.arange(len(x))
+    text[...] = _take_rows(out, back)
+    code = (17 * key.astype(np.intp) + tz)[back]
+    keep[...] = _take_rows(keep_rows, code + 23 * 17 * np.signbit(x))
 
     slow = np.flatnonzero(~fast)
     if len(slow):
@@ -301,8 +313,8 @@ def _ref_fields(n: int):
 
     def fill(faces, text, keep):
         faces = faces.ravel()
-        text[...] = table[faces]
-        keep[...] = masks[digits[faces]]
+        text[...] = _take_rows(table, faces)
+        keep[...] = _take_rows(masks, digits[faces])
 
     return 2 * w + 2, fill
 
@@ -311,7 +323,9 @@ def _write_records(fh, kind: bytes, rows: np.ndarray, width: int, fill):
     """Write one record "kind f0 f1 f2" per row of rows, OBJ_BLOCK rows at a
     time.  Each field is one buffer row: the record's head on the first,
     then width bytes that fill(block, text, keep) writes together with the
-    mask of those to keep, then " " or the line end."""
+    mask of those to keep, then " " or the line end.  No rows, no text."""
+    if not len(rows):
+        return
     head = len(kind) + 1
     count = min(len(rows), OBJ_BLOCK)
     text = np.empty((count, 3, head + width + 1), np.uint8)
@@ -345,7 +359,10 @@ def write_obj(mesh: Mesh, path):
     blocks of OBJ_BLOCK records.  A float with 10^-6 <= |x| < 10^17 is
     formatted from an exact two-product x * 10^(16-k); any other value,
     0 and subnormals among them, goes through "%.17g" one by one.  Face
-    references are gathered from a per-vertex byte table of "a//a".
+    references are gathered from a per-vertex byte table of "a//a".  Each
+    fixed-width text row is gathered as one np.void item (_take_rows).  An
+    empty kind writes no records, so a mesh without faces or without
+    vertices writes, and reads back, as it is.
     """
     _check_writable(mesh, path)
     ref_width, fill_refs = _ref_fields(len(mesh.vertices))
@@ -367,7 +384,10 @@ def read_obj(path) -> Mesh:
     file is read in chunks of OBJ_CHUNK bytes, each cut at its last line
     end, so memory is bounded by the chunk and the longest line.  numpy
     classifies a chunk's lines and splits its records into tokens, so no
-    Python code runs per line.  A vertex index of up to 8 digits is read
+    Python code runs per line.  A kind whose lines form one run in the
+    chunk, blank lines aside, is parsed from a slice of it, as write_obj
+    writes v, vn and f; only interleaved kinds are selected byte by byte
+    through a per-byte kind array.  A vertex index of up to 8 digits is read
     from one 8-byte word.  A decimal [-+]digits[.digits] is read as the
     integer of its digits, one np.fromstring call per chunk, and rounded
     exactly in numpy.  Each other field (an exponent, a long mantissa, an
@@ -397,8 +417,11 @@ def _read_chunk(path, chunk: bytes, parts: dict):
     """Append the chunk's v, vn and f records to parts, one array per kind."""
     # every line ends in LF: each CR becomes one (a CRLF leaves an empty
     # line), and one is appended after the chunk's last line
-    buf = np.frombuffer(chunk + b"\n", dtype=np.uint8).copy()
-    np.putmask(buf, buf == 13, 10)
+    buf = np.empty(len(chunk) + 1, dtype=np.uint8)
+    buf[:-1] = np.frombuffer(chunk, dtype=np.uint8)
+    buf[-1] = 10
+    if b"\r" in chunk:
+        np.putmask(buf, buf == 13, 10)
     ends = np.flatnonzero(buf == 10)
     starts = np.r_[0, ends[:-1] + 1]
     indented = _is_space(buf[starts]) & (buf[starts] != 10)
@@ -414,12 +437,24 @@ def _read_chunk(path, chunk: bytes, parts: dict):
     kind[(c0 == ord("f")) & _is_space(c1)] = 3
     # blank the kind tokens; a bare token leaves a blank line, one row short
     buf[starts[kind > 0]] = buf[starts[kind == 2] + 1] = 32
-    lengths = np.diff(ends, prepend=-1)
-    line_kind = np.repeat(kind, lengths)
+    blank = starts == ends  # a CRLF leaves one after each record
+    line_kind = None
     for code, (name, out) in enumerate(parts.items(), 1):
-        if (mine := kind == code).any():  # each kind's text, and its line ends in it
-            out.append(_parse_records(path, name, buf[line_kind == code],
-                                      np.cumsum(lengths[mine]) - 1))
+        lines = np.flatnonzero(kind == code)
+        if not len(lines):
+            continue
+        span = slice(lines[0], lines[-1] + 1)
+        if ((kind[span] == code) | blank[span]).all():
+            # one run of this kind and blank lines, as write_obj writes: a
+            # slice of buf, whose blank lines split no record
+            lo = ends[span.start - 1] + 1 if span.start else 0
+            text, lf = buf[lo:ends[span.stop - 1] + 1], ends[lines] - lo
+        else:  # interleaved kinds: select the bytes of this kind's lines
+            if line_kind is None:
+                lengths = np.diff(ends, prepend=-1)
+                line_kind = np.repeat(kind, lengths)
+            text, lf = buf[line_kind == code], np.cumsum(lengths[lines]) - 1
+        out.append(_parse_records(path, name, text, lf))
 
 
 def _parse_records(path, kind: str, text: np.ndarray, lf: np.ndarray) -> np.ndarray:

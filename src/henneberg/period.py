@@ -22,6 +22,7 @@ continuation at complexity 2 uses the analytic Jacobian.
 from __future__ import annotations
 
 import cmath
+import functools
 import logging
 import math
 import os
@@ -634,10 +635,18 @@ def symmetric_example(m: int) -> WeierstrassData:
 
     The configuration carries exact pi-fraction angles, so the period
     residuals vanish exactly (coefficient cancellation, not tolerance).
+    The frozen instance for each m is built once and shared by every
+    caller, with the algebra derived from it.
     """
     if m < 1 or int(m) != m:
         raise DomainError("complexity must be a positive integer")
-    m = int(m)
+    return _symmetric_example(int(m))
+
+
+@functools.cache
+def _symmetric_example(m: int) -> WeierstrassData:
+    """symmetric_example for a checked m; cached, so that the report and
+    the isometry certificates of one verify share one branch product."""
     c = cis_pi(Fraction(m - 1, 2))
     config = BranchConfiguration.from_pi_fractions(
         [(1.0, Fraction(j, m + 1)) for j in range(m + 1)]

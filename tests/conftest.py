@@ -2,6 +2,15 @@ import numpy as np
 import pytest
 
 
+@pytest.fixture(autouse=True)
+def fresh_symmetric_examples():
+    """symmetric_example shares one instance per m across a process; each
+    test starts from an empty cache, as a new process does."""
+    from henneberg import period
+
+    period._symmetric_example.cache_clear()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

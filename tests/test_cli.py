@@ -260,6 +260,18 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "hm", "--m", "3")
         assert code == 0 and calls == [3]
 
+    def test_symmetric_algebra_built_once(self, capsys, monkeypatch):
+        # the report and the isometry certificates share one
+        # symmetric_example(3); each once built its own branch product
+        from henneberg import weierstrass
+
+        calls = []
+        expand_product = weierstrass.expand_product
+        monkeypatch.setattr(weierstrass, "expand_product",
+                            lambda config: calls.append(config) or expand_product(config))
+        code, _, _ = run(capsys, "verify", "hm", "--m", "3")
+        assert code == 0 and len(calls) == 1
+
     @pytest.mark.parametrize("argv", [
         ["h1"], ["hm", "--m", "8"], ["family", "--theta2", "1.0"],
     ])
@@ -664,6 +676,33 @@ def test_full_grid_obj_read_back_leaves_only_exponents_to_loadtxt(capsys, tmp_pa
     exponents = [t for t in out.read_text().split() if "e" in t]
     assert 0 < len(exponents) < 1500  # of 2 * 99,072 v and vn fields
     assert list(loaded) == ["f"] and sorted(loaded["f"]) == sorted(exponents)
+
+
+def test_full_grid_obj_read_back_builds_no_per_byte_kind_array(capsys, tmp_path, monkeypatch):
+    # write_obj writes each kind in one run, so read_obj takes every kind's
+    # text of every chunk as a slice, with no np.repeat of the line kinds
+    argv, sha = FULL_GRID_PINS["h1"]
+    out = tmp_path / "h1.obj"
+    code, _, _ = run(capsys, "generate", *argv, "--format", "obj", "--out", str(out))
+    assert code == 0 and hashlib.sha256(out.read_bytes()).hexdigest() == sha
+    from henneberg import meshing
+
+    real_parse, real_repeat, texts, repeated = meshing._parse_records, np.repeat, [], []
+
+    def parse(path, kind, text, lf):
+        texts.append(text.base is not None)
+        return real_parse(path, kind, text, lf)
+
+    def repeat(a, *args, **kwargs):
+        repeated.append(np.asarray(a).dtype)
+        return real_repeat(a, *args, **kwargs)
+
+    monkeypatch.setattr(meshing, "_parse_records", parse)
+    monkeypatch.setattr(np, "repeat", repeat)
+    mesh = read_obj(out)
+    assert mesh.faces.shape == (2 * 128 * 256, 3)
+    assert len(texts) > 3 and all(texts)  # several chunks, each kind a slice
+    assert np.dtype(np.uint8) not in repeated  # the line kinds are uint8
 
 
 @pytest.mark.parametrize("phi", ["nan", "inf", "-inf"])

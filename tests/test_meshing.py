@@ -687,3 +687,97 @@ def test_decimals_fall_back_where_fromstring_stops(tmp_path, monkeypatch, stop):
         back = read_obj(path)
     assert back.vertices.tobytes() == mesh.vertices.tobytes()
     assert back.normals.tobytes() == mesh.normals.tobytes()
+
+
+@pytest.mark.parametrize("text", ["# only a comment\n", "v 1 2 3\nvn 0 0 1\n"],
+                         ids=["empty", "point-cloud"])
+@pytest.mark.parametrize("fmt", ["obj", "ply"])
+def test_meshes_without_faces_or_vertices_round_trip(tmp_path, text, fmt):
+    # write_obj once raised numpy's reshape ValueError on an empty kind,
+    # after writing the v records
+    source = tmp_path / "in.obj"
+    source.write_text(text)
+    mesh = read_obj(source)
+    assert mesh.faces.shape == (0, 3)
+    path = tmp_path / f"out.{fmt}"
+    (write_obj if fmt == "obj" else write_ply)(mesh, path)
+    if fmt == "obj":
+        assert path.read_text() == _per_record_obj(mesh)
+    back = (read_obj if fmt == "obj" else read_ply)(path)
+    for what in ("vertices", "normals", "faces"):
+        a, b = getattr(back, what), getattr(mesh, what)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_empty_mesh_validates():
+    # validate() once raised numpy's "zero-size array to reduction" ValueError
+    empty = np.empty((0, 3))
+    mesh = Mesh(vertices=empty, normals=empty, faces=np.empty((0, 3), np.int32))
+    assert mesh.validate() is mesh
+
+
+def _parse_texts(monkeypatch) -> list:
+    """Record, per text read_obj hands to _parse_records, whether it is a
+    slice of the chunk's buffer (True) or a selection of its bytes."""
+    seen, real = [], meshing._parse_records
+
+    def spy(path, kind, text, lf):
+        seen.append(text.base is not None)
+        return real(path, kind, text, lf)
+
+    monkeypatch.setattr(meshing, "_parse_records", spy)
+    return seen
+
+
+def _interleaved(text: str) -> str:
+    """The lines of text taken in turn from its v, vn and f runs."""
+    runs = {}
+    for line in text.splitlines(keepends=True):
+        runs.setdefault(line.split()[0], []).append(line)
+    return "".join(itertools.chain(*itertools.zip_longest(*runs.values(), fillvalue="")))
+
+
+_LAYOUTS = {
+    "as-written": lambda t: t,
+    "interleaved": _interleaved,
+    "cr": lambda t: t.replace("\n", "\r"),
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "indented": lambda t: re.sub("(?m)^", " \t", t),
+    "interleaved-crlf": lambda t: _interleaved(t).replace("\n", "\r\n"),
+}
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS)
+@pytest.mark.parametrize("chunk", [meshing.OBJ_CHUNK, 1000])
+def test_obj_reader_layouts_match_line_by_line_oracle(tmp_path, monkeypatch, layout, chunk):
+    # a kind's lines in one run (blank lines aside) are read as a slice of
+    # the chunk, interleaved lines through a per-byte selection; at 1000
+    # bytes a chunk ends inside each run, and a run starts inside a chunk
+    mesh = build_mesh(surface_h1(), SMALL)
+    path = tmp_path / "m.obj"
+    write_obj(mesh, path)
+    path.write_bytes(_LAYOUTS[layout](path.read_text()).encode("ascii"))
+    want = _line_by_line_read_obj(path)
+    monkeypatch.setattr(meshing, "OBJ_CHUNK", chunk)
+    sliced = _parse_texts(monkeypatch)
+    got = read_obj(path)
+    for what in ("vertices", "normals", "faces"):
+        a, b = getattr(got, what), getattr(want, what)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert got.vertices.tobytes() == mesh.vertices.tobytes()
+    assert all(sliced) != layout.startswith("interleaved")
+
+
+def test_writer_takes_any_array_layout(tmp_path):
+    # the writer gathers rows of arrays it builds itself; a Fortran-ordered
+    # or strided mesh and int64 faces write the bytes of their C-contiguous
+    # int32 copy
+    mesh = build_mesh(surface_hm(3), SMALL)
+    write_obj(mesh, tmp_path / "c.obj")
+    wide = np.zeros((len(mesh.vertices), 7))
+    wide[:, 1:6:2] = mesh.normals
+    odd = Mesh(vertices=np.asfortranarray(mesh.vertices), normals=wide[:, 1:6:2],
+               faces=np.asfortranarray(mesh.faces.astype(np.int64)))
+    assert not odd.vertices.flags.c_contiguous and not odd.normals.flags.c_contiguous
+    write_obj(odd, tmp_path / "odd.obj")
+    assert (tmp_path / "odd.obj").read_bytes() == (tmp_path / "c.obj").read_bytes()
