@@ -248,7 +248,6 @@ def cmd_search_m1(args) -> int:
         span=span,
         n_radial=args.n_radial,
         n_angular=args.n_angular,
-        refine_steps=args.refine_steps,
     )
     payload = {
         "schema": 1,
@@ -436,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     sea.add_argument("--r-hi", dest="r_hi", type=float)
     sea.add_argument("--n-radial", dest="n_radial", type=int, default=33)
     sea.add_argument("--n-angular", dest="n_angular", type=int, default=48)
-    sea.add_argument("--refine-steps", dest="refine_steps", type=int, default=50)
     sea.add_argument("--out")
     sea.set_defaults(func=cmd_search_m1)
 

@@ -22,4 +22,4 @@ class ConvergenceError(HennebergError, RuntimeError):
 
 
 class StructureError(HennebergError, RuntimeError):
-    """A structural expectation (group closure, perfect square, ...) failed."""
+    """A structural expectation (perfect square, nonsingular Jacobian, ...) failed."""

@@ -20,9 +20,12 @@ are the unit-circle roots of x' + i y'.  Cusps of a band-limited callable
 curve are counted the same way, from the Laurent polynomial that its
 discrete Fourier transform gives.
 
-The isometry group of the symmetric surface of complexity m is certified on
-the coefficients of its immersion, symmetric_example(m).forms, with nothing
-sampled; enumerate_isometries is the one path to it.  Each coordinate is
+The isometry group of the symmetric surface of complexity m, D_{2m+2} for
+odd m and D_{m+1} x Z_2 for even m, is in the parameter plane for both
+parities the same 4m+4 maps theta -> +-theta + k pi/(m+1), the symmetries of
+the roots of z^{2m+2} = 1.  enumerate_isometries lists them in closed form
+and certifies each on the coefficients of the immersion,
+symmetric_example(m).forms, with nothing sampled.  Each coordinate is
 Re P_j(z) + l_j ln|z|, and the parameter maps act on the coefficients in
 closed form: theta -> theta + pi q multiplies c_k by e^{i pi q k}, theta ->
 -theta conjugates c_k, and r -> 1/r moves conj(c_k) to exponent -k and
@@ -39,7 +42,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -373,7 +375,7 @@ def fit_rigid_motion(source, target) -> RigidMotion:
 class ParameterMap:
     """Conformal move of the punctured plane generated by the primitives
     theta -> theta + alpha, theta -> -theta, r -> 1/r; the shift is kept as
-    an exact fraction of pi so group closure is decidable exactly."""
+    an exact fraction of pi, reduced mod 2, so equal maps compare equal."""
 
     negate: bool = False
     shift_pi: Fraction = Fraction(0)
@@ -454,57 +456,6 @@ def verify_isometry(surface, pmap: ParameterMap, motion: RigidMotion = None,
     return IsometryCertificate(pmap, motion, residual, rel_tol * max(diameter, 1e-30))
 
 
-def _close_group(generators: Sequence[ParameterMap], cap: int):
-    """The group the generators generate, as words in them grown from the
-    identity (in a finite group every inverse is a positive power).
-
-    Elements are closed as integer triples (negate, k, invert), the shift
-    being k pi / N as pi_turns writes it and k taken mod 2N;
-    ParameterMaps are made for the sorted result only."""
-    den, ks = pi_turns([g.shift_pi for g in generators])
-    turns = [(g.negate, k, g.invert) for g, k in zip(generators, ks)]
-    group = {(False, 0, False)}
-    frontier = list(group)
-    while frontier:
-        fresh = []
-        for negate, k, invert in frontier:
-            for h_negate, h_k, h_invert in turns:
-                # h after g, as ParameterMap.compose
-                prod = (negate ^ h_negate, ((-k if h_negate else k) + h_k) % (2 * den),
-                        invert ^ h_invert)
-                if prod not in group:
-                    if len(group) >= cap:
-                        raise StructureError(
-                            f"isometry generators do not close within {cap} elements"
-                        )
-                    group.add(prod)
-                    fresh.append(prod)
-        frontier = fresh
-    return [ParameterMap(negate, Fraction(k, den), invert)
-            for negate, k, invert in sorted(group, key=lambda e: (e[2], e[0], e[1]))]
-
-
-def isometry_generators(m: int):
-    """Generating parameter maps of the symmetric surface's isometry group.
-
-    Odd m: reflection about the imaginary axis and the rotation by
-    pi + pi/(m+1) (a roto-reflection downstairs); the group is dihedral of
-    order 4m+4.  Even m: the same reflection, the rotation by 2 pi/(m+1) and
-    the antipodal rotation by pi (a mirror downstairs); the group is
-    D_{m+1} x Z_2, again of order 4m+4.
-    """
-    if m % 2 == 1:
-        return (
-            ParameterMap(negate=True, shift_pi=Fraction(1)),
-            ParameterMap(shift_pi=1 + Fraction(1, m + 1)),
-        )
-    return (
-        ParameterMap(negate=True, shift_pi=Fraction(1)),
-        ParameterMap(shift_pi=Fraction(2, m + 1)),
-        ParameterMap(shift_pi=Fraction(1)),
-    )
-
-
 def _coefficient_rows(coeffs: np.ndarray, logs: np.ndarray) -> np.ndarray:
     """Real rows over the basis r^k cos k theta, r^k sin k theta, ln r: the
     real and imaginary parts of the coefficients, then the log coefficient
@@ -550,23 +501,24 @@ def _certify_on_coefficients(forms: IntegratedForms, maps, sign: int = 1):
 
 
 def enumerate_isometries(m: int):
-    """Close the generator set and certify every element on the closed form,
-    symmetric_phase(m) times the raw immersion of symmetric_example(m);
-    returns 4m+4 certificates.
+    """Certify the 4m+4 parameter maps theta -> +-theta + k pi/(m+1),
+    k = 0..2m+1, on the closed form, symmetric_phase(m) times the raw
+    immersion of symmetric_example(m); returns one certificate per map,
+    +theta first, each sign by increasing k.
 
-    Each element is certified on Laurent coefficients (see the module
+    These maps are the symmetries of the 2m+2 branch values and their
+    antipodes, the roots of z^{2m+2} = 1, and they realise the surface's
+    isometry group: dihedral D_{2m+2} for odd m, D_{m+1} x Z_2 for even m.
+    Each map is certified on Laurent coefficients (see the module
     docstring): Q is the orthogonal Procrustes fit of the coefficient rows
     T of X o sigma to the rows S of X, t comes from the constant terms, and
     the residual max |T - Q S| passes below 1e-9 max |S|.  Nothing is
     sampled.
     """
-    order = 4 * m + 4
-    group = _close_group(isometry_generators(m), order)
-    if len(group) != order:
-        raise StructureError(
-            f"expected {order} isometries, generators closed at {len(group)}"
-        )
-    return _certify_on_coefficients(symmetric_example(m).forms, group, symmetric_phase(m))
+    forms = symmetric_example(m).forms
+    maps = [ParameterMap(negate, Fraction(k, m + 1))
+            for negate in (False, True) for k in range(2 * m + 2)]
+    return _certify_on_coefficients(forms, maps, symmetric_phase(m))
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,8 @@ class SamplingSpec:
     wrap: bool = True
 
     def __post_init__(self):
-        if not (0 < self.r_min < self.r_max):
-            raise DomainError("need 0 < r_min < r_max")
+        if not (0 < self.r_min < self.r_max < np.inf):
+            raise DomainError("need 0 < r_min < r_max < inf")
         if self.n_r < 2 or self.n_theta < 2:
             raise DomainError("resolutions must be at least 2")
         if self.quotient and self.n_theta < 4:
@@ -57,7 +57,8 @@ class SamplingSpec:
     @property
     def inversion_symmetric(self) -> bool:
         r = self.radii
-        return bool(np.abs(r[::-1] * r - 1.0).max() < 1e-9)
+        with np.errstate(over="ignore"):  # a product past 1.8e308 is not 1
+            return bool(np.abs(r[::-1] * r - 1.0).max() < 1e-9)
 
 
 @dataclass
@@ -101,9 +102,11 @@ def build_mesh(smap: SurfaceMap, spec: SamplingSpec = SamplingSpec()) -> Mesh:
     radii = spec.radii
     thetas = spec.thetas
     rr, tt = np.meshgrid(radii, thetas, indexing="ij")
-    pts = smap(rr, tt)
-    nrm = smap.normal_at(rr, tt)
-    nrm = nrm / np.linalg.norm(nrm, axis=-1, keepdims=True)
+    # a sample that overflows is left non-finite for validate() to refuse
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        pts = smap(rr, tt)
+        nrm = smap.normal_at(rr, tt)
+        nrm = nrm / np.linalg.norm(nrm, axis=-1, keepdims=True)
 
     n_r, n_t = rr.shape
     vid = np.arange(n_r * n_t, dtype=np.int32).reshape(n_r, n_t)

@@ -46,6 +46,9 @@ _SQRT2 = math.sqrt(2.0)
 #: largest |residual| for which data solves its period problem
 PERIOD_TOL = 1e-10
 
+#: damped Newton steps brute_search_m1 allows each grid minimizer
+M1_REFINE_STEPS = 50
+
 log = logging.getLogger(__name__)
 
 
@@ -317,16 +320,16 @@ def brute_search_m1(
     span: float = 4.0,
     n_radial: int = 33,
     n_angular: int = 48,
-    refine_steps: int = 50,
 ):
     """Grid search + damped refinement for complexity-1 period solutions.
 
     Moduli run log-spaced over [1/span, span] (or an explicit (lo, hi)
     pair); angles over [0, 2 pi).
-    Grid-local minimizers below 1 are refined (the residual is locally
-    quadratic around its zeros, so at this resolution every zero pulls a
-    grid point well below that bound; plateaus of large constant residual
-    are skipped).  Refinement stays inside the radial search box.  Hits
+    Grid-local minimizers below 1 are refined by at most M1_REFINE_STEPS
+    damped Newton steps (the residual is locally quadratic around its
+    zeros, so at this resolution every zero pulls a grid point well below
+    that bound; plateaus of large constant residual are skipped).
+    Refinement stays inside the radial search box.  Hits
     below 1e-8 are merged when closer than 1e-4 in parameter space and
     returned sorted by parameters.
 
@@ -344,8 +347,6 @@ def brute_search_m1(
             f"grid sizes must be at least 1, got n_radial={n_radial!r}, "
             f"n_angular={n_angular!r}"
         )
-    if refine_steps < 0:
-        raise DomainError(f"refine_steps must be >= 0, got {refine_steps!r}")
     rs = np.exp(np.linspace(math.log(r_lo), math.log(r_hi), n_radial))
     angles = np.linspace(0.0, 2 * math.pi, n_angular, endpoint=False)
 
@@ -363,7 +364,7 @@ def brute_search_m1(
             np.array([rs[i], rs[j], angles[k], angles[l]]),
             lambda v: float(v @ v),
             1e-28,
-            refine_steps,
+            M1_REFINE_STEPS,
             lambda x: lo <= x[0] <= hi and lo <= x[1] <= hi,
         )
         if value < 1e-8:

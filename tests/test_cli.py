@@ -91,6 +91,22 @@ class TestGenerate:
         assert "n_theta" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["h1", "--r-max", "inf"],
+        ["hm-even", "--m", "2", "--r-max", "1e100"],
+        ["h1", "--r-min", "1e-200"],
+        ["family", "--theta2", "1.0", "--r-max", "1e80"],
+        ["h1", "--quotient", "--r-min", "1e10", "--r-max", "1e300"],
+    ])
+    def test_overflowing_radii_exit_2(self, capsys, tmp_path, argv):
+        # one error line, with no numpy warning before it
+        out = tmp_path / "s.obj"
+        code, stdout, err = run(capsys, "generate", *argv, "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_config_file_sampling(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sampling": {"n_r": 5, "n_theta": 8}}))
@@ -318,7 +334,7 @@ class TestSearch:
             ["--n-radial", "0"],
             ["--n-radial", "-3"],
             ["--n-angular", "0"],
-            ["--refine-steps", "-1"],
+            ["--span", "inf"],
             ["--span", "0"],
             ["--span", "-2"],
             ["--span", "1"],
@@ -419,6 +435,8 @@ class TestParserReuse:
         ["verify", "hm", "--m", "2", "--samples=-5"],
         ["verify", "h1", "--samples", "1"],
         ["verify", "hm", "--m", "3", "--samples", "3"],
+        ["search-m1", "--refine-steps", "-1"],
+        ["search-m1", "--refine-steps", "50"],
     ], ids=lambda argv: " ".join(argv))
     def test_usage_error_is_one_line(self, capsys, argv):
         # removed flags and unparsable values alike: no usage block
@@ -585,7 +603,8 @@ class TestBjorling:
 
 
 #: `verify` stdout: its SHA-256, recorded before each surface's forms were
-#: cached on its WeierstrassData (numpy 2.4, x86-64 Linux)
+#: cached on its WeierstrassData, and for m = 9..12 before the isometry maps
+#: were listed in closed form (numpy 2.4, x86-64 Linux)
 VERIFY_PINS = {
     "h1": (["h1"], "7f249d4dc2671ba0cd6de10ab4326dbf4781e782677f48d49c0a644710500ac2"),
     "hm-1": (["hm", "--m", "1"],
@@ -604,6 +623,14 @@ VERIFY_PINS = {
              "f72903d2b3c1dd1c4e786101c237813572469910b47815804621a07a293adaa6"),
     "hm-8": (["hm", "--m", "8"],
              "e127b984d969aad4cc4562c184e98f8a82fd8ae954fbb9a2078003154ec82956"),
+    "hm-9": (["hm", "--m", "9"],
+             "7977f1619e3326acf0682a08d53478fdad270ca73953f23f6605e6ac424e855a"),
+    "hm-10": (["hm", "--m", "10"],
+              "37060489b85d8cc05e0a4d35eb9d8b451a55c7287c03c12ab21622165db53f14"),
+    "hm-11": (["hm", "--m", "11"],
+              "20f53fd866cf30bdc8d95d7269823153bc5275dfceac5d8d8716730d7eb2f1c7"),
+    "hm-12": (["hm", "--m", "12"],
+              "442e12ff3f9d13594e5497b92e40b225147ecb23fbd7a2b422d54ad875d78d56"),
     "family": (["family", "--theta2", "1.0"],
                "97aa6a5f305ff1a35cd20c7717a1ff69b04c28be74f6031a3aadd16459644782"),
 }

@@ -444,7 +444,7 @@ class TestIsometries:
 
     @staticmethod
     def _compose_closure(gens):
-        """Words grown by ParameterMap.compose, as the closure once was."""
+        """The group gens generate: words grown by ParameterMap.compose."""
         group, frontier = {ParameterMap()}, [ParameterMap()]
         while frontier:
             fresh = {h.compose(g) for g in frontier for h in gens} - group
@@ -452,18 +452,51 @@ class TestIsometries:
             frontier = list(fresh)
         return sorted(group, key=lambda p: (p.invert, p.negate, p.shift_pi))
 
-    @pytest.mark.parametrize("m", range(1, 9))
-    def test_closure_matches_composition_oracle(self, m):
-        gens = geometry.isometry_generators(m)
-        assert geometry._close_group(gens, 4 * m + 4) == self._compose_closure(gens)
+    @staticmethod
+    def _paper_generators(m):
+        """The paper's generators: the reflection about the imaginary axis
+        with, for odd m, the rotation by pi + pi/(m+1), and for even m the
+        rotation by 2 pi/(m+1) and the antipodal rotation by pi."""
+        reflection = ParameterMap(negate=True, shift_pi=Fraction(1))
+        if m % 2 == 1:
+            return (reflection, ParameterMap(shift_pi=1 + Fraction(1, m + 1)))
+        return (reflection, ParameterMap(shift_pi=Fraction(2, m + 1)),
+                ParameterMap(shift_pi=Fraction(1)))
 
-    def test_closure_with_inversion_and_cap(self):
-        gens = (ParameterMap(negate=True, shift_pi=Fraction(1, 3)),
-                ParameterMap(shift_pi=Fraction(2, 5)), ParameterMap(invert=True))
-        want = self._compose_closure(gens)
-        assert len(want) == 20 and geometry._close_group(gens, 20) == want
-        with pytest.raises(geometry.StructureError):
-            geometry._close_group(gens, 19)
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_maps_are_the_generated_group(self, m):
+        maps = [c.pmap for c in enumerate_isometries(m)]
+        assert maps == self._compose_closure(self._paper_generators(m))
+
+    @staticmethod
+    def _order(q):
+        power = q
+        for n in range(1, 100):
+            if np.abs(power - np.eye(3)).max() < 1e-9:
+                return n
+            power = power @ q
+        raise AssertionError("motion of no finite order below 100")
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_motions_realise_the_abstract_groups(self, m):
+        # D_{2m+2} for odd m, D_{m+1} x Z_2 for even m: 2m+2 rotations of
+        # largest order m+1; the horizontal mirror is a motion exactly for
+        # even m, and for odd m a roto-reflection has order 2m+2
+        qs = [c.motion.matrix for c in enumerate_isometries(m)]
+        proper = [q for q in qs if np.linalg.det(q) > 0]
+        improper = [q for q in qs if np.linalg.det(q) < 0]
+        assert len(proper) == len(improper) == 2 * m + 2
+        assert max(self._order(q) for q in proper) == m + 1
+        mirror = np.diag([1.0, 1.0, -1.0])
+        has_mirror = any(np.abs(q - mirror).max() < 1e-12 for q in qs)
+        assert has_mirror == (m % 2 == 0)
+        if m % 2 == 1:
+            assert max(self._order(q) for q in improper) == 2 * m + 2
+
+    @pytest.mark.parametrize("m", [0, -1, -2, 1.5])
+    def test_bad_complexity_is_a_domain_error(self, m):
+        with pytest.raises(DomainError):
+            enumerate_isometries(m)
 
     def test_composition_algebra(self):
         a = ParameterMap(negate=True, shift_pi=Fraction(1))

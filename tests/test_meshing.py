@@ -1,6 +1,7 @@
 import decimal
 import io
 import itertools
+import math
 import re
 import struct
 import warnings
@@ -39,6 +40,12 @@ class TestSamplingSpec:
             SamplingSpec(r_min=2.0, r_max=1.0)
         with pytest.raises(DomainError):
             SamplingSpec(n_r=1)
+
+    @pytest.mark.parametrize("bounds", [(0.125, math.inf), (0.125, math.nan),
+                                        (math.nan, 8.0), (-math.inf, 8.0)])
+    def test_bounds_must_be_finite(self, bounds):
+        with pytest.raises(DomainError, match="r_max < inf"):
+            SamplingSpec(r_min=bounds[0], r_max=bounds[1])
 
     @pytest.mark.parametrize("n_theta", [2, 3])
     def test_quotient_needs_two_columns(self, n_theta):

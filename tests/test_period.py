@@ -312,7 +312,6 @@ class TestSearchDomain:
             {"n_radial": 0},
             {"n_radial": -3},
             {"n_angular": 0},
-            {"refine_steps": -1},
             {"span": 0.0},
             {"span": -2.0},
             {"span": 1.0},
