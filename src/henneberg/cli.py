@@ -1,7 +1,7 @@
 """Command-line interface: mesh generation, verification, searches.
 
 Exit codes: 0 success / all checks pass, 1 verification failure or refusal,
-2 usage or parse errors.
+2 usage or parse errors.  ``main`` returns each of them, argparse's included.
 """
 
 from __future__ import annotations
@@ -76,12 +76,10 @@ def _is_number_pair(v) -> bool:
     return isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))
 
 
-def load_data_file(path, raw=None) -> WeierstrassData:
+def load_data_file(path) -> WeierstrassData:
     """Parse {c: [re, im], m: int, a: [[r, theta], ...]} (angles in radians)
-    from the JSON file ``path``, or from ``raw`` when it was already read
-    from there."""
-    if raw is None:
-        raw = _load_json(path)
+    from the JSON file ``path``."""
+    raw = _load_json(path)
     for key in ("c", "m", "a"):
         if key not in raw:
             raise CliError(f"{path}: missing field '{key}'")
@@ -103,28 +101,11 @@ def load_data_file(path, raw=None) -> WeierstrassData:
         raise CliError(f"{path}: {exc}")
 
 
-def _sampling_from(args, config: dict) -> SamplingSpec:
-    """The config's "sampling" block over SamplingSpec's defaults, then the
-    command-line flags over both; each config value must have its default's
-    type (any number passes for a float, a bool for nothing but a bool)."""
-    sampling = config.get("sampling", {})
-    if not isinstance(sampling, dict):
-        raise CliError(f"{args.config}: field 'sampling' must be an object")
-    spec = SamplingSpec()
-    defaults = dataclasses.asdict(spec)
-    for key, value in sampling.items():
-        if key not in defaults:
-            raise CliError(f"{args.config}: unknown sampling key '{key}'")
-        default = defaults[key]
-        if not (_is_number(value) if isinstance(default, float)
-                else type(value) is type(default)):
-            raise CliError(f"{args.config}: sampling '{key}' must be "
-                           f"{type(default).__name__}, got {value!r}")
+def _sampling_from(args) -> SamplingSpec:
+    """The command-line sampling flags over SamplingSpec's defaults."""
     flags = {"r_min": args.r_min, "r_max": args.r_max, "n_r": args.n_r,
-             "n_theta": args.n_theta, "quotient": args.quotient or None,
-             "wrap": False if args.no_wrap else None}
-    flags = {key: value for key, value in flags.items() if value is not None}
-    return dataclasses.replace(spec, **{**sampling, **flags})
+             "n_theta": args.n_theta, "quotient": args.quotient or None}
+    return SamplingSpec(**{key: value for key, value in flags.items() if value is not None})
 
 
 def _emit(payload: dict, out_path=None):
@@ -148,8 +129,7 @@ def _require(args, names):
 
 
 def cmd_generate(args) -> int:
-    config = _load_json(args.config) if args.config else {}
-    spec = _sampling_from(args, config)
+    spec = _sampling_from(args)
     selector = args.surface
     if selector == "h1":
         smap = surface_h1()
@@ -176,12 +156,8 @@ def cmd_generate(args) -> int:
         data = family_theta2(args.theta2).weierstrass()
         smap = surface_integrated(data)
     elif selector == "custom":
-        if args.data is None and not {"c", "m", "a"} <= set(config):
-            raise CliError("custom needs --data FILE or a config with c/m/a")
-        if args.data:
-            data = load_data_file(args.data)
-        else:
-            data = load_data_file(args.config, config)
+        _require(args, ["data"])
+        data = load_data_file(args.data)
         res = period_residuals(data)
         if not res.passes(PERIOD_TOL):
             _emit(
@@ -353,9 +329,11 @@ def cmd_bjorling(args) -> int:
         "quad_order": 24,
     }
     if args.out:
+        # the mesh samples the E-plane of surface_map, v = -D ln r
+        strip = args.strip / curve.denom
         spec = SamplingSpec(
-            r_min=math.exp(-args.strip),
-            r_max=math.exp(args.strip),
+            r_min=math.exp(-strip),
+            r_max=math.exp(strip),
             n_r=args.n_v,
             n_theta=args.n_u,
             wrap=False,
@@ -410,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--phi", type=float, help="associated-family angle")
     gen.add_argument("--theta2", type=float, help="family parameter")
     gen.add_argument("--data", help="custom Weierstrass data JSON file")
-    gen.add_argument("--config", help="config JSON (data fields + sampling block)")
     gen.add_argument("--out")
     gen.add_argument("--format", choices=["obj", "ply"], default="obj")
     gen.add_argument("--r-min", dest="r_min", type=float)
@@ -418,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--nr", dest="n_r", type=int)
     gen.add_argument("--ntheta", dest="n_theta", type=int)
     gen.add_argument("--quotient", action="store_true")
-    gen.add_argument("--no-wrap", dest="no_wrap", action="store_true")
     gen.set_defaults(func=cmd_generate)
 
     ver = sub.add_parser("verify", help="run verification checks, emit JSON report")
@@ -466,7 +442,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error (2) or --help (0), printed
+        return exc.code
     try:
         return args.func(args)
     except (CliError, DomainError, OSError) as exc:

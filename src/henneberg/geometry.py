@@ -246,8 +246,7 @@ class BjorlingPatch:
     """Minimal surface through a planar curve with its planar unit normal.
 
     Evaluate with ``at(u, v)`` in curve coordinates w = u + i v, or via the
-    (r, theta) interface with r = e^{-v}, theta = u (the conformal chart in
-    which the curve sits on the unit circle).
+    (r, theta) interface of ``surface_map``.
     """
 
     def __init__(self, curve: AnalyticPlanarCurve, w0: float = None,
@@ -295,9 +294,12 @@ class BjorlingPatch:
                          self.normal_sign * integral.imag], axis=-1)
 
     def surface_map(self):
+        """The patch over the E-plane, E = e^{i w / D} = r e^{i theta}: the
+        chart u = D theta, v = -D ln r puts the whole curve, t in
+        [0, 2 pi D], on the unit circle theta in [0, 2 pi]."""
         def chart(r, theta):
             r, theta = _polar(r, theta)
-            return theta, -np.log(r)
+            return self.denom * theta, -self.denom * np.log(r)
 
         def normal(r, theta):
             u, v = chart(r, theta)

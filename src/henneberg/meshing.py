@@ -13,7 +13,7 @@ import functools
 import io
 import os
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,7 +68,6 @@ class Mesh:
     vertices: np.ndarray
     normals: np.ndarray
     faces: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def validate(self):
         self.check_records()
@@ -126,13 +125,7 @@ def build_mesh(smap: SurfaceMap, spec: SamplingSpec = SamplingSpec()) -> Mesh:
         for a, b, c, d in quads
     ])
 
-    mesh = Mesh(
-        vertices=pts.reshape(-1, 3),
-        normals=nrm.reshape(-1, 3),
-        faces=faces,
-        metadata={"surface": smap.name, "sampling": asdict(spec)},
-    )
-    return mesh.validate()
+    return Mesh(pts.reshape(-1, 3), nrm.reshape(-1, 3), faces).validate()
 
 
 # ---------------------------------------------------------------------------

@@ -135,13 +135,14 @@ def symmetric_phase(m: int) -> int:
     return 1 if (m - 1) % 4 in (0, 1) else -1
 
 
-def eval_associated(data: WeierstrassData, phase_angle: float, z, base=None):
+def eval_associated(data: WeierstrassData, phase_angle: float, z):
     """Immersion of the associated surface with form scaled by e^{i phase}.
 
     Requires the form of ``data`` to be exact (all three residues vanish);
-    base=None keeps the raw antiderivative, matching the closed forms.
+    the raw antiderivative (integration constant zero) matches the closed
+    forms.
     """
-    return Immersion(_associated_data(data, phase_angle), base)(z)
+    return _associated_data(data, phase_angle).forms.evaluate(z)
 
 
 def _associated_data(data: WeierstrassData, phase_angle: float) -> WeierstrassData:
@@ -280,5 +281,6 @@ def surface_integrated(data: WeierstrassData) -> SurfaceMap:
 
 
 def surface_associated(data: WeierstrassData, phase_angle: float) -> SurfaceMap:
-    imm = Immersion(_associated_data(data, phase_angle), None)
-    return SurfaceMap(f"associated-{phase_angle:.6g}", lambda r, t: imm(_polar_point(r, t)))
+    forms = _associated_data(data, phase_angle).forms
+    return SurfaceMap(f"associated-{phase_angle:.6g}",
+                      lambda r, t: forms.evaluate(_polar_point(r, t)))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -30,13 +30,13 @@ RESIDUE_IM_TOL = 1e-10
 class WeierstrassData:
     """A surface recipe (c, a_1..a_{m+1}) with |c| = 1 and g(z) = z implicit.
 
-    The input c is normalized to the unit circle; the applied scale is kept
-    in ``c_scale`` (it only rescales the surface by a homothety).
+    The input c is normalized to the unit circle; the applied scale |c| is
+    kept in ``c_scale`` (it only rescales the surface by a homothety).
     """
 
     c: complex
     config: BranchConfiguration
-    c_scale: float = 1.0
+    c_scale: float = field(default=1.0, init=False)
 
     def __post_init__(self):
         c = complex(self.c)
@@ -167,30 +167,21 @@ def default_base(m: int) -> complex:
 
 
 class Immersion:
-    """Evaluatable immersion X(z) - X(base); base=None keeps the raw
-    antiderivative (integration constant zero)."""
+    """Evaluatable immersion X(z) - X(default_base(m)); ``data.forms.evaluate``
+    is the raw antiderivative (integration constant zero)."""
 
-    def __init__(self, data: WeierstrassData, base=...):
+    def __init__(self, data: WeierstrassData):
         self.data = data
         self.forms = data.forms
-        if base is ...:
-            base = default_base(data.m)
-        self.base = base
-        if base is None:
-            self.offset = np.zeros(3)
-        else:
-            base = complex(base)
-            if base == 0:
-                raise DomainError("base point must be nonzero")
-            self.offset = self.forms.evaluate(base)
+        self.offset = self.forms.evaluate(default_base(data.m))
 
     def __call__(self, z):
         return self.forms.evaluate(z) - self.offset
 
 
-def immersion(data: WeierstrassData, z, base=...):
-    """One-shot evaluation of X(z) - X(base)."""
-    return Immersion(data, base)(z)
+def immersion(data: WeierstrassData, z):
+    """One-shot evaluation of X(z) - X(default_base(m))."""
+    return Immersion(data)(z)
 
 
 def unit_normal(z):
@@ -243,9 +234,8 @@ def stability_report(data: WeierstrassData) -> StabilityReport:
     constant zero), the frame the closed-form parametrizations use.
     """
     osr = one_sided_residual(data)
-    imm = Immersion(data, None)  # raises PeriodError on unsolved data
     points = tuple(data.config.branch_values())
-    images = imm(np.array(points))
+    images = data.forms.evaluate(np.array(points))  # PeriodError on unsolved data
     ok = osr < 1e-8
     return StabilityReport(
         one_sided_residual=osr,

@@ -139,17 +139,16 @@ def test_06_continuation_matches_family():
 
 def test_07_limit_identification():
     d_hat = hb.limit_m2_data()
-    imm_hat = hb.Immersion(d_hat, None)
     rr = np.exp(np.linspace(-np.log(2), np.log(2), 16))
     tt = np.linspace(0, 2 * np.pi, 32, endpoint=False)
     grid_r, grid_t = np.meshgrid(rr, tt, indexing="ij")
     z = grid_r * np.exp(1j * grid_t)
-    x_hat = imm_hat(z)
+    x_hat = d_hat.forms.evaluate(z)
     sups = []
     for t in (0.79, 0.786, 0.7855):
         fp = hb.family_theta2(t)
-        imm = hb.Immersion(fp.weierstrass(), None)
-        sups.append(float(np.abs(fp.r1 * imm(z) - x_hat).max()))
+        x = fp.weierstrass().forms.evaluate(z)
+        sups.append(float(np.abs(fp.r1 * x - x_hat).max()))
     monotone = sups[0] > sups[1] > sups[2]
 
     c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)

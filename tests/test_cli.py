@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from henneberg import read_obj, read_ply
+from henneberg import equator_curve, read_obj, read_ply
 from henneberg import cli
 from henneberg.cli import main
 
@@ -107,48 +107,23 @@ class TestGenerate:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
-    def test_config_file_sampling(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"sampling": {"n_r": 5, "n_theta": 8}}))
-        code, stdout, _ = run(
-            capsys, "generate", "h1", "--config", str(cfg),
-            "--out", str(tmp_path / "c.obj"),
-        )
-        assert code == 0
-        assert json.loads(stdout)["vertices"] == 40
-
-    @pytest.mark.parametrize("sampling, want", [
-        ({"bogus": 1}, "bogus"),
-        ({"n_r": "9"}, "n_r"),
-        ({"n_r": 9.5}, "n_r"),
-        ({"n_r": True}, "n_r"),
-        ({"r_max": False}, "r_max"),
-        ({"quotient": "yes"}, "quotient"),
-        ({"wrap": 0}, "wrap"),
-        ([1], "sampling"),
-    ])
-    def test_bad_config_sampling_exits_2(self, capsys, tmp_path, sampling, want):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"sampling": sampling}))
+    @pytest.mark.parametrize("argv, want", [
+        (["h1", "--config", "cfg.json"], "--config"),
+        (["h1", "--no-wrap"], "--no-wrap"),
+        (["custom"], "--data"),
+    ], ids=["config", "no-wrap", "custom-without-data"])
+    def test_deleted_inputs_exit_2(self, capsys, tmp_path, monkeypatch, argv, want):
+        # the data file and the sampling flags carry what a config file did
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"sampling": {"n_r": 5, "n_theta": 8}}))
         code, stdout, err = run(
-            capsys, "generate", "h1", "--config", str(cfg),
-            "--out", str(tmp_path / "c.obj"),
+            capsys, "generate", *argv, "--nr", "5", "--ntheta", "8", "--out", "s.obj",
         )
         assert code == 2
         assert stdout == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert want in err
-        assert not (tmp_path / "c.obj").exists()
-
-    def test_config_sampling_int_for_float_and_flag_override(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"sampling": {"r_min": 1, "n_r": 5, "n_theta": 8}}))
-        code, stdout, _ = run(
-            capsys, "generate", "h1", "--config", str(cfg), "--nr", "3",
-            "--out", str(tmp_path / "c.obj"),
-        )
-        assert code == 0
-        assert json.loads(stdout)["vertices"] == 3 * 8
+        assert not (tmp_path / "s.obj").exists()
 
     def test_parse_error_diagnostics(self, capsys, tmp_path):
         bad = tmp_path / "broken.json"
@@ -170,7 +145,7 @@ class TestGenerate:
         assert code == 2
         assert "'a'" in err
 
-    @pytest.mark.parametrize("route", ["--data", "--config"])
+    @pytest.mark.parametrize("route", ["--data"])  # keeps the case ids
     @pytest.mark.parametrize("fields, want", [
         ({"c": [1, 0], "m": 2, "a": [[1, 0], [1, math.pi / 2]]}, "m+1 = 3"),
         ({"c": ["1", 0], "m": 1, "a": [[1, 0], [1, math.pi / 2]]}, "'c'"),
@@ -181,7 +156,6 @@ class TestGenerate:
         ({"c": [0, 1], "m": True, "a": [[1, 0], [1, 1.5708]]}, "'m'"),
     ])
     def test_bad_custom_data_exits_2(self, capsys, tmp_path, route, fields, want):
-        # both routes go through the same loader and its checks
         data = tmp_path / "data.json"
         data.write_text(json.dumps(fields))
         code, stdout, err = run(
@@ -401,27 +375,19 @@ def test_unwritable_out_exits_2(capsys, tmp_path, argv):
 
 
 class TestParserReuse:
-    def _exit_code(self, capsys, *argv):
-        with pytest.raises(SystemExit) as exc:
-            main(list(argv))
-        out = capsys.readouterr()
-        return exc.value.code, out.out, out.err
-
     def test_same_output_after_usage_error_and_help(self, capsys):
         # main builds its parser once per process; a usage error or a help
         # request must leave nothing behind that changes the next call
         argv = ["continue", "--r1", "1.05", "--r2", "1.0"]
         before = run(capsys, *argv)
         assert before[0] == 0
-        error = self._exit_code(capsys, "continue", "--r1", "x")
+        error = run(capsys, "continue", "--r1", "x")
         assert error[0] == 2 and "--r1" in error[2]
-        helps = [self._exit_code(capsys, "--help"),
-                 self._exit_code(capsys, "search-m1", "--help")]
+        helps = [run(capsys, "--help"), run(capsys, "search-m1", "--help")]
         assert [h[0] for h in helps] == [0, 0]
         assert run(capsys, *argv) == before
-        assert self._exit_code(capsys, "continue", "--r1", "x") == error
-        assert [self._exit_code(capsys, "--help"),
-                self._exit_code(capsys, "search-m1", "--help")] == helps
+        assert run(capsys, "continue", "--r1", "x") == error
+        assert [run(capsys, "--help"), run(capsys, "search-m1", "--help")] == helps
         assert cli._parser() is cli._parser()
         assert cli.build_parser() is not cli._parser()
 
@@ -440,7 +406,7 @@ class TestParserReuse:
     ], ids=lambda argv: " ".join(argv))
     def test_usage_error_is_one_line(self, capsys, argv):
         # removed flags and unparsable values alike: no usage block
-        code, stdout, err = self._exit_code(capsys, *argv)
+        code, stdout, err = run(capsys, *argv)
         assert code == 2 and stdout == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
@@ -462,8 +428,9 @@ class TestContinue:
 
 #: `bjorling` at the default 64x9 grid and strip: closed_form_m, sup_error
 #: and the SHA-256 of the --out OBJ and PLY files, recorded before the
-#: Gauss-map reduction became a synthetic division and the check one grid
-#: (numpy 2.4, x86-64 Linux)
+#: Gauss-map reduction became a synthetic division and the check one grid;
+#: the files for 6 and 10 cusps recorded once the mesh covered their whole
+#: equator (numpy 2.4, x86-64 Linux)
 BJORLING_PINS = {
     "3": (2.0, 3.0531133177191805e-16,
           "14885c0be4b24225b54be3fd1fd350be72eedc4e25fa83b8882ce764a0050db5",
@@ -475,8 +442,8 @@ BJORLING_PINS = {
           "2c9195fd5eb9f4a16cc34312aeb3eeaa2a780780ed85f44a24506020a85dd575",
           "933feea2cd75c7b698aa0319afdaf478d1aa0ba8b090c6de43c143c398d4e305"),
     "6": (0.5, 1.3322676295501878e-15,
-          "59348c3406f9e3812841012d8b03913a78d8a32cb2448655dca562e76d3705ff",
-          "f510443df8ac69e2eec579b08f81ed0251373021c1ce8223c7ef19f2e9c8f048"),
+          "b1791d4f5d8131fb3ffd91348d3f8cf32baa01d4431d7d45e4c8de9169d02572",
+          "8be0ce2fe81b04deb3c8e22bc3d4d377f67b08bc5d89cc722fa4020247eae9ed"),
     "7": (6.0, 6.106226635438361e-16,
           "1f16c692eeefe027c91c64386e4a0bf3f35145b9a76688e7fec616459af50d10",
           "ac00ae3d07d7a9f54ae7bfeeac1357e599cd4fde770fb47673d6db3e93365d5b"),
@@ -487,8 +454,8 @@ BJORLING_PINS = {
           "522703c4100385999d5ff8b08dbba0421aa23719afca5bf90e0f95541dcd5bdd",
           "8cfdf4d75c53ef418101f4abf048e1bf5c2d037f08a8263e67a49b31281e15d6"),
     "10": (0.25, 2.6645352591003757e-15,
-          "b2e7faa26efe7b0b0c9d3a313877698395ba0cbdf65bb8ad15fb5a4b977c3b10",
-          "a6be449963a4a890094c4ff3f7b8be8e97ee040dc06baccaa20d75a034feefa4"),
+          "a558b0ef77e89cfb69132d3a3e8c0592ef75f9280be96d1d12ca696e5972d626",
+          "14eff309f3cf674cd05be92cf60c7a6e616301615898ce303ca51a8ae6132c7b"),
     "11": (10.0, 1.1102230246251565e-15,
           "bb0b615d5dc5e3d410406f77a69cdc3cbce6eeeb04fe88bc51ecb10f4e1a216b",
           "e13af5e68fca18066f8d64473453416e6ba214d8b26d30669081fbed8c397476"),
@@ -533,7 +500,8 @@ class TestBjorling:
     @pytest.mark.parametrize("target", [str(n) for n in range(3, 13)] + ["astroid"])
     def test_mesh_normals_finite_and_unit(self, capsys, tmp_path, target, fmt):
         # the default 64x9 grid puts vertices on cusps (6 cusps: theta = 0,
-        # 4 pi/3, ... at r = 1), where the normal needs the exact Gauss map
+        # 2 pi/3, 4 pi/3, 2 pi at r = 1), where the normal needs the exact
+        # Gauss map
         out = tmp_path / f"b.{fmt}"
         argv = ["--astroid"] if target == "astroid" else ["--cusps", target]
         code, stdout, _ = run(capsys, "bjorling", *argv, "--out", str(out))
@@ -543,6 +511,17 @@ class TestBjorling:
         assert len(mesh.vertices) == 64 * 9
         assert np.all(np.isfinite(mesh.normals))
         assert np.abs(np.linalg.norm(mesh.normals, axis=1) - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("cusps", range(3, 13))
+    def test_mesh_middle_row_is_the_equator(self, capsys, tmp_path, cusps):
+        # 4k+2 cusps close over t in [0, 2 pi D], D = 2k, not [0, 2 pi]
+        out = tmp_path / "b.ply"
+        code, _, _ = run(capsys, "bjorling", "--cusps", str(cusps), "--out", str(out))
+        assert code == 0
+        curve = equator_curve(cli._closed_form_for_cusps(cusps))
+        middle = read_ply(out).vertices.reshape(9, 64, 3)[4]
+        assert np.abs(middle[:, :2] - curve.point(np.linspace(*curve.domain, 64))).max() < 1e-12
+        assert np.abs(middle[:, 2]).max() < 1e-12
 
     @pytest.mark.parametrize("target", BJORLING_PINS)
     def test_outputs_pinned(self, capsys, tmp_path, target):

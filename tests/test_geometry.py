@@ -32,6 +32,7 @@ from henneberg import (
     surface_h1,
     surface_hm,
     symmetric_example,
+    symmetric_phase,
     unit_normal,
     verify_isometry,
 )
@@ -430,6 +431,22 @@ class TestIsometries:
         )
         assert not cert.passed
         assert cert.residual > 0.1 * cert.tolerance / geometry.ISOMETRY_REL_TOL
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_deck_map_certified_on_coefficients(self, m):
+        # z -> -1/conj(z) is (r, theta) -> (1/r, theta + pi): the identity
+        # motion; a shift by pi/(2m+2) with the inversion is no isometry
+        deck, off = geometry._certify_on_coefficients(
+            symmetric_example(m).forms,
+            [ParameterMap(shift_pi=1, invert=True),
+             ParameterMap(shift_pi=Fraction(1, 2 * m + 2), invert=True)],
+            symmetric_phase(m),
+        )
+        assert deck.passed and deck.residual < 1e-15
+        assert np.abs(deck.motion.matrix - np.eye(3)).max() < 1e-15
+        assert np.abs(deck.motion.translation).max() < 1e-15
+        assert not off.passed
+        assert off.residual > 0.1 * off.tolerance / geometry.ISOMETRY_REL_TOL
 
     def test_nothing_is_sampled(self, monkeypatch):
         import henneberg.surfaces as surfaces

@@ -120,9 +120,8 @@ class TestAssociated:
         d = symmetric_example(2)
         r, th = random_annulus(rng, 100)
         z = r * np.exp(1j * th)
-        base = np.exp(1j * math.pi / 6)
-        a = eval_associated(d, 0.0, z, base=base)
-        b = immersion(d, z, base=base)
+        a = eval_associated(d, 0.0, z)
+        b = d.forms.evaluate(z)
         assert np.abs(a - b).max() < 1e-14
 
     def test_conjugate_h1_is_astroid_on_circle(self):
@@ -227,10 +226,9 @@ class TestLimitM2:
     def test_limit_data_integrates_to_closed_form(self, rng):
         d = limit_m2_data()
         assert period_residuals(d).max_abs() == 0
-        imm = Immersion(d, None)
         r, th = random_annulus(rng, 400)
         z = r * np.exp(1j * th)
-        assert np.abs(imm(z) - eval_limit_m2(r, th)).max() < 1e-12
+        assert np.abs(d.forms.evaluate(z) - eval_limit_m2(r, th)).max() < 1e-12
 
     def test_scaled_family_data_converges(self):
         d = limit_m2_data()
