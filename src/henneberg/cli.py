@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -117,6 +118,21 @@ def _emit(payload: dict, out_path=None):
         print(text)
 
 
+def _mesh_format(out, given=None):
+    """The mesh format "obj" or "ply" that --out names by its extension.
+    An .obj or .ply extension must agree with ``given``, the --format of
+    ``generate``; any other extension takes ``given``, and without it (as
+    for ``bjorling``) is refused."""
+    ext = os.path.splitext(out)[1].lower()
+    if ext in (".obj", ".ply"):
+        if given is not None and ext != f".{given}":
+            raise CliError(f"--out {out!r} names {ext[1:]}, but --format is {given}")
+        return ext[1:]
+    if given is None:
+        raise CliError(f"--out must end in .obj or .ply, got {out!r}")
+    return given
+
+
 def _require(args, names):
     for name in names:
         if getattr(args, name) is None:
@@ -129,6 +145,8 @@ def _require(args, names):
 
 
 def cmd_generate(args) -> int:
+    out = args.out or f"{args.surface}.{args.format}"
+    fmt = _mesh_format(out, args.format)
     spec = _sampling_from(args)
     selector = args.surface
     if selector == "h1":
@@ -177,17 +195,13 @@ def cmd_generate(args) -> int:
         raise CliError(f"unknown surface selector {selector!r}")
 
     mesh = build_mesh(smap, spec)
-    out = args.out or f"{selector}.{args.format}"
-    if args.format == "obj":
-        write_obj(mesh, out)
-    else:
-        write_ply(mesh, out)
+    (write_obj if fmt == "obj" else write_ply)(mesh, out)
     _emit(
         {
             "schema": 1,
             "surface": smap.name,
             "out": out,
-            "format": args.format,
+            "format": fmt,
             "vertices": int(len(mesh.vertices)),
             "faces": int(len(mesh.faces)),
             "sampling": dataclasses.asdict(spec),
@@ -299,6 +313,7 @@ def cmd_bjorling(args) -> int:
         raise CliError(f"--strip must be a finite number > 0, got {args.strip}")
     if min(args.n_u, args.n_v) < 2:
         raise CliError("--n-u and --n-v must be at least 2")
+    fmt = args.out and _mesh_format(args.out)
     m = _closed_form_for_cusps(cusps)
     curve = equator_curve(m)
     # the closed form grows like e^{K strip}, K = m + 2 its largest radial
@@ -339,10 +354,7 @@ def cmd_bjorling(args) -> int:
             wrap=False,
         )
         mesh = build_mesh(patch.surface_map(), spec)
-        if args.out.endswith(".ply"):
-            write_ply(mesh, args.out)
-        else:
-            write_obj(mesh, args.out)
+        (write_obj if fmt == "obj" else write_ply)(mesh, args.out)
         payload["out"] = args.out
         payload["vertices"] = int(len(mesh.vertices))
     _emit(payload)

@@ -15,7 +15,7 @@ condition fixing beta.
 
 Both systems are solved by one damped Newton core, _damped_newton: a
 least-squares step halved until the norm drops.  The complexity-1 search
-refines grid minimizers with it on a finite-difference Jacobian;
+refines grid minimizers with it on the closed-form Jacobian _m1_jacobian;
 continuation at complexity 2 uses the analytic Jacobian.
 """
 
@@ -152,6 +152,40 @@ def _m1_vector(x):
     return np.array(
         [horizontal.real, horizontal.imag, vertical.imag, phase.real, phase.imag]
     )
+
+
+def _m1_jacobian(x):
+    """Exact 5x4 Jacobian of _m1_vector in (r1, r2, theta2, beta), or None
+    where _m1_vector is undefined.
+
+    With g = r - 1/r, g' = 1 + 1/r^2, phi = theta2 + beta and
+    w = g1 g2 - 2 cos theta2, the components are
+
+        Re H = -2 g1 sin theta2 sin phi
+        Im H = -2 (g1 cos theta2 + g2) sin phi
+        Im V = w sin phi
+        Re P = cos 2 phi + 1,    Im P = sin 2 phi.
+    """
+    r1, r2, t2, b = x
+    if r1 <= 0 or r2 <= 0:
+        return None
+    g1, g2 = radial_gap(r1), radial_gap(r2)
+    d1, d2 = 1.0 + 1.0 / (r1 * r1), 1.0 + 1.0 / (r2 * r2)
+    phi = t2 + b
+    s2, c2 = math.sin(t2), math.cos(t2)
+    sp, cp = math.sin(phi), math.cos(phi)
+    u = g1 * c2 + g2
+    w = g1 * g2 - 2.0 * c2
+    s2p, c2p = 2.0 * math.sin(2.0 * phi), 2.0 * math.cos(2.0 * phi)
+    return np.array([
+        [-2.0 * d1 * s2 * sp, 0.0, -2.0 * g1 * (c2 * sp + s2 * cp),
+         -2.0 * g1 * s2 * cp],
+        [-2.0 * d1 * c2 * sp, -2.0 * d2 * sp, 2.0 * (g1 * s2 * sp - u * cp),
+         -2.0 * u * cp],
+        [d1 * g2 * sp, g1 * d2 * sp, 2.0 * s2 * sp + w * cp, w * cp],
+        [0.0, 0.0, -s2p, -s2p],
+        [0.0, 0.0, c2p, c2p],
+    ])
 
 
 def _fd_jacobian(vector, x, step):
@@ -328,10 +362,11 @@ def brute_search_m1(
     Grid-local minimizers below 1 are refined by at most M1_REFINE_STEPS
     damped Newton steps (the residual is locally quadratic around its
     zeros, so at this resolution every zero pulls a grid point well below
-    that bound; plateaus of large constant residual are skipped).
-    Refinement stays inside the radial search box.  Hits
-    below 1e-8 are merged when closer than 1e-4 in parameter space and
-    returned sorted by parameters.
+    that bound; plateaus of large constant residual are skipped).  Each
+    step solves with the closed-form Jacobian _m1_jacobian of _m1_vector;
+    no finite difference is taken.  Refinement stays inside the radial
+    search box.  Hits below 1e-8 are merged when closer than 1e-4 in
+    parameter space and returned sorted by parameters.
 
     The 4-D residual grid is never built.  It factors as
     S[k, l] * B[i, j, k] + C[k, l] (see _m1_terms), so the search builds S
@@ -360,7 +395,7 @@ def brute_search_m1(
     for i, j, k, l in minima:
         x, value, _ = _damped_newton(
             _m1_vector,
-            lambda x: _fd_jacobian(_m1_vector, x, 1e-7),
+            _m1_jacobian,
             np.array([rs[i], rs[j], angles[k], angles[l]]),
             lambda v: float(v @ v),
             1e-28,

@@ -91,6 +91,32 @@ class TestGenerate:
         assert "n_theta" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fmt, name", [
+        ("obj", "m.ply"), ("ply", "m.obj"), ("obj", "m.PLY"), ("ply", "m.Obj"),
+    ])
+    def test_out_extension_disagreeing_with_format_exits_2(self, capsys, tmp_path, fmt, name):
+        out = tmp_path / name
+        code, stdout, err = run(
+            capsys, "generate", "h1", "--nr", "5", "--ntheta", "8",
+            "--format", fmt, "--out", str(out),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--format" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt, name", [("obj", "m.OBJ"), ("ply", "m.Ply"), ("ply", "m.mesh")])
+    def test_out_extension_agreeing_or_other(self, capsys, tmp_path, fmt, name):
+        # an extension other than .obj and .ply leaves the choice to --format
+        out = tmp_path / name
+        code, stdout, _ = run(
+            capsys, "generate", "h1", "--nr", "5", "--ntheta", "8",
+            "--format", fmt, "--out", str(out),
+        )
+        assert code == 0 and json.loads(stdout)["format"] == fmt
+        assert len((read_obj if fmt == "obj" else read_ply)(out).vertices) == 5 * 8
+
     @pytest.mark.parametrize("argv", [
         ["h1", "--r-max", "inf"],
         ["hm-even", "--m", "2", "--r-max", "1e100"],
@@ -486,6 +512,28 @@ class TestBjorling:
     def test_unsupported_count(self, capsys):
         code, _, err = run(capsys, "bjorling", "--cusps", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("name", ["b.stl", "b", "b.obj.txt", "b.ply.gz"])
+    def test_out_extension_neither_obj_nor_ply_exits_2(self, capsys, tmp_path, name):
+        out = tmp_path / name
+        code, stdout, err = run(
+            capsys, "bjorling", "--cusps", "3", "--n-u", "16", "--n-v", "3",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert ".obj or .ply" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, read", [("b.OBJ", read_obj), ("b.PLY", read_ply)])
+    def test_out_extension_in_any_case(self, capsys, tmp_path, name, read):
+        out = tmp_path / name
+        code, _, _ = run(
+            capsys, "bjorling", "--cusps", "3", "--n-u", "16", "--n-v", "3",
+            "--out", str(out),
+        )
+        assert code == 0 and len(read(out).vertices) == 16 * 3
 
     def test_mesh_output(self, capsys, tmp_path):
         out = tmp_path / "b.obj"

@@ -3,6 +3,7 @@ import math
 import os
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from henneberg.period import (
     _damped_newton,
     _factored_minima,
     _fd_jacobian,
+    _m1_jacobian,
     _m1_terms,
     _m1_vector,
 )
@@ -92,6 +94,55 @@ class TestM1Residual:
         got = m1_residual(r1, r2, t2, b)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-30)
+
+
+def _m1_jacobian_mp(x, dps=40):
+    """The Jacobian of _m1_vector's five components by mpmath.diff in
+    dps-digit arithmetic, as floats."""
+    def parts(r1, r2, t2, b):
+        g1, g2 = r1 - 1 / r1, r2 - 1 / r2
+        phi = t2 + b
+        return (
+            -2j * (g1 * mpmath.expj(-t2) + g2) * mpmath.sin(phi),
+            -(2 * mpmath.cos(t2) - g1 * g2) * mpmath.expj(phi),
+            mpmath.expj(2 * phi) + 1,
+        )
+
+    with mpmath.workdps(dps):
+        point = [mpmath.mpf(float(v)) for v in x]
+        jac = np.empty((5, 4))
+        for j in range(4):
+            def column(s, k, j=j):
+                return parts(*point[:j], s, *point[j + 1:])[k]
+
+            h, v, p = (mpmath.diff(lambda s: column(s, k), point[j]) for k in range(3))
+            jac[:, j] = [float(h.real), float(h.imag), float(v.imag),
+                         float(p.real), float(p.imag)]
+    return jac
+
+
+class TestM1Jacobian:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        log_r=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+        angles=st.tuples(
+            st.floats(0.0, 2 * math.pi, exclude_max=True),
+            st.floats(0.0, 2 * math.pi, exclude_max=True),
+        ),
+    )
+    def test_matches_extended_precision(self, log_r, angles):
+        x = np.array([math.exp(log_r[0]), math.exp(log_r[1]), *angles])
+        got, want = _m1_jacobian(x), _m1_jacobian_mp(x)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        fd = _fd_jacobian(_m1_vector, x, 1e-7)
+        assert np.abs(got - fd).max() <= 1e-7 * np.abs(got).max()
+
+    @pytest.mark.parametrize("r1, r2", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0),
+                                        (1.0, -0.5), (-2.0, -2.0)])
+    def test_none_outside_domain(self, r1, r2):
+        x = np.array([r1, r2, 0.3, 1.2])
+        assert _m1_vector(x) is None
+        assert _m1_jacobian(x) is None
 
 
 class TestBruteSearch:
@@ -246,11 +297,11 @@ _PINNED_SEARCHES = [
     (
         {"span": (0.3, 5.0), "n_radial": 24, "n_angular": 37},
         [
-            (1.0, 1.0, 1.5707963267948966, 8.963144347721168e-18,
+            (1.0, 1.0, 1.5707963267948966, 2.0630334463310652e-17,
              2.999519565323715e-32),
             (1.0, 1.0, 1.5707963267948966, 3.1415926535897936,
              1.4997597826618574e-31),
-            (1.0, 1.0, 4.71238898038469, 3.756733918118228e-16,
+            (1.0, 1.0, 4.71238898038469, 0.0,
              2.6995676087913433e-31),
             (1.0, 1.0, 4.71238898038469, 3.141592653589793,
              5.099183261050316e-31),
@@ -259,7 +310,41 @@ _PINNED_SEARCHES = [
 ]
 
 
+def _distance_to_h1_zeros(hit):
+    """Distance of a hit to the exact zero set of m1_residual: r1 = r2 = 1,
+    theta2 in {pi/2, 3 pi/2}, beta in {0, pi}, angles modulo 2 pi."""
+    def angular(a, targets):
+        return min(min(d, 2 * math.pi - d)
+                   for d in (abs(a - t) % (2 * math.pi) for t in targets))
+
+    return math.hypot(
+        hit.r1 - 1.0, hit.r2 - 1.0,
+        angular(hit.theta2, (math.pi / 2, 3 * math.pi / 2)),
+        angular(hit.beta, (0.0, math.pi)),
+    )
+
+
 class TestSearchPinned:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [kwargs for kwargs, _ in _PINNED_SEARCHES]
+        + [{"span": 3.0, "n_radial": 20, "n_angular": 40}],
+    )
+    def test_hits_on_exact_zero_set(self, kwargs):
+        # the pins hold the last bits of Newton's iterates; the hits
+        # themselves are the exact zeros to within rounding
+        for hit in brute_search_m1(**kwargs):
+            assert _distance_to_h1_zeros(hit) < 1e-15, hit
+
+    def test_no_finite_differences(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("brute_search_m1 took a finite difference")
+
+        monkeypatch.setattr(period, "_fd_jacobian", fail)
+        for kwargs in ({}, {"n_radial": 65, "n_angular": 96}):
+            hits = brute_search_m1(**kwargs)
+            assert [(*h.params, h.residual) for h in hits] == _H1_HITS
+
     @pytest.mark.parametrize("threads", [None, "1", "3"])
     @pytest.mark.parametrize("kwargs, want", _PINNED_SEARCHES)
     def test_hits_bit_identical(self, monkeypatch, threads, kwargs, want):
@@ -557,8 +642,9 @@ class TestDampedNewton:
         assert stop == "domain" and x[0] == 3.0
 
     def test_fd_probe_outside_domain_keeps_start_point(self):
-        # the m = 1 search: a central difference at r1 = 5e-8 probes r1 < 0,
-        # where _m1_vector is undefined, so refinement stops where it started
+        # a central-difference Jacobian of _m1_vector at r1 = 5e-8 probes
+        # r1 < 0, where _m1_vector is undefined, so refinement stops where
+        # it started
         x0 = np.array([5e-8, 1.0, 1.0, 0.5])
         v0 = _m1_vector(x0)
         x, norm, stop = _damped_newton(
