@@ -14,6 +14,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -109,8 +110,91 @@ def _sampling_from(args) -> SamplingSpec:
     return SamplingSpec(**{key: value for key, value in flags.items() if value is not None})
 
 
+def _json_float(x) -> str:
+    """A float as json spells it: its repr, NaN and the infinities by name."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+#: the writer of each JSON scalar, by exact type
+_SCALAR_TEXT = {
+    str: _json_str,
+    int: int.__repr__,
+    float: _json_float,
+    bool: lambda x: "true" if x else "false",
+    type(None): lambda x: "null",
+}
+
+
+def _scalar_text(x) -> str:
+    return _SCALAR_TEXT[type(x)](x)
+
+
+def _value_text(x, pad: str) -> str:
+    write = _SCALAR_TEXT.get(type(x))
+    if write is not None:
+        return write(x)
+    if type(x) is dict:
+        return _object_text(x, pad)
+    if type(x) is list or type(x) is tuple:
+        return _array_text(x, pad)
+    # a subclass: the first base in json's order names its layout
+    for base in (str, int, float):
+        if isinstance(x, base):
+            return _SCALAR_TEXT[base](x)
+    if isinstance(x, (list, tuple)):
+        return _array_text(x, pad)
+    if isinstance(x, dict):
+        return _object_text(x, pad)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _array_text(items, pad: str) -> str:
+    """A list or tuple; one that holds only scalars is one join."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    kinds = set(map(type, items))
+    if kinds == {float}:
+        body = sep.join(map(float.__repr__, items))
+        if "n" in body:  # only nan and inf repr with an n; json spells them NaN, Infinity
+            body = sep.join(map(_json_float, items))
+    elif _SCALAR_TEXT.keys() >= kinds:
+        body = sep.join(map(_scalar_text, items))
+    else:
+        body = sep.join([_value_text(x, inner) for x in items])
+    return f"[\n{inner}{body}\n{pad}]"
+
+
+def _object_text(obj, pad: str) -> str:
+    if not obj:
+        return "{}"
+    inner = pad + "  "
+    # _json_str raises TypeError on a key that is not a str
+    body = (",\n" + inner).join([f"{_json_str(key)}: {_value_text(value, inner)}"
+                                 for key, value in sorted(obj.items())])
+    return f"{{\n{inner}{body}\n{pad}}}"
+
+
+def _json_text(payload) -> str:
+    """json.dumps(payload, indent=2, sort_keys=True), in one pass.
+
+    With an indent, json falls back to its pure-Python encoder; this writer
+    joins each list of scalars in one call instead.  Payloads are str-keyed
+    dicts, lists, tuples, str, int, float, bool and None, subclasses
+    included; anything else raises TypeError.
+    """
+    return _value_text(payload, "")
+
+
 def _emit(payload: dict, out_path=None):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = _json_text(payload)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")

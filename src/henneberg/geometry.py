@@ -246,7 +246,8 @@ class BjorlingPatch:
     """Minimal surface through a planar curve with its planar unit normal.
 
     Evaluate with ``at(u, v)`` in curve coordinates w = u + i v, or via the
-    (r, theta) interface of ``surface_map``.
+    (r, theta) interface of ``surface_map``, which also builds the Gauss
+    map for the mesh normals.
     """
 
     def __init__(self, curve: AnalyticPlanarCurve, w0: float = None,
@@ -273,10 +274,6 @@ class BjorlingPatch:
             self._speed = self._speed.scale(-1.0)
         self._primitive, self._drift = _laurent_primitive(self._speed, self.denom)
         self._base = self._integral_from_zero(self.w0)
-        # Gauss map g = -i sign s / (x' - i y'); s^2 = (x' + i y')(x' - i y'),
-        # so at a cusp both vanish and the common factor is divided out
-        num, den = _cancel_common_roots(self._speed, dx - dy.scale(1j))
-        self._gauss = (num.scale(-1j * normal_sign), den)
 
     def _arg(self, w):
         return np.exp(1j * np.asarray(w, dtype=complex) / self.denom)
@@ -301,9 +298,14 @@ class BjorlingPatch:
             r, theta = _polar(r, theta)
             return self.denom * theta, -self.denom * np.log(r)
 
+        # Gauss map g = -i sign s / (x' - i y'); s^2 = (x' + i y')(x' - i y'),
+        # so at a cusp both vanish and the common factor is divided out
+        num, den = _cancel_common_roots(self._speed, self.curve.dx - self.curve.dy.scale(1j))
+        num = num.scale(-1j * self.normal_sign)
+
         def normal(r, theta):
             u, v = chart(r, theta)
-            e, (num, den) = self._arg(u + 1j * v), self._gauss
+            e = self._arg(u + 1j * v)
             return unit_normal(num.evaluate(e) / den.evaluate(e))
 
         return SurfaceMap("bjorling", lambda r, theta: self.at(*chart(r, theta)), normal)

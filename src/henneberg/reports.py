@@ -106,7 +106,7 @@ def verification_report(
             {
                 "r": float(abs(a)),
                 "theta": float(np.angle(a)),
-                "image": [float(x) for x in img],
+                "image": img.tolist(),
             }
             for a, img in zip(stab.branch_points, stab.branch_images)
         ]
@@ -119,8 +119,8 @@ def verification_report(
             "elements": [
                 {
                     "map": c.pmap.describe(),
-                    "matrix": [[float(x) for x in row] for row in c.motion.matrix],
-                    "translation": [float(x) for x in c.motion.translation],
+                    "matrix": c.motion.matrix.tolist(),
+                    "translation": c.motion.translation.tolist(),
                     "residual": float(c.residual),
                     "pass": bool(c.passed),
                 }

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from henneberg import equator_curve, read_obj, read_ply
 from henneberg import cli
@@ -435,6 +437,94 @@ class TestParserReuse:
         code, stdout, err = run(capsys, *argv)
         assert code == 2 and stdout == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.integers().map(_Int)
+                | st.floats() | st.floats().map(np.float64) | st.just(-0.0)
+                | st.text() | st.text().map(_Str) | st.just({}) | st.just([]))
+
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner)),
+    max_leaves=40,
+)
+
+
+class TestJsonText:
+    """cli._json_text against json.dumps(indent=2, sort_keys=True)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_JSON_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [
+        [math.nan, math.inf, -math.inf, -0.0, 1e-17, 1e300],
+        [np.float64(math.nan), np.float64(-math.inf), 0.1],
+        {"z": [1, "é\n", None, True, 2.5], "a": ({}, [], ())},
+    ], ids=["floats", "np-float64", "mixed"])
+    def test_spelled_as_json_spells_them(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [
+        {1, 2},
+        [np.int64(3)],
+        {"a": {1: "x"}},
+        {"a": 1, 2: "b"},
+    ], ids=["set", "np-int64", "int-key", "mixed-keys"])
+    def test_other_values_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            cli._json_text(value)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "hm", "--m", "8"],
+        ["search-m1"],
+        ["continue", "--r1", "1.05", "--r2", "1.0"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_out_file_is_stdout(self, capsys, tmp_path, argv):
+        out = tmp_path / "report.json"
+        code, stdout, _ = run(capsys, *argv)
+        assert run(capsys, *argv, "--out", str(out)) == (code, "", "")
+        assert out.read_text() == stdout
+        assert stdout == json.dumps(json.loads(stdout), indent=2, sort_keys=True) + "\n"
+
+    def test_bjorling_stdout_is_json_layout(self, capsys, tmp_path):
+        # bjorling's --out is the mesh; its report goes to stdout either way
+        for extra in ([], ["--out", str(tmp_path / "b.ply")]):
+            code, stdout, _ = run(capsys, "bjorling", "--cusps", "7", *extra)
+            assert code == 0
+            assert stdout == json.dumps(json.loads(stdout), indent=2, sort_keys=True) + "\n"
+
+    def test_no_command_calls_json_dumps(self, capsys, tmp_path, monkeypatch):
+        data = tmp_path / "far.json"
+        data.write_text(json.dumps({"c": [0, 1], "m": 1, "a": [[1, 0], [2, 3.0]]}))
+
+        def dumps(*args, **kwargs):
+            raise AssertionError("json.dumps called")
+
+        monkeypatch.setattr(json, "dumps", dumps)
+        for argv, want in [
+            (["generate", "h1", "--nr", "5", "--ntheta", "8",
+              "--out", str(tmp_path / "h1.obj")], 0),
+            (["generate", "custom", "--data", str(data),
+              "--out", str(tmp_path / "c.obj")], 1),
+            (["verify", "hm", "--m", "8"], 0),
+            (["verify", "family", "--theta2", "1.0"], 0),
+            (["search-m1"], 0),
+            (["continue", "--r1", "1.05", "--r2", "1.0"], 0),
+            (["bjorling", "--cusps", "7", "--out", str(tmp_path / "b.obj")], 0),
+        ]:
+            code, stdout, err = run(capsys, *argv)
+            assert (code, err) == (want, "") and json.loads(stdout)
 
 
 class TestContinue:
