@@ -60,16 +60,9 @@ from .period import (
 )
 from .reports import verification_report
 from .surfaces import (
-    Hypocycloid,
     SurfaceMap,
-    eval_associated,
-    eval_h1,
     eval_hm_even,
-    eval_hm_odd,
-    eval_limit_m2,
-    hypocycloid_point,
     limit_m2_data,
-    one_sided_descent_residual,
     surface_h1,
     surface_hm,
     surface_integrated,

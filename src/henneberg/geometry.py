@@ -506,7 +506,7 @@ def _certify_on_coefficients(forms: IntegratedForms, maps, sign: int = 1):
 
 def enumerate_isometries(m: int):
     """Certify the 4m+4 parameter maps theta -> +-theta + k pi/(m+1),
-    k = 0..2m+1, on the closed form, symmetric_phase(m) times the raw
+    k = 0..2m+1, on H_m (surface_hm(m)), symmetric_phase(m) times the raw
     immersion of symmetric_example(m); returns one certificate per map,
     +theta first, each sign by increasing k.
 

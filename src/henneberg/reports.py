@@ -57,7 +57,7 @@ def verification_report(
     """Collect period, flux, stability, and (optionally) isometry checks.
 
     ``isometries_for`` enumerates the symmetric-example isometry group of
-    that complexity, certified on the closed form whatever ``data`` is;
+    that complexity, certified on H_m (surface_hm) whatever ``data`` is;
     leave None for data without the full symmetry.  The isometries are
     certified on Laurent coefficients, not on sampled points.
     """

@@ -1,6 +1,14 @@
-"""Closed-form evaluators for the named surfaces and curves.
+"""The named surfaces as evaluatable maps, each integrated from its
+Weierstrass data.
 
-All evaluators take polar coordinates (r > 0, theta) on the punctured plane,
+Every map evaluates the termwise antiderivative of Laurent forms
+(``IntegratedForms.evaluate``): h1 and H_m those of ``symmetric_example(m)``,
+the conjugate H_m^* (odd m) those of its +pi/2 associate, limit-m2 those of
+``limit_m2_data()``, times ``symmetric_phase(m)`` where it applies.  The one
+closed form kept, ``eval_hm_even``, is the reference ``bjorling`` measures
+its patches against.
+
+All maps take polar coordinates (r > 0, theta) on the punctured plane,
 broadcast over arrays, and return points with a trailing axis of length 3.
 """
 
@@ -14,7 +22,14 @@ import numpy as np
 
 from .algebra import BranchConfiguration, cis
 from .errors import DomainError, StructureError
-from .weierstrass import Immersion, WeierstrassData, form_residues, unit_normal
+from .period import symmetric_example
+from .weierstrass import (
+    Immersion,
+    IntegratedForms,
+    WeierstrassData,
+    form_residues,
+    unit_normal,
+)
 
 #: residues larger than this reject the associated-family construction
 EXACTNESS_TOL = 1e-12
@@ -33,38 +48,6 @@ def _polar_point(r, theta):
     """z = r e^{i theta} on the punctured plane, checked by _polar."""
     r, t = _polar(r, theta)
     return r * np.exp(1j * t)
-
-
-def eval_h1(r, theta):
-    """The classical surface of complexity 1 (branch images on the x3-axis)."""
-    r, t = _polar(r, theta)
-    u1, u3 = r - 1 / r, r**3 - 1 / r**3
-    return np.stack(
-        [
-            np.cos(t) / 2 * u1 - np.cos(3 * t) / 6 * u3,
-            -np.sin(t) / 2 * u1 - np.sin(3 * t) / 6 * u3,
-            np.cos(2 * t) / 2 * (r**2 + 1 / r**2),
-        ],
-        axis=-1,
-    )
-
-
-def eval_hm_odd(m: int, r, theta):
-    """Odd-complexity symmetric surface; reduces to eval_h1 at m=1."""
-    if m < 1 or m % 2 != 1:
-        raise DomainError(f"m must be an odd positive integer, got {m}")
-    r, t = _polar(r, theta)
-    um = r**m - r ** (-m)
-    um2 = r ** (m + 2) - r ** (-(m + 2))
-    um1 = r ** (m + 1) + r ** (-(m + 1))
-    return np.stack(
-        [
-            np.cos(m * t) / (2 * m) * um - np.cos((m + 2) * t) / (2 * (m + 2)) * um2,
-            -np.sin(m * t) / (2 * m) * um - np.sin((m + 2) * t) / (2 * (m + 2)) * um2,
-            np.cos((m + 1) * t) / (m + 1) * um1,
-        ],
-        axis=-1,
-    )
 
 
 def _even_exponent(m) -> float:
@@ -86,7 +69,8 @@ def _even_exponent(m) -> float:
 
 def eval_hm_even(m, r, theta):
     """Even-type closed form: the symmetric surface for even m, the
-    conjugate surface for odd m, and the 1/(2k) branched surfaces."""
+    conjugate surface for odd m, and the 1/(2k) branched surfaces (whose
+    equators close with 4k+2 cusps and have no Weierstrass data here)."""
     mf = _even_exponent(m)
     r, t = _polar(r, theta)
     um = r**mf + r ** (-mf)
@@ -104,24 +88,12 @@ def eval_hm_even(m, r, theta):
     )
 
 
-def eval_limit_m2(r, theta):
-    """Scaled limit of the complexity-2 family as its branch modulus
-    degenerates; congruent to eval_h1 after a quarter-turn gauge rotation."""
-    r, t = _polar(r, theta)
-    u1, u3 = r - 1 / r, r**3 - 1 / r**3
-    return np.stack(
-        [
-            -np.sin(t) / 2 * u1 + np.sin(3 * t) / 6 * u3,
-            -np.cos(t) / 2 * u1 - np.cos(3 * t) / 6 * u3,
-            -np.cos(t) * np.sin(t) * (r**2 + 1 / r**2),
-        ],
-        axis=-1,
-    )
-
-
 def limit_m2_data() -> WeierstrassData:
-    """Weierstrass data generating eval_limit_m2: c = i, branch values
-    e^{+-i pi/4} (a complexity-1 solution in a rotated gauge)."""
+    """The scaled limit of the complexity-2 family as its branch modulus
+    degenerates: c = i, branch values e^{+-i pi/4}, a complexity-1 solution
+    in a rotated gauge (X(r, theta + pi/4) R^T = -h1(r, theta), R the
+    rotation by pi/4 about the x3-axis).  surface_limit_m2 integrates its
+    forms."""
     config = BranchConfiguration.from_pi_fractions(
         [(1.0, Fraction(1, 4)), (1.0, Fraction(-1, 4))]
     )
@@ -129,20 +101,11 @@ def limit_m2_data() -> WeierstrassData:
 
 
 def symmetric_phase(m: int) -> int:
-    """Sign relating i^{m-1} to the closed-form representative (1 for odd m,
-    i for even m); c and -c generate the same surface up to a point
-    reflection, so immersion(symmetric data) = symmetric_phase(m) * closed form."""
+    """The sign s with which symmetric_example(m) gives H_m: surface_hm(m)
+    is s times its raw immersion.  Its c = i^{m-1} is s times the
+    representative c of H_m (1 for odd m, i for even m), and c and -c
+    generate the same surface up to a point reflection."""
     return 1 if (m - 1) % 4 in (0, 1) else -1
-
-
-def eval_associated(data: WeierstrassData, phase_angle: float, z):
-    """Immersion of the associated surface with form scaled by e^{i phase}.
-
-    Requires the form of ``data`` to be exact (all three residues vanish);
-    the raw antiderivative (integration constant zero) matches the closed
-    forms.
-    """
-    return _associated_data(data, phase_angle).forms.evaluate(z)
 
 
 def _associated_data(data: WeierstrassData, phase_angle: float) -> WeierstrassData:
@@ -155,77 +118,6 @@ def _associated_data(data: WeierstrassData, phase_angle: float) -> WeierstrassDa
             f"{residues} are not all below {EXACTNESS_TOL}"
         )
     return data.with_phase(cis(phase_angle))
-
-
-def one_sided_descent_residual(data: WeierstrassData, phase_angle: float) -> float:
-    """Residual of the antipodal compatibility for the rotated form
-    e^{i phase} omega; vanishes only for phase 0 or pi (mod 2 pi).
-
-    e^{i p} f(-1/conj z) + e^{-i p} conj(z^4 f(z)) is a Laurent polynomial
-    in conj z: f = sum c_k z^k gives the coefficient e^{i p} (-1)^k c_k at
-    exponent -k and e^{-i p} conj(c_k) at k + 4.  The residual is its
-    largest coefficient over the largest |c_k|.
-    """
-    f = data.f
-    exps = np.arange(f.lowest, f.highest + 1)
-    phase = cis(phase_angle)
-    lo = min(-f.highest, f.lowest + 4)
-    acc = np.zeros(max(-f.lowest, f.highest + 4) - lo + 1, dtype=complex)
-    acc[-exps - lo] += phase * np.where(exps % 2, -1.0, 1.0) * f.coeffs
-    acc[exps + 4 - lo] += np.conj(phase) * np.conj(f.coeffs)
-    return float(np.abs(acc).max() / np.abs(f.coeffs).max())
-
-
-# ---------------------------------------------------------------------------
-# hypocycloids
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Hypocycloid:
-    """Rolling-circle curve: inner radius r rolling inside outer radius R.
-
-    For rational R/r = a/b in lowest terms the curve closes after b turns
-    and has exactly a cusps.
-    """
-
-    r_inner: float
-    R_outer: float
-
-    def __post_init__(self):
-        if not (0 < self.r_inner < self.R_outer):
-            raise DomainError("need 0 < r_inner < R_outer")
-
-    @property
-    def ratio(self) -> Fraction:
-        return (
-            Fraction(self.R_outer) / Fraction(self.r_inner)
-        ).limit_denominator(10**6)
-
-    @property
-    def cusp_count(self) -> int:
-        return self.ratio.numerator
-
-    @classmethod
-    def standard(cls, m) -> "Hypocycloid":
-        """The family r = 1/(m+2), R = (2m+2)/(m(m+2)) traced by the
-        even-type surfaces' equators (odd m: by the conjugate surfaces)."""
-        q = Fraction(m)
-        return cls(float(1 / (q + 2)), float((2 * q + 2) / (q * (q + 2))))
-
-
-def hypocycloid_point(h: Hypocycloid, t):
-    """Plane point of the rolling-circle parametrization at angle t."""
-    t = np.asarray(t, dtype=float)
-    d = h.R_outer - h.r_inner
-    k = d / h.r_inner
-    return np.stack(
-        [
-            -d * np.sin(t) + h.r_inner * np.sin(k * t),
-            -d * np.cos(t) - h.r_inner * np.cos(k * t),
-        ],
-        axis=-1,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -255,24 +147,31 @@ class SurfaceMap:
         return unit_normal(_polar_point(r, theta))
 
 
+def _forms_map(name: str, forms: IntegratedForms, sign: int = 1) -> SurfaceMap:
+    """The map (r, theta) -> sign * forms.evaluate(r e^{i theta})."""
+    return SurfaceMap(name, lambda r, t: sign * forms.evaluate(_polar_point(r, t)))
+
+
 def surface_h1() -> SurfaceMap:
-    return SurfaceMap("h1", eval_h1)
+    return _forms_map("h1", symmetric_example(1).forms)
 
 
 def surface_hm(m: int) -> SurfaceMap:
-    if m % 2 == 1:
-        return SurfaceMap(f"hm-odd-{m}", lambda r, t: eval_hm_odd(m, r, t))
-    return SurfaceMap(f"hm-even-{m}", lambda r, t: eval_hm_even(m, r, t))
+    forms = symmetric_example(m).forms
+    parity = "odd" if m % 2 == 1 else "even"
+    return _forms_map(f"hm-{parity}-{m}", forms, symmetric_phase(m))
 
 
 def surface_conjugate(m: int) -> SurfaceMap:
+    """H_m^*, the +pi/2 associate of H_m; odd m only."""
     if m % 2 != 1:
-        raise DomainError("conjugate closed form is provided for odd m")
-    return SurfaceMap(f"conjugate-{m}", lambda r, t: eval_hm_even(m, r, t))
+        raise DomainError("the conjugate surface is provided for odd m")
+    forms = symmetric_example(m).with_phase(1j).forms
+    return _forms_map(f"conjugate-{m}", forms, symmetric_phase(m))
 
 
 def surface_limit_m2() -> SurfaceMap:
-    return SurfaceMap("limit-m2", eval_limit_m2)
+    return _forms_map("limit-m2", limit_m2_data().forms)
 
 
 def surface_integrated(data: WeierstrassData) -> SurfaceMap:
@@ -282,5 +181,4 @@ def surface_integrated(data: WeierstrassData) -> SurfaceMap:
 
 def surface_associated(data: WeierstrassData, phase_angle: float) -> SurfaceMap:
     forms = _associated_data(data, phase_angle).forms
-    return SurfaceMap(f"associated-{phase_angle:.6g}",
-                      lambda r, t: forms.evaluate(_polar_point(r, t)))
+    return _forms_map(f"associated-{phase_angle:.6g}", forms)

@@ -231,7 +231,7 @@ def stability_report(data: WeierstrassData) -> StabilityReport:
     """Run the structural stability criteria on period-solved data.
 
     Branch images are reported in the raw antiderivative frame (integration
-    constant zero), the frame the closed-form parametrizations use.
+    constant zero), the frame the named surfaces of ``surfaces`` use.
     """
     osr = one_sided_residual(data)
     points = tuple(data.config.branch_values())

@@ -173,6 +173,35 @@ class TestGenerate:
         assert code == 2
         assert "'a'" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["h1"], ["hm-odd", "--m", "3"], ["hm-even", "--m", "2"], ["conjugate", "--m", "3"],
+        ["associated", "--m", "3", "--phi", "0.7"], ["limit-m2"],
+        ["family", "--theta2", "1.0"], ["custom", "--data", "h1.json"],
+    ], ids=lambda argv: argv[0])
+    def test_every_selector_integrates_forms(self, capsys, tmp_path, monkeypatch, argv):
+        # one evaluator: each selector integrates Laurent forms, and none
+        # reaches the closed form the bjorling check keeps
+        from henneberg.weierstrass import IntegratedForms
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "h1.json").write_text(json.dumps(
+            {"c": [1, 0], "m": 1, "a": [[1, 0], [1, math.pi / 2]]}
+        ))
+        real, calls = IntegratedForms.evaluate, []
+
+        def counting(self, z):
+            calls.append(np.shape(z))
+            return real(self, z)
+
+        def poisoned(*args):
+            raise AssertionError("closed form evaluated")
+
+        monkeypatch.setattr(IntegratedForms, "evaluate", counting)
+        monkeypatch.setattr(cli, "eval_hm_even", poisoned)
+        code, _, _ = run(capsys, "generate", *argv, "--nr", "5", "--ntheta", "8",
+                         "--out", "s.obj")
+        assert code == 0 and (5, 8) in calls  # the mesh grid itself
+
     @pytest.mark.parametrize("route", ["--data"])  # keeps the case ids
     @pytest.mark.parametrize("fields, want", [
         ({"c": [1, 0], "m": 2, "a": [[1, 0], [1, math.pi / 2]]}, "m+1 = 3"),
@@ -783,12 +812,13 @@ def test_generate_outputs_pinned(capsys, tmp_path, selector):
 
 
 #: `generate` to OBJ at the default 129x256 grid, full and quotient: the
-#: SHA-256 of the text that "%.17g" formatting of every float gives
-#: (numpy 2.4, x86-64 Linux)
+#: SHA-256 of the text that "%.17g" formatting of every float gives,
+#: recorded once both selectors integrated their Laurent forms, the more
+#: accurate path (TestIntegratedAccuracy) (numpy 2.4, x86-64 Linux)
 FULL_GRID_PINS = {
-    "h1": (["h1"], "111bae4e57d1007941869f148a031486088045bc29e60cac3e72b5583dbd6e9b"),
+    "h1": (["h1"], "dee9a0faf001de91c48d4b77e655dd3055611a53ba7c955b2e9aaee8e1244547"),
     "hm-even-2-quotient": (["hm-even", "--m", "2", "--quotient"],
-                           "3726ca0d40edf1a64ea346dcd605918beea99bc6a1fa714d44b9cc7e86b0538d"),
+                           "21280089118e08dc9c7a8f4677a08933f99d3d9f2c180905a3a1d7f05d9db7b2"),
 }
 
 
@@ -818,7 +848,8 @@ def test_full_grid_obj_read_back_leaves_only_exponents_to_loadtxt(capsys, tmp_pa
     mesh = read_obj(out)
     assert mesh.faces.shape == (2 * 128 * 256, 3)
     exponents = [t for t in out.read_text().split() if "e" in t]
-    assert 0 < len(exponents) < 1500  # of 2 * 99,072 v and vn fields
+    fields = 2 * 3 * 129 * 256  # v and vn: 198,144
+    assert 0 < len(exponents) < 0.01 * fields
     assert list(loaded) == ["f"] and sorted(loaded["f"]) == sorted(exponents)
 
 
@@ -886,11 +917,16 @@ def test_continue_from_non_number_exits_2(capsys, tmp_path, key, value):
     ["continue", "--r1", "nan", "--r2", "1"],
     ["continue", "--r1", "inf", "--r2", "1"],
     ["continue", "--r1", "1", "--r2", "nan"],
+    ["generate", "hm-odd", "--m", "-1"],
+    ["generate", "hm-even", "--m", "0"],
+    ["generate", "conjugate", "--m", "-1"],
 ], ids=lambda argv: " ".join(argv))
-def test_bad_numeric_input_exits_2(capsys, argv):
+def test_bad_numeric_input_exits_2(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # generate without --out writes here
     code, stdout, err = run(capsys, *argv)
     assert code == 2 and stdout == ""
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

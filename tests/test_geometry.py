@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from henneberg import geometry
 from henneberg.algebra import LaurentPoly
+from henneberg.surfaces import surface_associated
 from henneberg import (
     AnalyticPlanarCurve,
     DomainError,
@@ -23,7 +24,6 @@ from henneberg import (
     cusp_count,
     enumerate_isometries,
     equator_curve,
-    eval_associated,
     eval_hm_even,
     family_theta2,
     fit_rigid_motion,
@@ -201,8 +201,7 @@ class TestBjorling:
         us = np.linspace(0, 2 * np.pi, 40)
         v = 0.03
         got = patch.at(us, np.full_like(us, v))
-        z = math.exp(-v) * np.exp(1j * us)
-        want = eval_associated(d, math.pi / 2, z)
+        want = surface_associated(d, math.pi / 2)(math.exp(-v), us)
         assert np.abs(got - want).max() < 1e-6
 
     def test_circle_patch_is_catenoid(self):
@@ -449,13 +448,16 @@ class TestIsometries:
         assert off.residual > 0.1 * off.tolerance / geometry.ISOMETRY_REL_TOL
 
     def test_nothing_is_sampled(self, monkeypatch):
+        # neither the closed form nor the integrated forms are evaluated
         import henneberg.surfaces as surfaces
+        from henneberg import IntegratedForms, SurfaceMap
 
         def poisoned(*args):
-            raise AssertionError("closed form evaluated")
+            raise AssertionError("surface evaluated")
 
-        monkeypatch.setattr(surfaces, "eval_hm_odd", poisoned)
         monkeypatch.setattr(surfaces, "eval_hm_even", poisoned)
+        monkeypatch.setattr(IntegratedForms, "evaluate", poisoned)
+        monkeypatch.setattr(SurfaceMap, "__call__", poisoned)
         for m in (1, 2):
             assert all(c.passed for c in enumerate_isometries(m))
 
@@ -629,7 +631,7 @@ class TestDiagonalRotations:
             assert cert.passed
 
     def test_diagonal_rays_land_on_diagonals(self):
-        from henneberg import eval_h1
+        from oracles import eval_h1
 
         rs = np.linspace(0.3, 3.0, 15)
         on_l1 = eval_h1(rs, np.full_like(rs, -math.pi / 4))

@@ -11,7 +11,6 @@ from henneberg import (
     WeierstrassData,
     default_base,
     eval_hm_even,
-    eval_hm_odd,
     family_theta2,
     form_residues,
     immersion,
@@ -25,10 +24,7 @@ from henneberg import (
     unit_normal,
 )
 from conftest import random_annulus
-
-
-def closed_form(m):
-    return eval_hm_odd if m % 2 == 1 else eval_hm_even
+from oracles import eval_hm_odd
 
 
 class TestData:
