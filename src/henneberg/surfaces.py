@@ -14,6 +14,7 @@ broadcast over arrays, and return points with a trailing axis of length 3.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -71,29 +72,29 @@ def eval_hm_even(m, r, theta):
     """Even-type closed form: the symmetric surface for even m, the
     conjugate surface for odd m, and the 1/(2k) branched surfaces (whose
     equators close with 4k+2 cusps and have no Weierstrass data here)."""
-    mf = _even_exponent(m)
-    r, t = _polar(r, theta)
+    return np.stack(_hm_even_terms(_even_exponent(m), *_polar(r, theta), np), axis=-1)
+
+
+def _hm_even_terms(mf, r, t, lib):
+    """eval_hm_even's three coordinates at a checked exponent and point;
+    ``lib`` supplies cos and sin (numpy, or mpmath for a scalar point)."""
     um = r**mf + r ** (-mf)
     um2 = r ** (mf + 2) + r ** (-(mf + 2))
     um1 = r ** (mf + 1) - r ** (-(mf + 1))
-    return np.stack(
-        [
-            -np.sin(mf * t) / (2 * mf) * um
-            + np.sin((mf + 2) * t) / (2 * (mf + 2)) * um2,
-            -np.cos(mf * t) / (2 * mf) * um
-            - np.cos((mf + 2) * t) / (2 * (mf + 2)) * um2,
-            np.sin((mf + 1) * t) / (mf + 1) * (-um1),
-        ],
-        axis=-1,
+    return (
+        -lib.sin(mf * t) / (2 * mf) * um + lib.sin((mf + 2) * t) / (2 * (mf + 2)) * um2,
+        -lib.cos(mf * t) / (2 * mf) * um - lib.cos((mf + 2) * t) / (2 * (mf + 2)) * um2,
+        lib.sin((mf + 1) * t) / (mf + 1) * (-um1),
     )
 
 
+@functools.cache
 def limit_m2_data() -> WeierstrassData:
     """The scaled limit of the complexity-2 family as its branch modulus
     degenerates: c = i, branch values e^{+-i pi/4}, a complexity-1 solution
     in a rotated gauge (X(r, theta + pi/4) R^T = -h1(r, theta), R the
     rotation by pi/4 about the x3-axis).  surface_limit_m2 integrates its
-    forms."""
+    forms.  Built once; the frozen instance is shared."""
     config = BranchConfiguration.from_pi_fractions(
         [(1.0, Fraction(1, 4)), (1.0, Fraction(-1, 4))]
     )
@@ -162,12 +163,17 @@ def surface_hm(m: int) -> SurfaceMap:
     return _forms_map(f"hm-{parity}-{m}", forms, symmetric_phase(m))
 
 
+@functools.cache
+def _conjugate_forms(m: int) -> IntegratedForms:
+    """The forms of the +pi/2 associate of symmetric_example(m), built once."""
+    return symmetric_example(m).with_phase(1j).forms
+
+
 def surface_conjugate(m: int) -> SurfaceMap:
     """H_m^*, the +pi/2 associate of H_m; odd m only."""
     if m % 2 != 1:
         raise DomainError("the conjugate surface is provided for odd m")
-    forms = symmetric_example(m).with_phase(1j).forms
-    return _forms_map(f"conjugate-{m}", forms, symmetric_phase(m))
+    return _forms_map(f"conjugate-{m}", _conjugate_forms(m), symmetric_phase(m))
 
 
 def surface_limit_m2() -> SurfaceMap:

@@ -3,8 +3,10 @@ the geometry the tests check them by.
 
 ``henneberg`` evaluates every named surface through its Weierstrass forms
 (``IntegratedForms.evaluate``); these trigonometric formulas are the
-independent references those evaluations are checked against.  Import as
-``conftest`` is: ``from oracles import eval_h1``.
+independent references those evaluations are checked against.  Each
+formula is written once, as ``*_terms(..., lib)`` with the math module a
+parameter, so that numpy evaluates it on arrays and mpmath at high
+precision.  Import as ``conftest`` is: ``from oracles import eval_h1``.
 """
 
 from __future__ import annotations
@@ -14,56 +16,67 @@ from fractions import Fraction
 
 import numpy as np
 
-from henneberg import DomainError, WeierstrassData
+from henneberg import DomainError, SurfaceMap, WeierstrassData, eval_hm_even
 from henneberg.algebra import cis
 from henneberg.surfaces import _polar
 
 
-def eval_h1(r, theta):
-    """The classical surface of complexity 1 (branch images on the x3-axis)."""
-    r, t = _polar(r, theta)
+def h1_terms(r, t, lib):
+    """The classical surface of complexity 1 (branch images on the x3-axis),
+    as three coordinates; ``lib`` supplies cos and sin (numpy, or mpmath
+    for a scalar point)."""
     u1, u3 = r - 1 / r, r**3 - 1 / r**3
-    return np.stack(
-        [
-            np.cos(t) / 2 * u1 - np.cos(3 * t) / 6 * u3,
-            -np.sin(t) / 2 * u1 - np.sin(3 * t) / 6 * u3,
-            np.cos(2 * t) / 2 * (r**2 + 1 / r**2),
-        ],
-        axis=-1,
+    return (
+        lib.cos(t) / 2 * u1 - lib.cos(3 * t) / 6 * u3,
+        -lib.sin(t) / 2 * u1 - lib.sin(3 * t) / 6 * u3,
+        lib.cos(2 * t) / 2 * (r**2 + 1 / r**2),
     )
 
 
-def eval_hm_odd(m: int, r, theta):
-    """Odd-complexity symmetric surface; reduces to eval_h1 at m=1."""
-    if m < 1 or m % 2 != 1:
-        raise DomainError(f"m must be an odd positive integer, got {m}")
-    r, t = _polar(r, theta)
+def hm_odd_terms(m: int, r, t, lib):
+    """Odd-complexity symmetric surface as three coordinates (lib as in
+    h1_terms); reduces to h1_terms at m=1."""
     um = r**m - r ** (-m)
     um2 = r ** (m + 2) - r ** (-(m + 2))
     um1 = r ** (m + 1) + r ** (-(m + 1))
-    return np.stack(
-        [
-            np.cos(m * t) / (2 * m) * um - np.cos((m + 2) * t) / (2 * (m + 2)) * um2,
-            -np.sin(m * t) / (2 * m) * um - np.sin((m + 2) * t) / (2 * (m + 2)) * um2,
-            np.cos((m + 1) * t) / (m + 1) * um1,
-        ],
-        axis=-1,
+    return (
+        lib.cos(m * t) / (2 * m) * um - lib.cos((m + 2) * t) / (2 * (m + 2)) * um2,
+        -lib.sin(m * t) / (2 * m) * um - lib.sin((m + 2) * t) / (2 * (m + 2)) * um2,
+        lib.cos((m + 1) * t) / (m + 1) * um1,
     )
+
+
+def limit_m2_terms(r, t, lib):
+    """Scaled limit of the complexity-2 family as its branch modulus
+    degenerates, as three coordinates (lib as in h1_terms); congruent to
+    h1_terms after a quarter-turn gauge rotation."""
+    u1, u3 = r - 1 / r, r**3 - 1 / r**3
+    return (
+        -lib.sin(t) / 2 * u1 + lib.sin(3 * t) / 6 * u3,
+        -lib.cos(t) / 2 * u1 - lib.cos(3 * t) / 6 * u3,
+        -lib.cos(t) * lib.sin(t) * (r**2 + 1 / r**2),
+    )
+
+
+def eval_h1(r, theta):
+    return np.stack(h1_terms(*_polar(r, theta), np), axis=-1)
+
+
+def eval_hm_odd(m: int, r, theta):
+    if m < 1 or m % 2 != 1:
+        raise DomainError(f"m must be an odd positive integer, got {m}")
+    return np.stack(hm_odd_terms(m, *_polar(r, theta), np), axis=-1)
 
 
 def eval_limit_m2(r, theta):
-    """Scaled limit of the complexity-2 family as its branch modulus
-    degenerates; congruent to eval_h1 after a quarter-turn gauge rotation."""
-    r, t = _polar(r, theta)
-    u1, u3 = r - 1 / r, r**3 - 1 / r**3
-    return np.stack(
-        [
-            -np.sin(t) / 2 * u1 + np.sin(3 * t) / 6 * u3,
-            -np.cos(t) / 2 * u1 - np.cos(3 * t) / 6 * u3,
-            -np.cos(t) * np.sin(t) * (r**2 + 1 / r**2),
-        ],
-        axis=-1,
-    )
+    return np.stack(limit_m2_terms(*_polar(r, theta), np), axis=-1)
+
+
+def closed_form_hm(m: int) -> SurfaceMap:
+    """H_m as its closed form (eval_hm_odd, or eval_hm_even for even m):
+    the oracle that checks of surface_hm(m)'s integrated forms sample."""
+    closed = eval_hm_odd if m % 2 == 1 else eval_hm_even
+    return SurfaceMap(f"hm-{m}", lambda r, t: closed(m, r, t))
 
 
 def one_sided_descent_residual(data: WeierstrassData, phase_angle: float) -> float:

@@ -21,6 +21,7 @@ from henneberg import (
     symmetric_phase,
 )
 from henneberg.surfaces import (
+    _hm_even_terms,
     surface_associated,
     surface_conjugate,
     surface_integrated,
@@ -29,10 +30,13 @@ from henneberg.surfaces import (
 from conftest import random_annulus
 from oracles import (
     Hypocycloid,
+    closed_form_hm,
     eval_h1,
     eval_hm_odd,
     eval_limit_m2,
+    hm_odd_terms,
     hypocycloid_point,
+    limit_m2_terms,
     one_sided_descent_residual,
 )
 
@@ -277,11 +281,11 @@ class TestSurfaceMaps:
     def test_integrated_matches_closed_form(self, rng):
         m = 2
         d = symmetric_example(m)
-        smap = surface_hm(m)
+        closed = closed_form_hm(m)
         r, th = random_annulus(rng, 50)
         base = np.exp(1j * math.pi / 6)
         imm = Immersion(d)
-        aligned = smap(r, th) - eval_hm_even(m, abs(base), np.angle(base))
+        aligned = closed(r, th) - closed(abs(base), np.angle(base))
         z = r * np.exp(1j * th)
         assert np.abs(imm(z) - aligned).max() < 1e-11
 
@@ -341,29 +345,19 @@ class TestPolarChartRule:
             smap.normal_at(r, 0.3)
 
 
+#: each closed form as (m, r, t, lib) -> its three coordinates
+CLOSED_FORM_TERMS = {
+    "odd": hm_odd_terms,
+    "even": _hm_even_terms,
+    "limit": lambda m, r, t, lib: limit_m2_terms(r, t, lib),
+}
+
+
 def _closed_form_mp(kind, m, r, theta, dps=50):
     """The closed form of kind "odd" (eval_hm_odd), "even" (eval_hm_even)
     or "limit" (eval_limit_m2) at one float point, in dps-digit mpmath."""
-    cos, sin = mpmath.cos, mpmath.sin
     with mpmath.workdps(dps):
-        r, t = mpmath.mpf(float(r)), mpmath.mpf(float(theta))
-        if kind == "limit":
-            u1, u3 = r - 1 / r, r**3 - r**-3
-            point = (-sin(t) / 2 * u1 + sin(3 * t) / 6 * u3,
-                     -cos(t) / 2 * u1 - cos(3 * t) / 6 * u3,
-                     -cos(t) * sin(t) * (r**2 + r**-2))
-        elif kind == "odd":
-            um, um2 = r**m - r**-m, r ** (m + 2) - r ** -(m + 2)
-            um1 = r ** (m + 1) + r ** -(m + 1)
-            point = (cos(m * t) / (2 * m) * um - cos((m + 2) * t) / (2 * (m + 2)) * um2,
-                     -sin(m * t) / (2 * m) * um - sin((m + 2) * t) / (2 * (m + 2)) * um2,
-                     cos((m + 1) * t) / (m + 1) * um1)
-        else:
-            um, um2 = r**m + r**-m, r ** (m + 2) + r ** -(m + 2)
-            um1 = r ** (m + 1) - r ** -(m + 1)
-            point = (-sin(m * t) / (2 * m) * um + sin((m + 2) * t) / (2 * (m + 2)) * um2,
-                     -cos(m * t) / (2 * m) * um - cos((m + 2) * t) / (2 * (m + 2)) * um2,
-                     -sin((m + 1) * t) / (m + 1) * um1)
+        point = CLOSED_FORM_TERMS[kind](m, mpmath.mpf(float(r)), mpmath.mpf(float(theta)), mpmath)
         return [float(x) for x in point]
 
 
