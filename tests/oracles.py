@@ -59,22 +59,26 @@ def limit_m2_terms(r, t, lib):
 
 
 def eval_h1(r, theta):
+    """h1_terms at (r, theta) arrays, stacked on a trailing axis."""
     return np.stack(h1_terms(*_polar(r, theta), np), axis=-1)
 
 
 def eval_hm_odd(m: int, r, theta):
+    """hm_odd_terms at (r, theta) arrays, stacked on a trailing axis."""
     if m < 1 or m % 2 != 1:
         raise DomainError(f"m must be an odd positive integer, got {m}")
     return np.stack(hm_odd_terms(m, *_polar(r, theta), np), axis=-1)
 
 
 def eval_limit_m2(r, theta):
+    """limit_m2_terms at (r, theta) arrays, stacked on a trailing axis."""
     return np.stack(limit_m2_terms(*_polar(r, theta), np), axis=-1)
 
 
 def closed_form_hm(m: int) -> SurfaceMap:
-    """H_m as its closed form (eval_hm_odd, or eval_hm_even for even m):
-    the oracle that checks of surface_hm(m)'s integrated forms sample."""
+    """H_m by its closed form (eval_hm_odd, or eval_hm_even for even m), as
+    a SurfaceMap: the oracle for tests that check surface_hm(m)'s integrated
+    forms by sampling."""
     closed = eval_hm_odd if m % 2 == 1 else eval_hm_even
     return SurfaceMap(f"hm-{m}", lambda r, t: closed(m, r, t))
 
