@@ -10,10 +10,8 @@ from .algebra import (
     LaurentPoly,
     cis_pi,
     expand_product,
-    extend_by_pair,
     invert_radial_gap,
     radial_gap,
-    residue_at_zero,
 )
 from .errors import (
     ConvergenceError,
@@ -35,9 +33,7 @@ from .geometry import (
     cusp_count,
     enumerate_isometries,
     equator_curve,
-    fit_rigid_motion,
     flux_exactness,
-    verify_isometry,
 )
 from .meshing import Mesh, SamplingSpec, build_mesh, read_obj, read_ply, write_obj, write_ply
 from .period import (
@@ -50,10 +46,8 @@ from .period import (
     family_theta2,
     h2_point,
     horizontal_residual_m2,
-    horizontal_residual_m2_alt,
     m1_residual,
     period_jacobian_m2,
-    period_jacobian_m2_fd,
     period_residuals,
     symmetric_example,
     vertical_residual_m2,
@@ -76,9 +70,7 @@ from .weierstrass import (
     WeierstrassData,
     default_base,
     form_residues,
-    immersion,
     integrate_forms,
-    metric_density,
     one_sided_residual,
     phi_forms,
     stability_report,

@@ -22,7 +22,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -227,11 +227,6 @@ class LaurentPoly:
         return out[0] if scalar else out
 
 
-def residue_at_zero(poly: LaurentPoly) -> complex:
-    """Coefficient of z**-1."""
-    return poly.coefficient(-1)
-
-
 @dataclass(frozen=True)
 class BranchConfiguration:
     """m+1 branch values a_j in C*, stored in polar form (modulus, angle).
@@ -286,25 +281,12 @@ class BranchConfiguration:
             units = np.exp(1j * np.asarray(self.angles))
         return np.asarray(self.moduli) * units
 
-    def antipodes(self) -> np.ndarray:
-        return -1.0 / np.conj(self.branch_values())
-
     def unit_product(self) -> complex:
         """prod_j a_j / conj(a_j) = e^{2i sum theta_j}, exact for tagged
         angles."""
         if self.angles_pi is not None:
             return cis_pi(2 * sum(self.angles_pi, Fraction(0)))
         return complex(np.prod(np.exp(2j * np.asarray(self.angles))))
-
-    def permuted(self, order: Sequence[int]) -> "BranchConfiguration":
-        tags = None
-        if self.angles_pi is not None:
-            tags = tuple(self.angles_pi[i] for i in order)
-        return BranchConfiguration(
-            tuple(self.moduli[i] for i in order),
-            tuple(self.angles[i] for i in order),
-            tags,
-        )
 
 
 def expand_product(config: BranchConfiguration) -> LaurentPoly:
@@ -314,9 +296,10 @@ def expand_product(config: BranchConfiguration) -> LaurentPoly:
     Configurations tagged with exact pi-fraction angles are multiplied in
     the cyclotomic field (see ``_cyclotomic_product``), so a coefficient
     that vanishes there comes out as exactly 0.0.  Untagged configurations
-    are multiplied in double precision, factor by factor in (r, theta)
-    order so that the result depends only on the set of branch values; so
-    are tagged ones whose common denominator exceeds MAX_FIELD_ORDER.
+    are multiplied in double precision, each radial gap rounded once from
+    its exact value, factor by factor in (r, theta) order so that the
+    result depends only on the set of branch values; so are tagged ones
+    whose common denominator exceeds MAX_FIELD_ORDER.
 
     Real or imaginary parts at most DROP_TOL times the largest coefficient
     are set to zero.  Raises DomainError when the largest coefficient is so
@@ -332,7 +315,7 @@ def expand_product(config: BranchConfiguration) -> LaurentPoly:
         coeffs = np.ones(1, dtype=complex)
         for r, theta in sorted(zip(config.moduli, config.angles)):
             unit = complex(math.cos(theta), math.sin(theta))
-            coeffs = np.convolve(coeffs, [-unit * unit, -radial_gap(r) * unit, 1.0])
+            coeffs = np.convolve(coeffs, [-unit * unit, -_rounded_gap(r) * unit, 1.0])
     top = np.abs(coeffs).max()
     if DROP_TOL * top >= 1.0:
         raise DomainError(
@@ -344,6 +327,15 @@ def expand_product(config: BranchConfiguration) -> LaurentPoly:
     re[np.abs(re) <= DROP_TOL * top] = 0.0
     im[np.abs(im) <= DROP_TOL * top] = 0.0
     return LaurentPoly(0, re + 1j * im)
+
+
+def _rounded_gap(r: float) -> float:
+    """radial_gap(r) rounded once from its exact value; the float r - 1/r
+    loses up to half an ulp of 1/r to cancellation near r = 1."""
+    try:
+        return float(Fraction(r) - 1 / Fraction(r))
+    except OverflowError:  # 1/r beyond the float range
+        return -math.inf
 
 
 def _cyclotomic_product(moduli, turns, n: int) -> np.ndarray:
@@ -449,26 +441,3 @@ def _prime_divisors(n: int) -> list:
     if n > 1:
         primes.append(n)
     return primes
-
-
-def extend_by_pair(p_m: LaurentPoly, a_new: complex) -> LaurentPoly:
-    """Extend a branch polynomial by one antipodal pair via the coefficient
-    recursion A'_h = A_{h-2} - A_{h-1} R(r) e^{i theta} - A_h e^{2 i theta},
-    applied to every exponent h (out-of-range coefficients read as zero)."""
-    a_new = complex(a_new)
-    if a_new == 0:
-        raise DomainError("new branch value must be nonzero")
-    if p_m.lowest != 0 or p_m.highest < 4 or p_m.highest % 2 != 0:
-        raise DomainError("expected a branch polynomial of even degree >= 4")
-    if abs(p_m.coefficient(p_m.highest) - 1.0) > 1e-9:
-        raise DomainError("branch polynomial must be monic")
-    r = abs(a_new)
-    unit = a_new / r
-    gap_term = radial_gap(r) * unit
-    unit2 = unit * unit
-    old = p_m.coeffs
-    out = np.zeros(len(old) + 2, dtype=complex)
-    out[2:] += old  # A_{h-2}
-    out[1:-1] -= old * gap_term  # A_{h-1} R e^{i theta}
-    out[:-2] -= old * unit2  # A_h e^{2 i theta}
-    return LaurentPoly(0, out)

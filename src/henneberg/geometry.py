@@ -4,7 +4,7 @@ The Björling solution through a planar analytic curve gamma with planar unit
 normal eta reduces, because eta x gamma' = (0, 0, s) with s the signed
 analytic speed, to
 
-    X(u, v) = (Re x(w), Re y(w), sign * Im Int_{w0}^w s(w) dw),  w = u + i v.
+    X(u, v) = (Re x(w), Re y(w), Im Int_{w0}^w s(w) dw),  w = u + i v.
 
 A planar curve is given as finite trigonometric sums with rational
 frequencies, and is stored, from construction on, as the Laurent polynomials
@@ -13,7 +13,7 @@ cusps are all evaluated from them.  The analytic speed is the exact
 polynomial square root of gamma' . gamma' (an error is raised when that is
 not a perfect square).  The integral is therefore closed-form, termwise
 D s_k E^k / (i k) for k != 0 and s_0 w for k = 0.  The Gauss map of the
-patch is the ratio g = -i sign s / (x' - i y') with its common factors
+patch is the ratio g = -i s / (x' - i y') with its common factors
 (the cusps, where both vanish) divided out of both by synthetic division,
 one root of x' - i y' at a time, and the cusps of such a curve
 are the unit-circle roots of x' + i y'.  Cusps of a band-limited callable
@@ -32,8 +32,7 @@ closed form: theta -> theta + pi q multiplies c_k by e^{i pi q k}, theta ->
 negates l_j.  The functions r^k cos k theta, r^k sin k theta (k != 0), ln r
 and 1 are linearly independent, so a map induces the motion Q X + t exactly
 when the coefficient rows satisfy T = Q S; Q is their orthogonal Procrustes
-fit, the same one (_procrustes) that fit_rigid_motion makes of point sets.
-verify_isometry keeps the sampled check for arbitrary evaluators.
+fit (_procrustes).
 """
 
 from __future__ import annotations
@@ -245,32 +244,25 @@ def _cancel_common_roots(num: LaurentPoly, den: LaurentPoly):
 class BjorlingPatch:
     """Minimal surface through a planar curve with its planar unit normal.
 
-    Evaluate with ``at(u, v)`` in curve coordinates w = u + i v, or via the
+    The height is measured from the base parameter ``w0``, the first of
+    1025 samples of the domain where the speed reaches half its maximum;
+    there the analytic speed s is oriented to equal the speed.  Evaluate
+    with ``at(u, v)`` in curve coordinates w = u + i v, or via the
     (r, theta) interface of ``surface_map``, which also builds the Gauss
     map for the mesh normals.
     """
 
-    def __init__(self, curve: AnalyticPlanarCurve, w0: float = None,
-                 normal_sign: int = 1):
-        if normal_sign not in (1, -1):
-            raise DomainError("normal_sign must be +1 or -1")
+    def __init__(self, curve: AnalyticPlanarCurve):
         self.curve = curve
-        self.normal_sign = normal_sign
         self.denom = curve.denom
         dx, dy = curve.dx, curve.dy
         self._speed = _laurent_sqrt(dx * dx + dy * dy)
         ts = np.linspace(curve.domain[0], curve.domain[1], 1025)
         speeds = curve.speed(ts)
-        if w0 is None:
-            # first parameter with at least half the top speed: a point on
-            # the first regular arc, anchoring the normal orientation
-            w0 = float(ts[np.argmax(speeds >= 0.5 * speeds.max())])
-        self.w0 = float(w0)
+        base = np.argmax(speeds >= 0.5 * speeds.max())
+        self.w0 = float(ts[base])
         s0 = self._speed.evaluate(self._arg(self.w0))
-        ref = float(curve.speed(self.w0))
-        if ref <= 1e-8 * speeds.max():
-            raise DomainError(f"base parameter {w0!r} is at or near a cusp")
-        if abs(s0 - ref) > abs(s0 + ref):
+        if abs(s0 - speeds[base]) > abs(s0 + speeds[base]):
             self._speed = self._speed.scale(-1.0)
         self._primitive, self._drift = _laurent_primitive(self._speed, self.denom)
         self._base = self._integral_from_zero(self.w0)
@@ -288,7 +280,7 @@ class BjorlingPatch:
         integral = self._integral_from_zero(w) - self._base
         curve = self.curve
         return np.stack([curve.x.evaluate(e).real, curve.y.evaluate(e).real,
-                         self.normal_sign * integral.imag], axis=-1)
+                         integral.imag], axis=-1)
 
     def surface_map(self):
         """The patch over the E-plane, E = e^{i w / D} = r e^{i theta}: the
@@ -298,10 +290,12 @@ class BjorlingPatch:
             r, theta = _polar(r, theta)
             return self.denom * theta, -self.denom * np.log(r)
 
-        # Gauss map g = -i sign s / (x' - i y'); s^2 = (x' + i y')(x' - i y'),
-        # so at a cusp both vanish and the common factor is divided out
+        # Gauss map g = -i s / (x' - i y'); s^2 = (x' + i y')(x' - i y'),
+        # so at a cusp both vanish and the common factor is divided out.
+        # -i is complex(0.0, -1.0): the literal -1j has real part -0.0 and
+        # would give a coefficient with imaginary part -0.0 a real part -0.0
         num, den = _cancel_common_roots(self._speed, self.curve.dx - self.curve.dy.scale(1j))
-        num = num.scale(-1j * self.normal_sign)
+        num = num.scale(complex(0.0, -1.0))
 
         def normal(r, theta):
             u, v = chart(r, theta)
@@ -311,11 +305,10 @@ class BjorlingPatch:
         return SurfaceMap("bjorling", lambda r, theta: self.at(*chart(r, theta)), normal)
 
 
-def bjorling_solve(curve: AnalyticPlanarCurve, w0: float = None,
-                   normal_sign: int = 1) -> BjorlingPatch:
+def bjorling_solve(curve: AnalyticPlanarCurve) -> BjorlingPatch:
     """Solve the Björling problem for a planar trig-sum curve with its
     planar unit normal field."""
-    return BjorlingPatch(curve, w0, normal_sign)
+    return BjorlingPatch(curve)
 
 
 # ---------------------------------------------------------------------------
@@ -343,18 +336,6 @@ class RigidMotion:
     def apply(self, points):
         return np.asarray(points) @ self.matrix.T + self.translation
 
-    @classmethod
-    def rotation_z(cls, angle: float, flip_z: bool = False):
-        c, s = math.cos(angle), math.sin(angle)
-        q = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, -1.0 if flip_z else 1.0]])
-        return cls(q, np.zeros(3))
-
-    @classmethod
-    def reflection(cls, normal) -> "RigidMotion":
-        n = np.asarray(normal, dtype=float)
-        n = n / np.linalg.norm(n)
-        return cls(np.eye(3) - 2.0 * np.outer(n, n), np.zeros(3))
-
 
 def _procrustes(target, source):
     """The orthogonal Q minimising |target - Q source| over the columns,
@@ -363,16 +344,6 @@ def _procrustes(target, source):
     (reflections) are admitted, which the isometry groups here require."""
     u, _, vt = np.linalg.svd(target @ source.T)
     return u @ vt
-
-
-def fit_rigid_motion(source, target) -> RigidMotion:
-    """Least-squares orthogonal Procrustes fit target ~ Q source + t of two
-    point sets, one point per row."""
-    a = np.asarray(source, dtype=float)
-    b = np.asarray(target, dtype=float)
-    ca, cb = a.mean(axis=0), b.mean(axis=0)
-    q = _procrustes((b - cb).T, (a - ca).T)
-    return RigidMotion(q, cb - q @ ca)
 
 
 @dataclass(frozen=True)
@@ -397,13 +368,6 @@ class ParameterMap:
         if self.invert:
             r = 1.0 / r
         return r, theta
-
-    def compose(self, other: "ParameterMap") -> "ParameterMap":
-        """self after other."""
-        shift = (-other.shift_pi if self.negate else other.shift_pi) + self.shift_pi
-        return ParameterMap(
-            self.negate ^ other.negate, shift, self.invert ^ other.invert
-        )
 
     def describe(self) -> str:
         t = "-theta" if self.negate else "theta"
@@ -430,34 +394,6 @@ class IsometryCertificate:
 
 #: relative residual below which an isometry certificate passes
 ISOMETRY_REL_TOL = 1e-9
-
-
-def verify_isometry(surface, pmap: ParameterMap, motion: RigidMotion = None,
-                    samples: int = 240, seed: int = 0,
-                    rel_tol: float = ISOMETRY_REL_TOL) -> IsometryCertificate:
-    """Check on sampled points that the parameter map induces a rigid motion
-    on the surface.
-
-    ``surface`` is any (r, theta) -> R^3 evaluator; ``motion=None`` fits the
-    best orthogonal motion by Procrustes before computing the residual
-    max |X(sigma(p)) - (Q X(p) + t)|, passed against rel_tol times the
-    sample diameter.  An orthogonal fit in 3-D needs at least 4 samples.
-    """
-    if samples < 4:
-        raise DomainError(f"an isometry check needs at least 4 samples, got {samples}")
-    evaluator = surface.evaluator if hasattr(surface, "evaluator") else surface
-    rng = np.random.default_rng(seed)
-    r = np.exp(rng.uniform(-0.8, 0.8, samples))
-    theta = rng.uniform(0.0, 2 * math.pi, samples)
-    source = evaluator(r, theta)
-    target = evaluator(*pmap.apply(r, theta))
-    if motion is None:
-        motion = fit_rigid_motion(source, target)
-    residual = float(np.abs(target - motion.apply(source)).max())
-    diameter = float(
-        np.linalg.norm(source.max(axis=0) - source.min(axis=0))
-    )
-    return IsometryCertificate(pmap, motion, residual, rel_tol * max(diameter, 1e-30))
 
 
 def _coefficient_rows(coeffs: np.ndarray, logs: np.ndarray) -> np.ndarray:

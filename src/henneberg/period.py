@@ -125,12 +125,15 @@ def m1_residual(r1, r2, theta2, beta):
     the one-sided period problem.  Accepts scalars or broadcasting arrays.
 
     With phi = beta + theta2 and g = radial_gap(r), the squared norm of
-    _m1_vector, |horizontal|^2 + Im(vertical)^2 + |phase|^2, equals
+    _m1_vector, |horizontal|^2 + Im(vertical)^2 + |phase|^2, factors as
 
-        sin^2 phi [4 (g1^2 + g2^2 + 2 g1 g2 cos theta2)
-                   + (2 cos theta2 - g1 g2)^2] + 4 cos^2 phi,
+        sin^2 phi (4 |g1 + g2 e^{i theta2}|^2 + (2 cos theta2 - g1 g2)^2)
+            + 4 cos^2 phi,
 
-    evaluated in real arithmetic (see _m1_terms).  The bracket depends on
+    evaluated in real arithmetic through |g1 + g2 e^{i theta2}|^2 =
+    g1^2 + g2^2 + 2 g1 g2 cos theta2 (see _m1_terms).  Every term is a
+    square, so the zeros are r1 = r2 = 1, theta2 in {pi/2, 3 pi/2} and
+    beta in {0, pi}.  The bracket depends on
     (r1, r2, theta2) and phi on (theta2, beta), so on a grid only the last
     multiply-add has the full broadcast shape.
     """
@@ -186,20 +189,6 @@ def _m1_jacobian(x):
         [0.0, 0.0, -s2p, -s2p],
         [0.0, 0.0, c2p, c2p],
     ])
-
-
-def _fd_jacobian(vector, x, step):
-    """Central-difference Jacobian of ``vector`` at x, or None when a probe
-    leaves the domain (``vector`` returns None there)."""
-    cols = []
-    for j in range(len(x)):
-        e = np.zeros_like(x)
-        e[j] = step
-        vp, vm = vector(x + e), vector(x - e)
-        if vp is None or vm is None:
-            return None
-        cols.append((vp - vm) / (2 * step))
-    return np.column_stack(cols)
 
 
 def _damped_newton(vector, jacobian, x0, norm, tol, max_iter, admissible):
@@ -485,18 +474,6 @@ def horizontal_residual_m2(p: ModuliPoint) -> complex:
     )
 
 
-def horizontal_residual_m2_alt(p: ModuliPoint) -> complex:
-    """Algebraically equivalent form of the horizontal condition (obtained
-    through e^{2 i t} = 2 cos t e^{i t} - 1); used as a cross-check."""
-    g1, g2, g3 = radial_gap(p.r1), radial_gap(p.r2), radial_gap(p.r3)
-    e2, e3 = cmath.exp(1j * p.theta2), cmath.exp(1j * p.theta3)
-    return (
-        e3 * e3
-        + (2.0 * math.cos(p.theta2) - g1 * g2) * e2
-        - g3 * (g1 + g2 * e2) * e3
-    )
-
-
 def vertical_residual_m2(p: ModuliPoint) -> float:
     """Reduced vertical-period condition for complexity 2 (real).
 
@@ -540,13 +517,6 @@ def period_jacobian_m2(p: ModuliPoint) -> np.ndarray:
             [df_dr3.imag, df_dt2.imag, df_dt3.imag],
             [dg_dr3, dg_dt2, dg_dt3],
         ]
-    )
-
-
-def period_jacobian_m2_fd(p: ModuliPoint, step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian, for cross-checking the analytic one."""
-    return _fd_jacobian(
-        lambda x: _system_vector(p.r1, p.r2, x), np.array(p.triple), step
     )
 
 

@@ -1,4 +1,4 @@
-"""The surface recipe: Weierstrass data, metric, one-sidedness, integration.
+"""The surface recipe: Weierstrass data, one-sidedness, integration.
 
 Data is the pair (g, omega) with the Gauss map fixed to g(z) = z and
 omega = f dz,  f(z) = c z^{-m-3} P(z),  P the branch polynomial.  The
@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import BranchConfiguration, LaurentPoly, expand_product, residue_at_zero
+from .algebra import BranchConfiguration, LaurentPoly, expand_product
 from .errors import DomainError, PeriodError
 
 #: imaginary parts of form residues below this are projected to real
@@ -92,15 +92,7 @@ def phi_forms(data: WeierstrassData):
 
 def form_residues(data: WeierstrassData) -> np.ndarray:
     """Residues at the origin of (phi_1, phi_2, phi_3)."""
-    return np.array([residue_at_zero(p) for p in data.phi])
-
-
-def metric_density(data: WeierstrassData, z):
-    """Conformal factor lambda with ds = lambda |dz|:  (1+|z|^2)|f(z)|/2."""
-    z = np.asarray(z, dtype=complex)
-    if np.any(z == 0):
-        raise DomainError("metric density undefined at z=0")
-    return (1.0 + np.abs(z) ** 2) * np.abs(data.f.evaluate(z)) / 2.0
+    return np.array([p.coefficient(-1) for p in data.phi])
 
 
 def one_sided_residual(data: WeierstrassData) -> float:
@@ -177,11 +169,6 @@ class Immersion:
 
     def __call__(self, z):
         return self.forms.evaluate(z) - self.offset
-
-
-def immersion(data: WeierstrassData, z):
-    """One-shot evaluation of X(z) - X(default_base(m))."""
-    return Immersion(data)(z)
 
 
 def unit_normal(z):

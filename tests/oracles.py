@@ -1,23 +1,46 @@
-"""Test oracles: the hand-written closed forms of the named surfaces and
-the geometry the tests check them by.
+"""Test oracles: the hand-written closed forms of the named surfaces, the
+geometry the tests check them by, and second derivations of what
+``henneberg`` computes one way.
 
 ``henneberg`` evaluates every named surface through its Weierstrass forms
 (``IntegratedForms.evaluate``); these trigonometric formulas are the
 independent references those evaluations are checked against.  Each
 formula is written once, as ``*_terms(..., lib)`` with the math module a
 parameter, so that numpy evaluates it on arrays and mpmath at high
-precision.  Import as ``conftest`` is: ``from oracles import eval_h1``.
+precision.  The other references check one result each by another route:
+the one-pair coefficient recursion against the branch product, a sampled
+Procrustes fit against the coefficient certificates of the isometries,
+central differences against the analytic period Jacobians, and the metric
+density against the immersion's derivatives.  Import as ``conftest`` is:
+``from oracles import eval_h1``.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from henneberg import DomainError, SurfaceMap, WeierstrassData, eval_hm_even
+from henneberg import (
+    BranchConfiguration,
+    DomainError,
+    IsometryCertificate,
+    LaurentPoly,
+    ModuliPoint,
+    ParameterMap,
+    RigidMotion,
+    SurfaceMap,
+    WeierstrassData,
+    eval_hm_even,
+    horizontal_residual_m2,
+    radial_gap,
+    vertical_residual_m2,
+)
 from henneberg.algebra import cis
+from henneberg.geometry import ISOMETRY_REL_TOL
 from henneberg.surfaces import _polar
 
 
@@ -147,3 +170,164 @@ def hypocycloid_point(h: Hypocycloid, t):
         ],
         axis=-1,
     )
+
+
+# ---------------------------------------------------------------------------
+# branch configurations and the one-pair recursion
+# ---------------------------------------------------------------------------
+
+
+def antipodes(config: BranchConfiguration) -> np.ndarray:
+    """The antipodes -1/conj(a_j) of the branch values, the other roots of
+    the branch polynomial."""
+    return -1.0 / np.conj(config.branch_values())
+
+
+def permuted(config: BranchConfiguration, order) -> BranchConfiguration:
+    """The configuration with its branch values (and angle tags) in
+    ``order``."""
+    tags = None
+    if config.angles_pi is not None:
+        tags = tuple(config.angles_pi[i] for i in order)
+    return BranchConfiguration(
+        tuple(config.moduli[i] for i in order),
+        tuple(config.angles[i] for i in order),
+        tags,
+    )
+
+
+def extend_by_pair(p_m: LaurentPoly, a_new: complex) -> LaurentPoly:
+    """Extend a branch polynomial by one antipodal pair via the coefficient
+    recursion A'_h = A_{h-2} - A_{h-1} R(r) e^{i theta} - A_h e^{2 i theta},
+    applied to every exponent h (out-of-range coefficients read as zero)."""
+    a_new = complex(a_new)
+    if a_new == 0:
+        raise DomainError("new branch value must be nonzero")
+    if p_m.lowest != 0 or p_m.highest < 4 or p_m.highest % 2 != 0:
+        raise DomainError("expected a branch polynomial of even degree >= 4")
+    if abs(p_m.coefficient(p_m.highest) - 1.0) > 1e-9:
+        raise DomainError("branch polynomial must be monic")
+    r = abs(a_new)
+    unit = a_new / r
+    gap_term = radial_gap(r) * unit
+    unit2 = unit * unit
+    old = p_m.coeffs
+    out = np.zeros(len(old) + 2, dtype=complex)
+    out[2:] += old  # A_{h-2}
+    out[1:-1] -= old * gap_term  # A_{h-1} R e^{i theta}
+    out[:-2] -= old * unit2  # A_h e^{2 i theta}
+    return LaurentPoly(0, out)
+
+
+# ---------------------------------------------------------------------------
+# rigid motions and the sampled isometry check
+# ---------------------------------------------------------------------------
+
+
+def rotation_z(angle: float, flip_z: bool = False) -> RigidMotion:
+    """Rotation by ``angle`` about the x3-axis, followed by x3 -> -x3 when
+    ``flip_z``."""
+    c, s = math.cos(angle), math.sin(angle)
+    q = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, -1.0 if flip_z else 1.0]])
+    return RigidMotion(q, np.zeros(3))
+
+
+def reflection(normal) -> RigidMotion:
+    """Mirror in the plane through the origin with the given normal."""
+    n = np.asarray(normal, dtype=float)
+    n = n / np.linalg.norm(n)
+    return RigidMotion(np.eye(3) - 2.0 * np.outer(n, n), np.zeros(3))
+
+
+def fit_rigid_motion(source, target) -> RigidMotion:
+    """Least-squares orthogonal Procrustes fit target ~ Q source + t of two
+    point sets, one point per row: Q = u vt from the SVD of the centred
+    cross-covariance, improper motions admitted (Schönemann 1966)."""
+    a = np.asarray(source, dtype=float)
+    b = np.asarray(target, dtype=float)
+    ca, cb = a.mean(axis=0), b.mean(axis=0)
+    u, _, vt = np.linalg.svd((b - cb).T @ (a - ca))
+    q = u @ vt
+    return RigidMotion(q, cb - q @ ca)
+
+
+def compose(a: ParameterMap, b: ParameterMap) -> ParameterMap:
+    """The parameter map a after b."""
+    shift = (-b.shift_pi if a.negate else b.shift_pi) + a.shift_pi
+    return ParameterMap(a.negate ^ b.negate, shift, a.invert ^ b.invert)
+
+
+def verify_isometry(surface, pmap: ParameterMap, motion: RigidMotion = None,
+                    samples: int = 240, seed: int = 0,
+                    rel_tol: float = ISOMETRY_REL_TOL) -> IsometryCertificate:
+    """Check on sampled points that the parameter map induces a rigid motion
+    on the surface.
+
+    ``surface`` is any (r, theta) -> R^3 evaluator; ``motion=None`` fits the
+    best orthogonal motion by Procrustes before computing the residual
+    max |X(sigma(p)) - (Q X(p) + t)|, passed against rel_tol times the
+    sample diameter.  An orthogonal fit in 3-D needs at least 4 samples.
+    """
+    if samples < 4:
+        raise DomainError(f"an isometry check needs at least 4 samples, got {samples}")
+    rng = np.random.default_rng(seed)
+    r = np.exp(rng.uniform(-0.8, 0.8, samples))
+    theta = rng.uniform(0.0, 2 * math.pi, samples)
+    source = surface(r, theta)
+    target = surface(*pmap.apply(r, theta))
+    if motion is None:
+        motion = fit_rigid_motion(source, target)
+    residual = float(np.abs(target - motion.apply(source)).max())
+    diameter = float(np.linalg.norm(source.max(axis=0) - source.min(axis=0)))
+    return IsometryCertificate(pmap, motion, residual, rel_tol * max(diameter, 1e-30))
+
+
+# ---------------------------------------------------------------------------
+# the period conditions by another route
+# ---------------------------------------------------------------------------
+
+
+def horizontal_residual_m2_alt(p: ModuliPoint) -> complex:
+    """Algebraically equivalent form of horizontal_residual_m2 (obtained
+    through e^{2 i t} = 2 cos t e^{i t} - 1)."""
+    g1, g2, g3 = radial_gap(p.r1), radial_gap(p.r2), radial_gap(p.r3)
+    e2, e3 = cmath.exp(1j * p.theta2), cmath.exp(1j * p.theta3)
+    return (
+        e3 * e3
+        + (2.0 * math.cos(p.theta2) - g1 * g2) * e2
+        - g3 * (g1 + g2 * e2) * e3
+    )
+
+
+def fd_jacobian(vector, x, step):
+    """Central-difference Jacobian of ``vector`` at x, or None when a probe
+    leaves the domain (``vector`` returns None there)."""
+    cols = []
+    for j in range(len(x)):
+        e = np.zeros_like(x)
+        e[j] = step
+        vp, vm = vector(x + e), vector(x - e)
+        if vp is None or vm is None:
+            return None
+        cols.append((vp - vm) / (2 * step))
+    return np.column_stack(cols)
+
+
+def period_jacobian_m2_fd(p: ModuliPoint, step: float = 1e-6) -> np.ndarray:
+    """Central differences of (Re F, Im F, G), the public
+    horizontal_residual_m2 and vertical_residual_m2, in (r3, theta2,
+    theta3): the reference for period_jacobian_m2."""
+    def vector(x):
+        q = ModuliPoint(p.r1, p.r2, x[0], x[1], x[2], p.beta)
+        f = horizontal_residual_m2(q)
+        return np.array([f.real, f.imag, vertical_residual_m2(q)])
+
+    return fd_jacobian(vector, np.array(p.triple), step)
+
+
+def metric_density(data: WeierstrassData, z):
+    """Conformal factor lambda with ds = lambda |dz|:  (1+|z|^2)|f(z)|/2."""
+    z = np.asarray(z, dtype=complex)
+    if np.any(z == 0):
+        raise DomainError("metric density undefined at z=0")
+    return (1.0 + np.abs(z) ** 2) * np.abs(data.f.evaluate(z)) / 2.0

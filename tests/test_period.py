@@ -20,10 +20,8 @@ from henneberg import (
     family_theta2,
     h2_point,
     horizontal_residual_m2,
-    horizontal_residual_m2_alt,
     m1_residual,
     period_jacobian_m2,
-    period_jacobian_m2_fd,
     period_residuals,
     radial_gap,
     symmetric_example,
@@ -33,11 +31,11 @@ from henneberg import period
 from henneberg.period import (
     _damped_newton,
     _factored_minima,
-    _fd_jacobian,
     _m1_jacobian,
     _m1_terms,
     _m1_vector,
 )
+from oracles import antipodes, fd_jacobian, horizontal_residual_m2_alt, period_jacobian_m2_fd
 
 H2_FAMILY_GAUGE = ModuliPoint(1.0, 1.0, 1.0, math.pi / 3, -math.pi / 3, math.pi / 2)
 
@@ -95,6 +93,31 @@ class TestM1Residual:
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-30)
 
+    def test_factored_identity(self, rng):
+        # sin^2 phi (4 |g1 + g2 e^{i theta2}|^2 + (2 cos theta2 - g1 g2)^2)
+        # + 4 cos^2 phi, in complex arithmetic; the largest relative gap on
+        # these points is 8.4e-16
+        r1, r2 = np.exp(rng.uniform(-1.5, 1.5, (2, 10**5)))
+        t2, b = rng.uniform(0.0, 2 * math.pi, (2, 10**5))
+        g1, g2 = radial_gap(r1), radial_gap(r2)
+        phi = t2 + b
+        want = (np.sin(phi) ** 2 * (4 * np.abs(g1 + g2 * np.exp(1j * t2)) ** 2
+                                    + (2 * np.cos(t2) - g1 * g2) ** 2)
+                + 4 * np.cos(phi) ** 2)
+        got = m1_residual(r1, r2, t2, b)
+        assert (np.abs(got - want) / want).max() <= 2e-15
+
+    @pytest.mark.parametrize("theta2", [math.pi / 2, 3 * math.pi / 2])
+    @pytest.mark.parametrize("beta", [0.0, math.pi])
+    def test_four_regular_zeros(self, theta2, beta):
+        # each zero is isolated: the Jacobian has full rank there, with
+        # singular values 4, 4, sqrt(5) + 1 and sqrt(5) - 1
+        x = np.array([1.0, 1.0, theta2, beta])
+        assert np.abs(_m1_vector(x)).max() <= 1e-15
+        sv = np.linalg.svd(_m1_jacobian(x), compute_uv=False)
+        want = [4.0, 4.0, math.sqrt(5) + 1, math.sqrt(5) - 1]
+        assert np.abs(sv - want).max() <= 1e-12
+
 
 def _m1_jacobian_mp(x, dps=40):
     """The Jacobian of _m1_vector's five components by mpmath.diff in
@@ -134,7 +157,7 @@ class TestM1Jacobian:
         x = np.array([math.exp(log_r[0]), math.exp(log_r[1]), *angles])
         got, want = _m1_jacobian(x), _m1_jacobian_mp(x)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-        fd = _fd_jacobian(_m1_vector, x, 1e-7)
+        fd = fd_jacobian(_m1_vector, x, 1e-7)
         assert np.abs(got - fd).max() <= 1e-7 * np.abs(got).max()
 
     @pytest.mark.parametrize("r1, r2", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0),
@@ -336,11 +359,10 @@ class TestSearchPinned:
         for hit in brute_search_m1(**kwargs):
             assert _distance_to_h1_zeros(hit) < 1e-15, hit
 
-    def test_no_finite_differences(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("brute_search_m1 took a finite difference")
-
-        monkeypatch.setattr(period, "_fd_jacobian", fail)
+    def test_no_finite_differences(self):
+        # the search refines on _m1_jacobian; the difference quotients are
+        # test oracles (oracles.fd_jacobian), not part of the package
+        assert not hasattr(period, "_fd_jacobian")
         for kwargs in ({}, {"n_radial": 65, "n_angular": 96}):
             hits = brute_search_m1(**kwargs)
             assert [(*h.params, h.residual) for h in hits] == _H1_HITS
@@ -516,10 +538,10 @@ class TestFamily:
         a = family_theta2(t).weierstrass()
         b = family_theta2(math.pi - t).weierstrass()
         roots_a = np.concatenate(
-            [a.config.branch_values(), a.config.antipodes()]
+            [a.config.branch_values(), antipodes(a.config)]
         )
         roots_b = np.concatenate(
-            [b.config.branch_values(), b.config.antipodes()]
+            [b.config.branch_values(), antipodes(b.config)]
         )
         remaining = list(-roots_a)
         for w in roots_b:
@@ -648,7 +670,7 @@ class TestDampedNewton:
         x0 = np.array([5e-8, 1.0, 1.0, 0.5])
         v0 = _m1_vector(x0)
         x, norm, stop = _damped_newton(
-            _m1_vector, lambda x: _fd_jacobian(_m1_vector, x, 1e-7), x0,
+            _m1_vector, lambda x: fd_jacobian(_m1_vector, x, 1e-7), x0,
             lambda v: float(v @ v), 1e-28, 50, lambda x: True,
         )
         assert stop == "domain"

@@ -12,9 +12,7 @@ from henneberg import (
     WeierstrassData,
     eval_hm_even,
     family_theta2,
-    immersion,
     limit_m2_data,
-    metric_density,
     period_residuals,
     surface_hm,
     symmetric_example,
@@ -37,6 +35,7 @@ from oracles import (
     hm_odd_terms,
     hypocycloid_point,
     limit_m2_terms,
+    metric_density,
     one_sided_descent_residual,
 )
 
@@ -323,7 +322,7 @@ class TestCanonicalPhaseData:
         data = WeierstrassData(1.0, config)
         assert period_residuals(data).max_abs() == 0
         r, th = random_annulus(rng, 300)
-        x = immersion(data, r * np.exp(1j * th))
+        x = Immersion(data)(r * np.exp(1j * th))
         assert np.abs(x - eval_hm_odd(m, r, th)).max() < 1e-11
 
 
