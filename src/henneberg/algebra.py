@@ -194,37 +194,42 @@ class LaurentPoly:
         """Multiply by z**k."""
         return LaurentPoly(self.lowest + k, self.coeffs)
 
+    @functools.cached_property
+    def _horner_parts(self) -> tuple:
+        """The coefficients of z^hi..z^0 and of z^lo..z^-1, zero-padded."""
+        lo, hi = min(self.lowest, 0), max(self.highest, 0)
+        coeffs = np.zeros(hi - lo + 1, dtype=complex)
+        coeffs[self.lowest - lo : self.highest - lo + 1] = self.coeffs
+        return coeffs[-lo:][::-1].tolist(), coeffs[:-lo].tolist()
+
     def evaluate(self, z):
         """Horner evaluation, split into polynomial and principal parts.
 
         Accepts scalars or arrays; z = 0 is rejected when negative exponents
-        are present.
+        are present.  Each element rounds as the array loop ``acc = acc * x
+        + c`` does at any size: steps multiply into a second buffer, as an
+        in-place ``acc *= x`` of size 1 takes numpy's scalar loop.
         """
         z = np.asarray(z, dtype=complex)
         scalar = z.ndim == 0
         z = np.atleast_1d(z)
         if self.lowest < 0 and np.any(z == 0):
             raise DomainError("evaluation at z=0 with negative exponents")
-        out = np.zeros_like(z)
-        # zero-pad so the coefficients span exponent 0, where the split is
-        lo, hi = min(self.lowest, 0), max(self.highest, 0)
-        coeffs = np.zeros(hi - lo + 1, dtype=complex)
-        coeffs[self.lowest - lo : self.highest - lo + 1] = self.coeffs
-        split = -lo
-        pos = coeffs[split:]
-        if len(pos):
-            acc = np.full_like(z, pos[-1])
-            for c in pos[-2::-1]:
-                acc = acc * z + c
-            out += acc
-        if split > 0:
-            w = 1.0 / z
-            neg = coeffs[:split][::-1]  # exponents -1, -2, ...
-            acc = np.full_like(z, neg[-1])
-            for c in neg[-2::-1]:
-                acc = acc * w + c
-            out += acc * w
+        out = self._horner(z, 1.0 / z if self.lowest < 0 else None)
         return out[0] if scalar else out
+
+    def _horner(self, z, w):
+        """evaluate at a checked array z (ndim >= 1) and w = 1/z, which
+        only a polynomial with negative exponents reads."""
+        out, acc, tmp = np.zeros_like(z), np.empty_like(z), np.empty_like(z)
+        for x, coeffs in zip((z, w), self._horner_parts):
+            if coeffs:
+                acc[...] = coeffs[0]
+                for c in coeffs[1:]:
+                    np.multiply(acc, x, out=tmp)
+                    np.add(tmp, c, out=acc)
+                out += acc if x is z else np.multiply(acc, x, out=tmp)
+        return out
 
 
 @dataclass(frozen=True)

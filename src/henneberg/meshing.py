@@ -71,7 +71,7 @@ class Mesh:
 
     def validate(self):
         self.check_records()
-        lengths = np.linalg.norm(self.normals, axis=1)
+        lengths = _row_norm(self.normals)
         if (np.abs(lengths - 1.0) > 1e-6).any():
             raise DomainError("normals are not unit length")
         return self
@@ -91,6 +91,15 @@ class Mesh:
         return self
 
 
+def _row_norm(x):
+    """np.linalg.norm(x, axis=-1) bit for bit, for a trailing axis of
+    length 3: the squares summed left to right, as its reduction does."""
+    out = x[..., 0] * x[..., 0]
+    for k in (1, 2):
+        out += x[..., k] * x[..., k]
+    return np.sqrt(out, out=out)
+
+
 def build_mesh(smap: SurfaceMap, spec: SamplingSpec = SamplingSpec()) -> Mesh:
     """Sample the surface on the grid and triangulate.
 
@@ -98,16 +107,15 @@ def build_mesh(smap: SurfaceMap, spec: SamplingSpec = SamplingSpec()) -> Mesh:
     seam, and quotient meshes glue theta=pi back to theta=0 with the radial
     order reversed when the grid is inversion-symmetric.
     """
-    radii = spec.radii
-    thetas = spec.thetas
-    rr, tt = np.meshgrid(radii, thetas, indexing="ij")
+    # a column of radii and a row of angles, which each map broadcasts
+    radii, thetas = spec.radii[:, None], spec.thetas[None, :]
+    n_r, n_t = grid = (len(radii), thetas.size)
     # a sample that overflows is left non-finite for validate() to refuse
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        pts = smap(rr, tt)
-        nrm = smap.normal_at(rr, tt)
-        nrm = nrm / np.linalg.norm(nrm, axis=-1, keepdims=True)
+        pts = np.broadcast_to(smap(radii, thetas), (*grid, 3)).copy()
+        nrm = np.broadcast_to(smap.normal_at(radii, thetas), (*grid, 3))
+        nrm = nrm / _row_norm(nrm)[..., None]
 
-    n_r, n_t = rr.shape
     vid = np.arange(n_r * n_t, dtype=np.int32).reshape(n_r, n_t)
     # a--b on row i, d--c on row i+1, one quad per row-major (i, j)
     quads = [(vid[:-1, :-1], vid[:-1, 1:], vid[1:, 1:], vid[1:, :-1])]
@@ -615,14 +623,15 @@ def _ply_header(n_vert: int, n_face: int) -> bytes:
 
 def write_ply(mesh: Mesh, path):
     _check_writable(mesh, path)
+    data = np.empty((len(mesh.vertices), 6), "<f8")
+    data[:, :3], data[:, 3:] = mesh.vertices, mesh.normals
     faces = np.empty(len(mesh.faces), dtype=_PLY_FACE)
     faces["n"] = 3
     faces["i"] = mesh.faces.reshape(-1, 3)
     with open(path, "wb") as fh:
         fh.write(_ply_header(len(mesh.vertices), len(mesh.faces)))
-        data = np.hstack([mesh.vertices, mesh.normals]).astype("<f8")
-        fh.write(data.tobytes())
-        fh.write(faces.tobytes())
+        fh.write(data)
+        fh.write(faces)
 
 
 def read_ply(path) -> Mesh:

@@ -36,19 +36,23 @@ from .weierstrass import (
 EXACTNESS_TOL = 1e-12
 
 
-def _polar(r, theta):
-    """(r, theta) as broadcast float arrays; DomainError unless r > 0."""
+def _radius(r):
+    """r as a float array; DomainError unless r > 0."""
     r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
     if np.any(r <= 0):
         raise DomainError("radius must be positive")
-    return np.broadcast_arrays(r, theta)
+    return r
+
+
+def _polar(r, theta):
+    """(r, theta) as broadcast float arrays; DomainError unless r > 0."""
+    return np.broadcast_arrays(_radius(r), np.asarray(theta, dtype=float))
 
 
 def _polar_point(r, theta):
-    """z = r e^{i theta} on the punctured plane, checked by _polar."""
-    r, t = _polar(r, theta)
-    return r * np.exp(1j * t)
+    """z = r e^{i theta}, DomainError unless r > 0; e^{i theta} is taken
+    before r and theta broadcast, once per angle of a grid's row."""
+    return _radius(r) * np.exp(1j * np.asarray(theta, dtype=float))
 
 
 def _even_exponent(m) -> float:

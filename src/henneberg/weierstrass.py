@@ -25,6 +25,9 @@ from .errors import DomainError, PeriodError
 #: imaginary parts of form residues below this are projected to real
 RESIDUE_IM_TOL = 1e-10
 
+#: points IntegratedForms.evaluate runs through Horner at a time
+HORNER_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class WeierstrassData:
@@ -119,12 +122,16 @@ class IntegratedForms:
         z = np.asarray(z, dtype=complex)
         if np.any(z == 0):
             raise DomainError("immersion undefined at z=0")
-        parts = [np.real(p.evaluate(z)) for p in self.polys]
-        logs = np.log(np.abs(z))
-        out = np.stack(
-            [parts[j] + self.log_coeffs[j] * logs for j in range(3)], axis=-1
-        )
-        return out
+        flat = z.reshape(-1)
+        out = np.empty((flat.size, 3))
+        # one block's z, 1/z (once for the three polynomials), ln|z| and
+        # Horner buffers stay in cache
+        for s in range(0, flat.size, HORNER_BLOCK):
+            zs = flat[s : s + HORNER_BLOCK]
+            ws, logs = 1.0 / zs, np.log(np.abs(zs))
+            for j, p in enumerate(self.polys):
+                out[s : s + HORNER_BLOCK, j] = p._horner(zs, ws).real + self.log_coeffs[j] * logs
+        return out.reshape(z.shape + (3,))
 
 
 def integrate_forms(data: WeierstrassData) -> IntegratedForms:
@@ -174,10 +181,13 @@ class Immersion:
 def unit_normal(z):
     """Unit normal from the Gauss map g(z) = z (stereographic formula)."""
     z = np.asarray(z, dtype=complex)
-    d = 1.0 + np.abs(z) ** 2
-    return np.stack(
-        [2 * z.real / d, 2 * z.imag / d, (np.abs(z) ** 2 - 1.0) / d], axis=-1
-    )
+    size2 = np.abs(z) ** 2
+    out = np.empty(z.shape + (3,))  # filled in place, without temporaries
+    np.multiply(2, z.real, out=out[..., 0])
+    np.multiply(2, z.imag, out=out[..., 1])
+    np.subtract(size2, 1.0, out=out[..., 2])
+    out /= (1.0 + size2)[..., None]
+    return out
 
 
 def distinct_count(points, rel_tol: float) -> int:

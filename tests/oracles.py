@@ -331,3 +331,39 @@ def metric_density(data: WeierstrassData, z):
     if np.any(z == 0):
         raise DomainError("metric density undefined at z=0")
     return (1.0 + np.abs(z) ** 2) * np.abs(data.f.evaluate(z)) / 2.0
+
+
+def horner_reference(poly: LaurentPoly, z):
+    """LaurentPoly.evaluate as the out-of-place loop ``acc = acc * x + c``,
+    a new array each step: x = z for exponents 0 and up, then x = 1/z for
+    the principal part, which is multiplied by 1/z once more, and both
+    parts added to zeros.  Every element rounds as numpy's array loops
+    round it; ``evaluate`` promises the same bytes at every size."""
+    z = np.asarray(z, dtype=complex)
+    scalar = z.ndim == 0
+    z = np.atleast_1d(z)
+    lo, hi = min(poly.lowest, 0), max(poly.highest, 0)
+    coeffs = np.zeros(hi - lo + 1, dtype=complex)
+    coeffs[poly.lowest - lo : poly.highest - lo + 1] = poly.coeffs
+    pos, neg = coeffs[-lo:], coeffs[:-lo][::-1]  # exponents 0, 1, ... and -1, -2, ...
+    out = np.zeros_like(z)
+    acc = np.full_like(z, pos[-1])
+    for c in pos[-2::-1]:
+        acc = acc * z + c
+    out += acc
+    if len(neg):
+        w = 1.0 / z
+        acc = np.full_like(z, neg[-1])
+        for c in neg[-2::-1]:
+            acc = acc * w + c
+        out += acc * w
+    return out[0] if scalar else out
+
+
+def forms_reference(forms, z):
+    """IntegratedForms.evaluate from horner_reference: the real part of
+    each polynomial plus its ln|z| term, stacked on a trailing axis."""
+    z = np.asarray(z, dtype=complex)
+    parts = [np.real(horner_reference(p, z)) for p in forms.polys]
+    logs = np.log(np.abs(z))
+    return np.stack([parts[j] + forms.log_coeffs[j] * logs for j in range(3)], axis=-1)

@@ -8,14 +8,17 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from henneberg import (
     DomainError,
     Mesh,
     SamplingSpec,
+    SurfaceMap,
     build_mesh,
+    cli,
     meshing,
     read_obj,
     read_ply,
@@ -788,3 +791,100 @@ def test_writer_takes_any_array_layout(tmp_path):
     assert not odd.vertices.flags.c_contiguous and not odd.normals.flags.c_contiguous
     write_obj(odd, tmp_path / "odd.obj")
     assert (tmp_path / "odd.obj").read_bytes() == (tmp_path / "c.obj").read_bytes()
+
+
+def test_ply_writer_takes_any_dtype_and_layout(tmp_path):
+    # write_ply fills one <f8 record buffer: float32 vertices, Fortran-ordered
+    # normals and int64 faces write the bytes of their float64/int32 copy
+    mesh = build_mesh(surface_h1(), SMALL)
+    odd = Mesh(vertices=mesh.vertices.astype(np.float32),
+               normals=np.asfortranarray(mesh.normals),
+               faces=mesh.faces.astype(np.int64))
+    assert not odd.normals.flags.c_contiguous
+    write_ply(odd, tmp_path / "odd.ply")
+    plain = Mesh(vertices=odd.vertices.astype(np.float64), normals=mesh.normals,
+                 faces=mesh.faces.astype(np.int32))
+    assert (tmp_path / "odd.ply").read_bytes() == _struct_ply(plain)
+
+
+_ROWS = hnp.arrays(
+    np.float64, st.tuples(st.integers(0, 40), st.just(3)),
+    elements=st.floats(allow_nan=False, width=64)
+    | st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e-160, 1.4e154, 1e300]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_ROWS)
+@example(np.zeros((2, 3)))
+@example(np.array([[5e-324, 2.2e-308, -1e-310], [1e200, 1e154, -1e160]]))
+def test_row_norm_is_linalg_norm(x):
+    # squares of subnormals flush to zero and squares past 1.3e154 overflow
+    # alike in both; the explicit sum is the reduction's left-to-right order
+    with np.errstate(over="ignore"):
+        assert meshing._row_norm(x).tobytes() == np.linalg.norm(x, axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("scale, ok", [(1 + 2e-6, False), (1 + 5e-7, True),
+                                       (1 - 2e-6, False), (1 - 5e-7, True)])
+def test_validate_refuses_non_unit_normals(scale, ok):
+    mesh = build_mesh(surface_h1(), SMALL)
+    mesh.normals[5] *= scale
+    if ok:
+        assert mesh.validate() is mesh
+    else:
+        with pytest.raises(DomainError, match="normals are not unit length"):
+            mesh.validate()
+
+
+def _meshgrid_mesh(smap, spec):
+    """What build_mesh samples, from full (n_r, n_theta) meshgrid input."""
+    rr, tt = np.meshgrid(spec.radii, spec.thetas, indexing="ij")
+    nrm = smap.normal_at(rr, tt)
+    return smap(rr, tt).reshape(-1, 3), (nrm / np.linalg.norm(nrm, axis=-1, keepdims=True)).reshape(-1, 3)
+
+
+_PARTIAL_MAPS = {
+    # an evaluator that reads only r, a normal that reads only theta
+    "radial": SurfaceMap("radial", lambda r, t: np.stack([r, 2 * r, 1 / r], axis=-1),
+                         lambda r, t: np.stack([np.cos(t), np.sin(t), 0.5 + 0 * t], axis=-1)),
+    # and the reverse
+    "angular": SurfaceMap("angular", lambda r, t: np.stack([np.cos(t), np.sin(t), t], axis=-1),
+                          lambda r, t: np.stack([r, 0 * r, 1 + 0 * r], axis=-1)),
+    "h1": surface_h1(),
+    "hm-6": surface_hm(6),
+}
+
+
+@pytest.mark.parametrize("name", _PARTIAL_MAPS)
+@pytest.mark.parametrize("spec", [SMALL, SamplingSpec(n_r=7, n_theta=12, quotient=True),
+                                  SamplingSpec(n_r=2, n_theta=3, wrap=False)])
+def test_build_mesh_broadcasts_like_meshgrid(name, spec):
+    # build_mesh passes a column of radii and a row of angles; a map that
+    # reads one of them still meshes every grid point, and every map
+    # gives the bytes of full meshgrid input
+    smap = _PARTIAL_MAPS[name]
+    mesh = build_mesh(smap, spec)
+    vertices, normals = _meshgrid_mesh(smap, spec)
+    n = spec.n_r * len(spec.thetas)
+    assert mesh.vertices.shape == mesh.normals.shape == (n, 3)
+    assert mesh.vertices.tobytes() == vertices.tobytes()
+    assert mesh.normals.tobytes() == normals.tobytes()
+    assert mesh.vertices.flags.writeable and mesh.vertices.flags.c_contiguous
+    assert np.array_equal(mesh.faces, _loop_faces(spec))
+
+
+@pytest.mark.parametrize("argv", [["h1"], ["hm-even", "--m", "6"], ["family", "--theta2", "1.0"]])
+def test_generate_evaluates_each_map_once(tmp_path, monkeypatch, argv):
+    # one SurfaceMap.__call__ for the points and one normal_at for the
+    # normals per mesh: bench/tracing.py times each __call__ as one span
+    calls = []
+    for name in ("__call__", "normal_at"):
+        real = getattr(SurfaceMap, name)
+        monkeypatch.setattr(SurfaceMap, name, lambda self, r, t, real=real, name=name:
+                            calls.append(name) or real(self, r, t))
+    out = tmp_path / "m.ply"
+    argv = ["generate", *argv, "--nr", "9", "--ntheta", "16", "--format", "ply", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert sorted(calls) == ["__call__", "normal_at"]
+    assert len(read_ply(out).vertices) == 9 * 16

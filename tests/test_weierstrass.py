@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,8 +9,11 @@ from henneberg import (
     DomainError,
     Immersion,
     PeriodError,
+    SamplingSpec,
     WeierstrassData,
+    bjorling_solve,
     default_base,
+    equator_curve,
     eval_hm_even,
     family_theta2,
     form_residues,
@@ -21,8 +25,10 @@ from henneberg import (
     symmetric_phase,
     unit_normal,
 )
+from henneberg.geometry import _cancel_common_roots
+from henneberg.surfaces import _polar_point, limit_m2_data
 from conftest import random_annulus
-from oracles import eval_hm_odd, metric_density
+from oracles import eval_hm_odd, forms_reference, horner_reference, metric_density
 
 
 class TestData:
@@ -276,3 +282,63 @@ class TestStability:
     def test_even_m_image_count(self, m):
         rep = stability_report(symmetric_example(m))
         assert rep.distinct_image_count == m + 1
+
+
+def _forms_case(data):
+    """The Laurent polynomials an immersion of data evaluates (its forms and
+    the forms they integrate), the forms, and the base point."""
+    return data.forms.polys + data.phi, data.forms, default_base(data.m)
+
+
+def _bjorling_case(m):
+    """The polynomials a Björling patch of the equator of exponent m
+    evaluates: the curve's x and y, the primitive of its speed, and the
+    Gauss map's numerator and denominator as surface_map builds them; the
+    base point is E at the patch's base parameter."""
+    patch = bjorling_solve(equator_curve(m))
+    curve = patch.curve
+    num, den = _cancel_common_roots(patch._speed, curve.dx - curve.dy.scale(1j))
+    polys = (curve.x, curve.y, patch._primitive, num.scale(complex(0.0, -1.0)), den)
+    return polys, None, patch._arg(patch.w0)
+
+
+ROUNDING_CASES = {
+    **{f"symmetric-{m}": (lambda m=m: _forms_case(symmetric_example(m))) for m in range(1, 13)},
+    "limit-m2": lambda: _forms_case(limit_m2_data()),
+    "family": lambda: _forms_case(family_theta2(1.0).weierstrass()),
+    **{f"bjorling-{m}": (lambda m=m: _bjorling_case(m))
+       for m in (1, 2, 3, Fraction(1, 2), Fraction(1, 4), 6, 10)},
+}
+
+
+def _rounding_inputs(base):
+    """The base point and four random points, each as a 0-d scalar and as
+    an array of size 1; the base and one point as an array of size 2; a
+    random (9, 64) annulus; and the 129 x 256 grid of build_mesh."""
+    r, t = random_annulus(np.random.default_rng(11), 4 + 9 * 64)
+    points = r * np.exp(1j * t)
+    spec = SamplingSpec()
+    inputs = [np.asarray(base), np.array([base]), np.array([base, points[0]]),
+              points[4:].reshape(9, 64), _polar_point(spec.radii[:, None], spec.thetas[None, :])]
+    for z in points[:4]:
+        inputs += [np.asarray(z), np.array([z])]
+    return inputs
+
+
+class TestRoundingContract:
+    """LaurentPoly.evaluate and IntegratedForms.evaluate round every element
+    as the out-of-place Horner loop does, at every size: an evaluator whose
+    size-1 products take numpy's scalar loop moves the Immersion offset and
+    with it every vertex of a mesh."""
+
+    @pytest.mark.parametrize("case", ROUNDING_CASES)
+    def test_evaluate_is_the_out_of_place_horner(self, case):
+        polys, forms, base = ROUNDING_CASES[case]()
+        for z in _rounding_inputs(base):
+            for p in polys:
+                got, want = p.evaluate(z), horner_reference(p, z)
+                assert type(got) is type(want) and np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (z.shape, p)
+            if forms is not None:
+                got, want = forms.evaluate(z), forms_reference(forms, z)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), z.shape
