@@ -11,9 +11,13 @@ frequencies, and is stored, from construction on, as the Laurent polynomials
 in E = e^{i w / D} that those sums are; its points, velocities, normals and
 cusps are all evaluated from them.  The analytic speed is the exact
 polynomial square root of gamma' . gamma' (an error is raised when that is
-not a perfect square).  The integral is therefore closed-form, termwise
-D s_k E^k / (i k) for k != 0 and s_0 w for k = 0.  The Gauss map of the
-patch is the ratio g = -i s / (x' - i y') with its common factors
+not a perfect square).  Its integral is closed-form: the primitive P,
+termwise D s_k E^k / (i k) for k != 0, plus s_0 w, whose imaginary part is
+s_0 v = -s_0 D ln|E| (s_0 is 0 for every hypocycloid, the radius for a
+circle).  So the patch is an IntegratedForms like every Weierstrass
+immersion, with polys (x, y, -i P) and log coefficients (0, 0, -s_0 D),
+less its value at E_0 = e^{i w0 / D} on x3.  The Gauss map of the patch
+is the ratio g = -i s / (x' - i y') with its common factors
 (the cusps, where both vanish) divided out of both by synthetic division,
 one root of x' - i y' at a time, and the cusps of such a curve
 are the unit-circle roots of x' + i y'.  Cusps of a band-limited callable
@@ -47,7 +51,7 @@ import numpy as np
 from .algebra import LaurentPoly, pi_turns
 from .errors import DomainError, StructureError
 from .period import symmetric_example
-from .surfaces import SurfaceMap, _polar, symmetric_phase
+from .surfaces import _forms_map, _polar_point, symmetric_phase
 from .weierstrass import (
     IntegratedForms,
     WeierstrassData,
@@ -244,19 +248,19 @@ def _cancel_common_roots(num: LaurentPoly, den: LaurentPoly):
 class BjorlingPatch:
     """Minimal surface through a planar curve with its planar unit normal.
 
-    The height is measured from the base parameter ``w0``, the first of
-    1025 samples of the domain where the speed reaches half its maximum;
-    there the analytic speed s is oriented to equal the speed.  Evaluate
-    with ``at(u, v)`` in curve coordinates w = u + i v, or via the
-    (r, theta) interface of ``surface_map``, which also builds the Gauss
-    map for the mesh normals.
+    ``forms`` is the patch as an IntegratedForms in E = e^{i w / D} (see the
+    module docstring), and ``offset`` its value on x3 at the base parameter
+    ``w0``, the first of 1025 samples of the domain where the speed reaches
+    half its maximum; there the analytic speed s is oriented to equal the
+    speed.  Evaluate with ``at(u, v)`` in curve coordinates w = u + i v, or
+    via the (r, theta) interface of ``surface_map``, E = r e^{i theta},
+    which also builds the Gauss map for the mesh normals.
     """
 
     def __init__(self, curve: AnalyticPlanarCurve):
         self.curve = curve
         self.denom = curve.denom
-        dx, dy = curve.dx, curve.dy
-        self._speed = _laurent_sqrt(dx * dx + dy * dy)
+        self._speed = _laurent_sqrt(curve.dx * curve.dx + curve.dy * curve.dy)
         ts = np.linspace(curve.domain[0], curve.domain[1], 1025)
         speeds = curve.speed(ts)
         base = np.argmax(speeds >= 0.5 * speeds.max())
@@ -264,45 +268,36 @@ class BjorlingPatch:
         s0 = self._speed.evaluate(self._arg(self.w0))
         if abs(s0 - speeds[base]) > abs(s0 + speeds[base]):
             self._speed = self._speed.scale(-1.0)
-        self._primitive, self._drift = _laurent_primitive(self._speed, self.denom)
-        self._base = self._integral_from_zero(self.w0)
+        # -i is complex(0.0, -1.0): the literal -1j has real part -0.0 and
+        # would give a coefficient with imaginary part -0.0 a real part -0.0.
+        # s_0 is real, as s is on the curve; offset needs no ln|E_0| = 0 term
+        primitive, drift = _laurent_primitive(self._speed, self.denom)
+        self.forms = IntegratedForms((curve.x, curve.y, primitive.scale(complex(0.0, -1.0))),
+                                     (0.0, 0.0, -drift.real * self.denom))
+        self.offset = np.array([0.0, 0.0, self.forms.polys[2].evaluate(self._arg(self.w0)).real])
 
     def _arg(self, w):
         return np.exp(1j * np.asarray(w, dtype=complex) / self.denom)
 
-    def _integral_from_zero(self, w):
-        return self._primitive.evaluate(self._arg(w)) + self._drift * w
-
     def at(self, u, v=0.0):
         """Surface point at w = u + i v; arrays broadcast."""
         w = np.asarray(u, dtype=float) + 1j * np.asarray(v, dtype=float)
-        e = self._arg(w)
-        integral = self._integral_from_zero(w) - self._base
-        curve = self.curve
-        return np.stack([curve.x.evaluate(e).real, curve.y.evaluate(e).real,
-                         integral.imag], axis=-1)
+        return self.forms.evaluate(self._arg(w)) - self.offset
 
     def surface_map(self):
-        """The patch over the E-plane, E = e^{i w / D} = r e^{i theta}: the
-        chart u = D theta, v = -D ln r puts the whole curve, t in
-        [0, 2 pi D], on the unit circle theta in [0, 2 pi]."""
-        def chart(r, theta):
-            r, theta = _polar(r, theta)
-            return self.denom * theta, -self.denom * np.log(r)
-
+        """The patch over the E-plane, E = r e^{i theta}: the whole curve,
+        t in [0, 2 pi D], lies on the unit circle."""
         # Gauss map g = -i s / (x' - i y'); s^2 = (x' + i y')(x' - i y'),
         # so at a cusp both vanish and the common factor is divided out.
-        # -i is complex(0.0, -1.0): the literal -1j has real part -0.0 and
-        # would give a coefficient with imaginary part -0.0 a real part -0.0
+        # Built here, not in __init__: a solve without a mesh never needs it
         num, den = _cancel_common_roots(self._speed, self.curve.dx - self.curve.dy.scale(1j))
         num = num.scale(complex(0.0, -1.0))
 
         def normal(r, theta):
-            u, v = chart(r, theta)
-            e = self._arg(u + 1j * v)
+            e = _polar_point(r, theta)
             return unit_normal(num.evaluate(e) / den.evaluate(e))
 
-        return SurfaceMap("bjorling", lambda r, theta: self.at(*chart(r, theta)), normal)
+        return _forms_map("bjorling", self.forms, offset=self.offset, normal=normal)
 
 
 def bjorling_solve(curve: AnalyticPlanarCurve) -> BjorlingPatch:

@@ -4,9 +4,10 @@ Weierstrass data.
 Every map evaluates the termwise antiderivative of Laurent forms
 (``IntegratedForms.evaluate``): h1 and H_m those of ``symmetric_example(m)``,
 the conjugate H_m^* (odd m) those of its +pi/2 associate, limit-m2 those of
-``limit_m2_data()``, times ``symmetric_phase(m)`` where it applies.  The one
-closed form kept, ``eval_hm_even``, is the reference ``bjorling`` measures
-its patches against.
+``limit_m2_data()``, times ``symmetric_phase(m)`` where it applies, and a
+Björling patch (``BjorlingPatch.surface_map``) its own forms in
+E = e^{i w / D}.  The one closed form kept, ``eval_hm_even``, is the
+reference ``bjorling`` measures its patches against.
 
 All maps take polar coordinates (r > 0, theta) on the punctured plane,
 broadcast over arrays, and return points with a trailing axis of length 3.
@@ -152,9 +153,12 @@ class SurfaceMap:
         return unit_normal(_polar_point(r, theta))
 
 
-def _forms_map(name: str, forms: IntegratedForms, sign: int = 1) -> SurfaceMap:
-    """The map (r, theta) -> sign * forms.evaluate(r e^{i theta})."""
-    return SurfaceMap(name, lambda r, t: sign * forms.evaluate(_polar_point(r, t)))
+def _forms_map(name: str, forms: IntegratedForms, sign: int = 1, offset=0.0,
+               normal: Callable = None) -> SurfaceMap:
+    """The map (r, theta) -> sign * forms.evaluate(r e^{i theta}) - offset,
+    with the normal field ``normal`` (None: the stereographic one)."""
+    return SurfaceMap(name, lambda r, t: sign * forms.evaluate(_polar_point(r, t)) - offset,
+                      normal)
 
 
 def surface_h1() -> SurfaceMap:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from henneberg import equator_curve, read_obj, read_ply
+from henneberg import SamplingSpec, equator_curve, eval_hm_even, read_obj, read_ply
 from henneberg import cli
 from henneberg.cli import main
 
@@ -572,44 +572,44 @@ class TestContinue:
 
 
 #: `bjorling` at the default 64x9 grid and strip: closed_form_m, sup_error
-#: and the SHA-256 of the --out OBJ and PLY files, recorded before the
-#: Gauss-map reduction became a synthetic division and the check one grid;
-#: the files for 6 and 10 cusps recorded once the mesh covered their whole
-#: equator (numpy 2.4, x86-64 Linux)
+#: and the SHA-256 of the --out OBJ and PLY files (numpy 2.4, x86-64
+#: Linux), recorded once the patch became an IntegratedForms: its x3,
+#: Re(-i P(E)), rounds in the last bits unlike the Im P(E) before; x1, x2
+#: and the normals kept their bytes
 BJORLING_PINS = {
-    "3": (2.0, 3.0531133177191805e-16,
-          "14885c0be4b24225b54be3fd1fd350be72eedc4e25fa83b8882ce764a0050db5",
-          "e26d91cc758cba9dc326801ab0fa8e7b124a460e84d3e94d0e911fe1014aa6b5"),
+    "3": (2.0, 3.469446951953614e-16,
+          "098a914be4d723fc2df0e9544a9fe1844259f4068956b8cc97a32ebe43147b85",
+          "63a90a40275498d9ac5c43c96a640140816a3bed5c31f7181b9fc58af02ade25"),
     "4": (1.0, 8.881784197001252e-16,
-          "a166e722a11d331478f84ceb55369a52db50400e8555ded375b7875b8f74553b",
-          "09b332d7012952d22dabbddea716a2dd4ae6734a286860e4ad30b91f3da66bab"),
+          "129b2540bb804e8e3468d530e4f6142aad4cb59f67fca7e601a4d90c8d47242f",
+          "fd2f44f2eb8ae4ec67b383ecf79eddd3bee28ca6cd87e128db971ec27a9de312"),
     "5": (4.0, 5.689893001203927e-16,
-          "2c9195fd5eb9f4a16cc34312aeb3eeaa2a780780ed85f44a24506020a85dd575",
-          "933feea2cd75c7b698aa0319afdaf478d1aa0ba8b090c6de43c143c398d4e305"),
+          "5a1e1d4344975c58080745ae8874ef906604a8b1152fcf61e4b818803ac8c4da",
+          "e7b36e23da522d1ff5ab552c2475a39764e1364457b06cd38f5f4cd2b40e6f5d"),
     "6": (0.5, 1.3322676295501878e-15,
-          "b1791d4f5d8131fb3ffd91348d3f8cf32baa01d4431d7d45e4c8de9169d02572",
-          "8be0ce2fe81b04deb3c8e22bc3d4d377f67b08bc5d89cc722fa4020247eae9ed"),
+          "5f6b2e8601ab3113cc9ea6c32e1cc986d862d666b3b0789bd9598b41c9a390de",
+          "cb70c15662ee1133c00bafbbb8a760f04fc038f4f53481810383006bd4445791"),
     "7": (6.0, 6.106226635438361e-16,
-          "1f16c692eeefe027c91c64386e4a0bf3f35145b9a76688e7fec616459af50d10",
-          "ac00ae3d07d7a9f54ae7bfeeac1357e599cd4fde770fb47673d6db3e93365d5b"),
+          "54d4b238ff8d395995c2c93bbf94ecd0f51b133eecd72eed4e237914bc908336",
+          "aa21325343dab203c3160ba24a35658eecbd6639c4fe05b9f195d726b72ba599"),
     "8": (3.0, 5.273559366969494e-16,
-          "eb05a2c3bd9c19d7771cc4743ab3c385e4d703d4a169433d65f3a9439660f02e",
-          "5d9dcb3c719733e8c9483ba2061a7514a91a366ac43963c8b324a2c810d88f0e"),
+          "afc871f57ab124a41a6d926f4d68912c9d2965f43a2a897d1a621f93eba946dc",
+          "34660ae6a026b569f9fd10cbb3523742708ffd37f484f67b4e58c4f5ddd08be6"),
     "9": (8.0, 4.718447854656915e-16,
-          "522703c4100385999d5ff8b08dbba0421aa23719afca5bf90e0f95541dcd5bdd",
-          "8cfdf4d75c53ef418101f4abf048e1bf5c2d037f08a8263e67a49b31281e15d6"),
+          "ea0e83105a017fc30517c23d39a9531baced0374740f84a58feb8df6511bbe86",
+          "de04d521773c343da928a702bc579ccb0b0b223ef21f301d887203e9f3b9372e"),
     "10": (0.25, 2.6645352591003757e-15,
-          "a558b0ef77e89cfb69132d3a3e8c0592ef75f9280be96d1d12ca696e5972d626",
-          "14eff309f3cf674cd05be92cf60c7a6e616301615898ce303ca51a8ae6132c7b"),
+          "6261ba12255397f756bdc525869cce0053df211a13df1c56c201a4ef25273a8e",
+          "e04ae4ee112e9eda2d0cdf3fc6d010fa47f779ce391dffa6f54d2ad95917504e"),
     "11": (10.0, 1.1102230246251565e-15,
-          "bb0b615d5dc5e3d410406f77a69cdc3cbce6eeeb04fe88bc51ecb10f4e1a216b",
-          "e13af5e68fca18066f8d64473453416e6ba214d8b26d30669081fbed8c397476"),
+          "2213c531180482b9fcf7db7d1d79f1ef1397ead11aeb0c070d561fc4638dcbc4",
+          "fe0bed78cc57bd43e54cf3c9bd2d0b5d16fc038097f6edfd70320641772d384d"),
     "12": (5.0, 6.106226635438361e-16,
-          "3c39e2979ed85a6718d244f0b2c5566db6bb0f9341fbc33e36a54a8d3e60a0a9",
-          "993c4ced5312a58247b84cef91105bada4b77a7b49d20a5022615f12f4bb6126"),
+          "03e24cf59e4c8a302065da1163df6c632c7920bee51b35bd04eb079a16136fed",
+          "53fc5fd44ac35e4cb44c0e7987300a0ea2d95ab3dae7bdac247adb4cda954087"),
     "astroid": (1.0, 8.881784197001252e-16,
-          "a166e722a11d331478f84ceb55369a52db50400e8555ded375b7875b8f74553b",
-          "09b332d7012952d22dabbddea716a2dd4ae6734a286860e4ad30b91f3da66bab"),
+          "129b2540bb804e8e3468d530e4f6142aad4cb59f67fca7e601a4d90c8d47242f",
+          "fd2f44f2eb8ae4ec67b383ecf79eddd3bee28ca6cd87e128db971ec27a9de312"),
 }
 
 
@@ -689,6 +689,23 @@ class TestBjorling:
         middle = read_ply(out).vertices.reshape(9, 64, 3)[4]
         assert np.abs(middle[:, :2] - curve.point(np.linspace(*curve.domain, 64))).max() < 1e-12
         assert np.abs(middle[:, 2]).max() < 1e-12
+
+    @pytest.mark.parametrize("cusps", range(3, 13))
+    def test_full_mesh_matches_closed_form(self, capsys, tmp_path, cusps):
+        # E = r e^{i theta} is w = D theta - i D ln r: the closed form at
+        # (r^D, D theta), on every vertex of a 129 x 256 mesh
+        out = tmp_path / "b.ply"
+        code, _, _ = run(capsys, "bjorling", "--cusps", str(cusps), "--n-u", "256",
+                         "--n-v", "129", "--out", str(out))
+        assert code == 0
+        m = cli._closed_form_for_cusps(cusps)
+        denom = equator_curve(m).denom
+        strip = 0.05 / denom
+        spec = SamplingSpec(r_min=math.exp(-strip), r_max=math.exp(strip),
+                            n_r=129, n_theta=256, wrap=False)
+        want = eval_hm_even(m, spec.radii[:, None] ** denom, denom * spec.thetas)
+        got = read_ply(out).vertices.reshape(want.shape)
+        assert np.abs(got - want).max() < 1e-14 * np.abs(want).max()
 
     @pytest.mark.parametrize("target", BJORLING_PINS)
     def test_outputs_pinned(self, capsys, tmp_path, target):

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from henneberg import geometry
+from henneberg import cli, geometry
 from henneberg.algebra import LaurentPoly
 from henneberg.surfaces import surface_associated
 from henneberg import (
     AnalyticPlanarCurve,
+    BjorlingPatch,
     DomainError,
+    IntegratedForms,
     ParameterMap,
     RigidMotion,
     SamplingSpec,
@@ -209,10 +211,19 @@ class TestBjorling:
         assert np.abs(got - want).max() < 1e-6
 
     def test_circle_patch_is_catenoid(self):
-        patch = bjorling_solve(circle_curve())
-        for u, v in [(0.3, 0.2), (1.0, -0.4), (2.0, 0.05)]:
-            p = patch.at(u, v)
-            assert abs(math.hypot(p[0], p[1]) - math.cosh(p[2])) < 1e-8
+        # |(x1, x2)| = R cosh(x3 / R), at points and on mesh vertices: x3 is
+        # the forms' ln|E| term alone (coefficient -R, where every
+        # hypocycloid has 0)
+        spec = SamplingSpec(r_min=math.exp(-0.4), r_max=math.exp(0.4), n_r=9, n_theta=64)
+        for radius in (1.0, 0.5, 2.7):
+            patch = bjorling_solve(circle_curve(radius))
+            for u, v in [(0.3, 0.2), (1.0, -0.4), (2.0, 0.05)]:
+                p = patch.at(u, v)
+                assert abs(math.hypot(p[0], p[1]) - radius * math.cosh(p[2] / radius)) < 1e-8
+            x = build_mesh(patch.surface_map(), spec).vertices
+            assert np.abs(x[:, 2]).max() > 0.3 * radius
+            err = np.abs(np.hypot(x[:, 0], x[:, 1]) - radius * np.cosh(x[:, 2] / radius))
+            assert err.max() < 1e-14 * radius, radius
 
     def test_quadrature_orders_agree(self):
         # the closed-form integral against Gauss-Legendre at two orders
@@ -232,6 +243,25 @@ class TestBjorling:
         p = smap(math.exp(-0.02), 1.0)
         q = patch.at(1.0, 0.02)
         assert np.abs(np.asarray(p) - q).max() < 1e-12
+
+    @pytest.mark.parametrize("cusps", range(3, 13))
+    def test_mesh_points_are_one_forms_evaluation(self, monkeypatch, cusps):
+        patch = bjorling_solve(equator_curve(cli._closed_form_for_cusps(cusps)))
+        smap = patch.surface_map()
+        calls = []
+        evaluate, at = IntegratedForms.evaluate, BjorlingPatch.at
+        monkeypatch.setattr(IntegratedForms, "evaluate",
+                            lambda forms, z: calls.append(("evaluate", forms)) or evaluate(forms, z))
+        monkeypatch.setattr(BjorlingPatch, "at", lambda *a: calls.append(("at",)) or at(*a))
+        build_mesh(smap, SamplingSpec(n_r=9, n_theta=64, wrap=False))
+        assert calls == [("evaluate", patch.forms)]
+
+    def test_solve_leaves_the_gauss_map_lazy(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(geometry, "_cancel_common_roots", lambda *a: calls.append(a))
+        for cusps in range(3, 13):
+            bjorling_solve(equator_curve(cli._closed_form_for_cusps(cusps)))
+        assert not calls
 
     def test_arrays_broadcast(self):
         patch = bjorling_solve(equator_curve(2))

@@ -292,14 +292,14 @@ def _forms_case(data):
 
 def _bjorling_case(m):
     """The polynomials a Björling patch of the equator of exponent m
-    evaluates: the curve's x and y, the primitive of its speed, and the
-    Gauss map's numerator and denominator as surface_map builds them; the
-    base point is E at the patch's base parameter."""
+    evaluates: its forms' x, y and -i times the primitive of its speed, and
+    the Gauss map's numerator and denominator as surface_map builds them;
+    the forms, and the base point, E at the patch's base parameter."""
     patch = bjorling_solve(equator_curve(m))
     curve = patch.curve
     num, den = _cancel_common_roots(patch._speed, curve.dx - curve.dy.scale(1j))
-    polys = (curve.x, curve.y, patch._primitive, num.scale(complex(0.0, -1.0)), den)
-    return polys, None, patch._arg(patch.w0)
+    polys = patch.forms.polys + (num.scale(complex(0.0, -1.0)), den)
+    return polys, patch.forms, patch._arg(patch.w0)
 
 
 ROUNDING_CASES = {
