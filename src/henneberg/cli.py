@@ -288,7 +288,7 @@ def cmd_generate(args) -> int:
             "format": fmt,
             "vertices": int(len(mesh.vertices)),
             "faces": int(len(mesh.faces)),
-            "sampling": dataclasses.asdict(spec),
+            "sampling": {**dataclasses.asdict(spec), "wrap": True},  # schema-1 constant
         }
     )
     return 0
@@ -391,8 +391,6 @@ def _closed_form_for_cusps(n: int):
 
 def cmd_bjorling(args) -> int:
     cusps = 4 if args.astroid else args.cusps
-    if cusps is None:
-        raise CliError("need --cusps N or --astroid")
     if not (math.isfinite(args.strip) and args.strip > 0):
         raise CliError(f"--strip must be a finite number > 0, got {args.strip}")
     if min(args.n_u, args.n_v) < 2:
@@ -435,7 +433,6 @@ def cmd_bjorling(args) -> int:
             r_max=math.exp(strip),
             n_r=args.n_v,
             n_theta=args.n_u,
-            wrap=False,
         )
         mesh = build_mesh(patch.surface_map(), spec)
         (write_obj if fmt == "obj" else write_ply)(mesh, args.out)
@@ -502,8 +499,10 @@ def build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(func=cmd_verify)
 
     sea = sub.add_parser("search-m1", help="brute-force the complexity-1 moduli")
-    sea.add_argument("--span", type=float, default=4.0)
-    sea.add_argument("--r-lo", dest="r_lo", type=float)
+    # --r-hi needs --r-lo (cmd_search_m1), so --span excludes both
+    bounds = sea.add_mutually_exclusive_group()
+    bounds.add_argument("--span", type=float, default=4.0)
+    bounds.add_argument("--r-lo", dest="r_lo", type=float)
     sea.add_argument("--r-hi", dest="r_hi", type=float)
     sea.add_argument("--n-radial", dest="n_radial", type=int, default=33)
     sea.add_argument("--n-angular", dest="n_angular", type=int, default=48)
@@ -518,8 +517,9 @@ def build_parser() -> argparse.ArgumentParser:
     con.set_defaults(func=cmd_continue)
 
     bjo = sub.add_parser("bjorling", help="solve a hypocycloid Björling problem")
-    bjo.add_argument("--cusps", type=int)
-    bjo.add_argument("--astroid", action="store_true")
+    target = bjo.add_mutually_exclusive_group(required=True)
+    target.add_argument("--cusps", type=int)
+    target.add_argument("--astroid", action="store_true")
     bjo.add_argument("--strip", type=float, default=0.05)
     bjo.add_argument("--n-u", dest="n_u", type=int, default=64)
     bjo.add_argument("--n-v", dest="n_v", type=int, default=9)

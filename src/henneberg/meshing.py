@@ -1,10 +1,10 @@
 """Tessellation of surface patches and OBJ/PLY export.
 
 Surfaces are sampled on a log-radial x angular grid over the punctured
-plane.  The quotient flag halves the fundamental domain to theta in [0, pi)
-and, when the radial grid is inversion-symmetric, glues the theta = pi seam
-to theta = 0 with the radial order reversed (the antipodal identification,
-producing the non-orientable quotient mesh).
+plane, and every mesh closes its angular seam.  The quotient flag halves
+the fundamental domain to theta in [0, pi) on an inversion-symmetric radial
+grid and glues theta = pi to theta = 0 with the radial order reversed (the
+antipodal identification, producing the non-orientable quotient mesh).
 """
 
 from __future__ import annotations
@@ -33,15 +33,21 @@ class SamplingSpec:
     n_r: int = 129
     n_theta: int = 256
     quotient: bool = False
-    wrap: bool = True
 
     def __post_init__(self):
         if not (0 < self.r_min < self.r_max < np.inf):
             raise DomainError("need 0 < r_min < r_max < inf")
         if self.n_r < 2 or self.n_theta < 2:
             raise DomainError("resolutions must be at least 2")
-        if self.quotient and self.n_theta < 4:
-            raise DomainError("quotient grids need n_theta >= 4 (at least 2 columns)")
+        if self.quotient:
+            if self.n_theta < 4:
+                raise DomainError("quotient grids need n_theta >= 4 (at least 2 columns)")
+            r = self.radii
+            with np.errstate(over="ignore"):  # a product past 1.8e308 is not 1
+                gap = np.abs(r[::-1] * r - 1.0).max()
+            if not gap < 1e-9:
+                raise DomainError("quotient grids glue r to 1/r and need r_min * r_max = 1, "
+                                  f"got {self.r_min!r} * {self.r_max!r}")
 
     @property
     def radii(self) -> np.ndarray:
@@ -52,13 +58,7 @@ class SamplingSpec:
     @property
     def thetas(self) -> np.ndarray:
         span, count = (np.pi, self.n_theta // 2) if self.quotient else (2 * np.pi, self.n_theta)
-        return np.linspace(0.0, span, count, endpoint=not self.wrap)
-
-    @property
-    def inversion_symmetric(self) -> bool:
-        r = self.radii
-        with np.errstate(over="ignore"):  # a product past 1.8e308 is not 1
-            return bool(np.abs(r[::-1] * r - 1.0).max() < 1e-9)
+        return np.linspace(0.0, span, count, endpoint=False)
 
 
 @dataclass
@@ -103,9 +103,11 @@ def _row_norm(x):
 def build_mesh(smap: SurfaceMap, spec: SamplingSpec = SamplingSpec()) -> Mesh:
     """Sample the surface on the grid and triangulate.
 
-    Vertex layout is row-major over (radius, theta); wrap closes the angular
-    seam, and quotient meshes glue theta=pi back to theta=0 with the radial
-    order reversed when the grid is inversion-symmetric.
+    Vertex layout is row-major over (radius, theta).  The seam glues the
+    last column to the first, and on a quotient (r, pi) to (1/r, 0) with
+    the radial order reversed.  That assumes the deck map z -> -1/conj(z)
+    fixes the surface: true of the one-sided surfaces, not yet of the
+    conjugate and associated ones.
     """
     # a column of radii and a row of angles, which each map broadcasts
     radii, thetas = spec.radii[:, None], spec.thetas[None, :]
@@ -118,15 +120,9 @@ def build_mesh(smap: SurfaceMap, spec: SamplingSpec = SamplingSpec()) -> Mesh:
 
     vid = np.arange(n_r * n_t, dtype=np.int32).reshape(n_r, n_t)
     # a--b on row i, d--c on row i+1, one quad per row-major (i, j)
-    quads = [(vid[:-1, :-1], vid[:-1, 1:], vid[1:, 1:], vid[1:, :-1])]
-    if spec.wrap:
-        if spec.quotient:
-            if spec.inversion_symmetric:
-                # antipodal gluing: (r, pi) ~ (1/r, 0), radial order reversed
-                rev = vid[::-1, 0]
-                quads.append((vid[:-1, -1], rev[:-1], rev[1:], vid[1:, -1]))
-        else:
-            quads.append((vid[:-1, -1], vid[:-1, 0], vid[1:, 0], vid[1:, -1]))
+    first = vid[::-1, 0] if spec.quotient else vid[:, 0]  # what the seam glues to
+    quads = [(vid[:-1, :-1], vid[:-1, 1:], vid[1:, 1:], vid[1:, :-1]),
+             (vid[:-1, -1], first[:-1], first[1:], vid[1:, -1])]
     # each quad splits into the triangles (a, b, c) and (a, c, d)
     faces = np.concatenate([
         np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)

@@ -240,9 +240,12 @@ class SearchHit:
         return (self.r1, self.r2, self.theta2, self.beta)
 
     def is_henneberg(self, tol: float = 1e-6) -> bool:
-        t2 = self.theta2 % (2 * math.pi)
-        near = min(abs(t2 - math.pi / 2), abs(t2 - 3 * math.pi / 2))
-        return bool(abs(self.r1 - 1) < tol and abs(self.r2 - 1) < tol and near < tol)
+        """Within tol of m1_residual's zero set: r1 = r2 = 1, theta2 in
+        {pi/2, 3 pi/2} and beta in {0, pi}, angles mod 2 pi."""
+        off = [abs(self.r1 - 1), abs(self.r2 - 1)] + [
+            min(_angular_dist(x, a), _angular_dist(x, a + math.pi))
+            for x, a in ((self.theta2, math.pi / 2), (self.beta, 0.0))]
+        return all(d < tol for d in off)
 
 
 def _wrap_angle(a):

@@ -42,6 +42,15 @@ def test_moved_methods_are_gone(cls):
         assert not hasattr(getattr(henneberg, cls), name), name
 
 
+def test_sampling_has_no_seam_options():
+    # every mesh closes its seam, and a quotient grid is glued or refused
+    for name in ("wrap", "inversion_symmetric"):
+        assert not hasattr(henneberg.SamplingSpec, name), name
+        assert not hasattr(henneberg.SamplingSpec(), name), name
+    with pytest.raises(TypeError):
+        henneberg.SamplingSpec(wrap=False)
+
+
 @pytest.mark.parametrize("option", [{"normal_sign": -1}, {"w0": 0.0}])
 def test_bjorling_takes_only_the_curve(option):
     with pytest.raises(TypeError):

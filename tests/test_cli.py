@@ -124,7 +124,7 @@ class TestGenerate:
         ["hm-even", "--m", "2", "--r-max", "1e100"],
         ["h1", "--r-min", "1e-200"],
         ["family", "--theta2", "1.0", "--r-max", "1e80"],
-        ["h1", "--quotient", "--r-min", "1e10", "--r-max", "1e300"],
+        ["h1", "--quotient", "--r-min", "1e-200", "--r-max", "1e200"],
     ])
     def test_overflowing_radii_exit_2(self, capsys, tmp_path, argv):
         # one error line, with no numpy warning before it
@@ -134,6 +134,33 @@ class TestGenerate:
         assert stdout == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("bounds", [
+        ["--r-min", "0.2"], ["--r-max", "5"], ["--r-min", "1e10", "--r-max", "1e300"],
+    ])
+    def test_quotient_without_inversion_symmetric_radii_exits_2(self, capsys, tmp_path, bounds):
+        # the seam glues r to 1/r; an unglued half-sheet is not written
+        out = tmp_path / "q.obj"
+        code, stdout, err = run(capsys, "generate", "h1", "--quotient", "--nr", "9",
+                                "--ntheta", "16", *bounds, "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "r_min * r_max = 1" in err
+        assert not out.exists()
+
+    def test_quotient_with_inversion_symmetric_radii(self, capsys, tmp_path):
+        out = tmp_path / "q.obj"
+        code, stdout, _ = run(capsys, "generate", "h1", "--quotient", "--nr", "9",
+                              "--ntheta", "16", "--r-min", "0.2", "--r-max", "5",
+                              "--out", str(out))
+        assert code == 0
+        info = json.loads(stdout)
+        assert info["sampling"] == {"n_r": 9, "n_theta": 16, "quotient": True,
+                                    "r_max": 5.0, "r_min": 0.2, "wrap": True}
+        # 8 columns and the glued seam: 8 quads in each of the 8 row gaps
+        assert (info["vertices"], info["faces"]) == (9 * 8, 2 * 8 * 8)
+        assert len(read_obj(out).faces) == 2 * 8 * 8
 
     @pytest.mark.parametrize("argv, want", [
         (["h1", "--config", "cfg.json"], "--config"),
@@ -398,7 +425,19 @@ class TestSearch:
         grid = json.loads(stdout)["grid"]
         assert (grid["r_lo"], grid["r_hi"]) == bounds
         assert set(grid) == {"span", "n_radial", "n_angular", "r_lo", "r_hi"}
+        assert grid["span"] == (2.0 if "--span" in argv else 4.0)  # the default otherwise
 
+    @pytest.mark.parametrize("argv", [
+        ["--span", "2", "--r-lo", "1.5", "--r-hi", "3"],
+        ["--r-lo", "1.5", "--r-hi", "3", "--span", "4"],
+        ["--span", "4", "--r-hi", "3"],
+    ])
+    def test_span_and_bounds_are_alternatives(self, capsys, argv):
+        # --span is refused next to --r-lo/--r-hi, even at its default value
+        code, stdout, err = run(capsys, "search-m1", "--n-radial", "5", "--n-angular", "8", *argv)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_angles_wrapped_below_two_pi(self, capsys):
         # on this grid a refined beta of about -1e-17 used to be reported
@@ -573,43 +612,42 @@ class TestContinue:
 
 #: `bjorling` at the default 64x9 grid and strip: closed_form_m, sup_error
 #: and the SHA-256 of the --out OBJ and PLY files (numpy 2.4, x86-64
-#: Linux), recorded once the patch became an IntegratedForms: its x3,
-#: Re(-i P(E)), rounds in the last bits unlike the Im P(E) before; x1, x2
-#: and the normals kept their bytes
+#: Linux), recorded once the mesh became the closed band: 64 columns over
+#: theta in [0, 2 pi) and 2 * 64 * 8 faces, the seam quads included
 BJORLING_PINS = {
     "3": (2.0, 3.469446951953614e-16,
-          "098a914be4d723fc2df0e9544a9fe1844259f4068956b8cc97a32ebe43147b85",
-          "63a90a40275498d9ac5c43c96a640140816a3bed5c31f7181b9fc58af02ade25"),
+          "de5c6947871eb07001c7f351502464f9cc4af77c7f67f33f16e4e417e31c6a54",
+          "99aece213ac2d4529857dc0c325df4b75f3be122538e237a30e49d6e30193fbc"),
     "4": (1.0, 8.881784197001252e-16,
-          "129b2540bb804e8e3468d530e4f6142aad4cb59f67fca7e601a4d90c8d47242f",
-          "fd2f44f2eb8ae4ec67b383ecf79eddd3bee28ca6cd87e128db971ec27a9de312"),
+          "c2dbbdee99cb4c7462f6a89b1fd34f5f81606f57d7af7f492d9b763ca164092c",
+          "3c6127d5ea4f22baac0f0c8e9657b8720f8875a0836617fa8efe78b2bdeeecbd"),
     "5": (4.0, 5.689893001203927e-16,
-          "5a1e1d4344975c58080745ae8874ef906604a8b1152fcf61e4b818803ac8c4da",
-          "e7b36e23da522d1ff5ab552c2475a39764e1364457b06cd38f5f4cd2b40e6f5d"),
+          "6baeab375db9986a520f701159c60fb2014ac9396b677312e5bcb2ae00100012",
+          "e3932bf7c768d8e44ef6d655c5be180ee1d8db171db019806cba9c84d9981641"),
     "6": (0.5, 1.3322676295501878e-15,
-          "5f6b2e8601ab3113cc9ea6c32e1cc986d862d666b3b0789bd9598b41c9a390de",
-          "cb70c15662ee1133c00bafbbb8a760f04fc038f4f53481810383006bd4445791"),
+          "86e8c81d25f842227366db2c8f07c35b0ab4213716f609df22869b56574d3434",
+          "742fc4e7969e494f0fef624b4d4478bf72d128853d487cfadfa2805c101f502c"),
     "7": (6.0, 6.106226635438361e-16,
-          "54d4b238ff8d395995c2c93bbf94ecd0f51b133eecd72eed4e237914bc908336",
-          "aa21325343dab203c3160ba24a35658eecbd6639c4fe05b9f195d726b72ba599"),
+          "a98c4c4be7409c9f6ca34a1c410f13d85093ec3e8b0e5ceb77a6b3f4a9c8050f",
+          "fb1f14f632834d3e39e7c58a551877cbabe4c38f96cc40f893e5fece1a953db4"),
     "8": (3.0, 5.273559366969494e-16,
-          "afc871f57ab124a41a6d926f4d68912c9d2965f43a2a897d1a621f93eba946dc",
-          "34660ae6a026b569f9fd10cbb3523742708ffd37f484f67b4e58c4f5ddd08be6"),
+          "77f97dae35243dcda39e11a83dad77ae36834da0e0a752cb7717de03676cdf90",
+          "0ada44ec660f544e53a8458ab84b5df0fe806ffe4ca9a565aabe96f6517cf8a7"),
     "9": (8.0, 4.718447854656915e-16,
-          "ea0e83105a017fc30517c23d39a9531baced0374740f84a58feb8df6511bbe86",
-          "de04d521773c343da928a702bc579ccb0b0b223ef21f301d887203e9f3b9372e"),
+          "7f47ae64cf152d9eb7dba1882342e606602fd4c4135c6069cafd36360edb16b3",
+          "ae6f45d0bf55d6936c26c807e152366e9f1789060cd20dd87e875c083b8d8505"),
     "10": (0.25, 2.6645352591003757e-15,
-          "6261ba12255397f756bdc525869cce0053df211a13df1c56c201a4ef25273a8e",
-          "e04ae4ee112e9eda2d0cdf3fc6d010fa47f779ce391dffa6f54d2ad95917504e"),
+          "77a380ed9f4c53d6a4cbb93410b5898b3d06aad9e0dccc83922073e14f749edc",
+          "73c593c632260efd93cbd8080e649a2173c48c1424bc2c775d03087b4a257d9e"),
     "11": (10.0, 1.1102230246251565e-15,
-          "2213c531180482b9fcf7db7d1d79f1ef1397ead11aeb0c070d561fc4638dcbc4",
-          "fe0bed78cc57bd43e54cf3c9bd2d0b5d16fc038097f6edfd70320641772d384d"),
+          "63b8e4c7abddff9e8da495dcaa288a6ca0a4d65d8db537d941376ccbef8f3bbe",
+          "0058e50f5cc281a5ed65c2e3faca2eaeb7d9148938008170a79d23039b75092d"),
     "12": (5.0, 6.106226635438361e-16,
-          "03e24cf59e4c8a302065da1163df6c632c7920bee51b35bd04eb079a16136fed",
-          "53fc5fd44ac35e4cb44c0e7987300a0ea2d95ab3dae7bdac247adb4cda954087"),
+          "b18c9766ef0a453cb2fa050e41a1705bac0445ebf00e11a0775c5cce0b8a2aab",
+          "b11098f84c08ba463145973a2f40046fba4ef9a3d2e6832b6adbee40603fa655"),
     "astroid": (1.0, 8.881784197001252e-16,
-          "129b2540bb804e8e3468d530e4f6142aad4cb59f67fca7e601a4d90c8d47242f",
-          "fd2f44f2eb8ae4ec67b383ecf79eddd3bee28ca6cd87e128db971ec27a9de312"),
+          "c2dbbdee99cb4c7462f6a89b1fd34f5f81606f57d7af7f492d9b763ca164092c",
+          "3c6127d5ea4f22baac0f0c8e9657b8720f8875a0836617fa8efe78b2bdeeecbd"),
 }
 
 
@@ -631,6 +669,32 @@ class TestBjorling:
     def test_unsupported_count(self, capsys):
         code, _, err = run(capsys, "bjorling", "--cusps", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--astroid", "--cusps", "7"], ["--cusps", "4", "--astroid"], [],
+    ], ids=["astroid-cusps", "cusps-astroid", "neither"])
+    def test_one_curve_selector(self, capsys, tmp_path, argv):
+        # --cusps and --astroid are alternatives: exactly one is given
+        out = tmp_path / "b.obj"
+        code, stdout, err = run(capsys, "bjorling", *argv, "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cusps", range(3, 13))
+    def test_mesh_closes_its_seam(self, capsys, tmp_path, cusps):
+        # n_u columns over theta in [0, 2 pi): no duplicated theta = 2 pi
+        # column, and the seam quads join column n_u - 1 to column 0
+        n_u, n_v = 16, 5
+        out = tmp_path / "b.ply"
+        code, stdout, _ = run(capsys, "bjorling", "--cusps", str(cusps), "--n-u", str(n_u),
+                              "--n-v", str(n_v), "--out", str(out))
+        assert code == 0 and json.loads(stdout)["vertices"] == n_u * n_v
+        faces = read_ply(out).faces
+        assert len(faces) == 2 * n_u * (n_v - 1)
+        cols = faces % n_u
+        assert ((cols == n_u - 1).any(axis=1) & (cols == 0).any(axis=1)).sum() == 2 * (n_v - 1)
 
     @pytest.mark.parametrize("name", ["b.stl", "b", "b.obj.txt", "b.ply.gz"])
     def test_out_extension_neither_obj_nor_ply_exits_2(self, capsys, tmp_path, name):
@@ -666,9 +730,8 @@ class TestBjorling:
     @pytest.mark.parametrize("fmt", ["obj", "ply"])
     @pytest.mark.parametrize("target", [str(n) for n in range(3, 13)] + ["astroid"])
     def test_mesh_normals_finite_and_unit(self, capsys, tmp_path, target, fmt):
-        # the default 64x9 grid puts vertices on cusps (6 cusps: theta = 0,
-        # 2 pi/3, 4 pi/3, 2 pi at r = 1), where the normal needs the exact
-        # Gauss map
+        # the default 64x9 grid puts vertices on cusps (theta = 0 at r = 1
+        # for every count), where the normal needs the exact Gauss map
         out = tmp_path / f"b.{fmt}"
         argv = ["--astroid"] if target == "astroid" else ["--cusps", target]
         code, stdout, _ = run(capsys, "bjorling", *argv, "--out", str(out))
@@ -687,7 +750,8 @@ class TestBjorling:
         assert code == 0
         curve = equator_curve(cli._closed_form_for_cusps(cusps))
         middle = read_ply(out).vertices.reshape(9, 64, 3)[4]
-        assert np.abs(middle[:, :2] - curve.point(np.linspace(*curve.domain, 64))).max() < 1e-12
+        ts = np.linspace(*curve.domain, 64, endpoint=False)
+        assert np.abs(middle[:, :2] - curve.point(ts)).max() < 1e-12
         assert np.abs(middle[:, 2]).max() < 1e-12
 
     @pytest.mark.parametrize("cusps", range(3, 13))
@@ -702,7 +766,7 @@ class TestBjorling:
         denom = equator_curve(m).denom
         strip = 0.05 / denom
         spec = SamplingSpec(r_min=math.exp(-strip), r_max=math.exp(strip),
-                            n_r=129, n_theta=256, wrap=False)
+                            n_r=129, n_theta=256)
         want = eval_hm_even(m, spec.radii[:, None] ** denom, denom * spec.thetas)
         got = read_ply(out).vertices.reshape(want.shape)
         assert np.abs(got - want).max() < 1e-14 * np.abs(want).max()

@@ -253,7 +253,7 @@ class TestBjorling:
         monkeypatch.setattr(IntegratedForms, "evaluate",
                             lambda forms, z: calls.append(("evaluate", forms)) or evaluate(forms, z))
         monkeypatch.setattr(BjorlingPatch, "at", lambda *a: calls.append(("at",)) or at(*a))
-        build_mesh(smap, SamplingSpec(n_r=9, n_theta=64, wrap=False))
+        build_mesh(smap, SamplingSpec(n_r=9, n_theta=64))
         assert calls == [("evaluate", patch.forms)]
 
     def test_solve_leaves_the_gauss_map_lazy(self, monkeypatch):
@@ -350,11 +350,11 @@ class TestBjorlingNormals:
         # s and x' - i y' both vanish and the ratio must still be exact
         curve = equator_curve(2)
         spec = SamplingSpec(r_min=math.exp(-0.05), r_max=math.exp(0.05),
-                            n_r=9, n_theta=64, wrap=False)
+                            n_r=9, n_theta=63)
         mesh = build_mesh(bjorling_solve(curve).surface_map(), spec)
         rr, tt = np.meshgrid(spec.radii, spec.thetas, indexing="ij")
         cusp = (rr == 1.0) & (curve.speed(tt) < 1e-12)
-        assert cusp.sum() == 4  # theta = 0, 2 pi/3, 4 pi/3, 2 pi
+        assert cusp.sum() == 3  # theta = 0, 2 pi/3, 4 pi/3
         want = unit_normal(rr * np.exp(1j * tt)).reshape(-1, 3)
         assert np.abs(mesh.normals - want)[cusp.ravel()].max() < 1e-12
         assert np.abs(mesh.normals - want).max() < 1e-12

@@ -19,14 +19,19 @@ from henneberg import (
     SurfaceMap,
     build_mesh,
     cli,
+    family_theta2,
     meshing,
     read_obj,
     read_ply,
     surface_h1,
     surface_hm,
+    surface_integrated,
+    surface_limit_m2,
+    symmetric_example,
     write_obj,
     write_ply,
 )
+from henneberg.surfaces import surface_associated, surface_conjugate
 
 
 SMALL = SamplingSpec(n_r=9, n_theta=16)
@@ -36,7 +41,7 @@ class TestSamplingSpec:
     def test_defaults(self):
         spec = SamplingSpec()
         assert spec.n_r == 129 and spec.n_theta == 256
-        assert spec.inversion_symmetric
+        assert np.abs(spec.radii[::-1] * spec.radii - 1.0).max() < 1e-9
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -57,6 +62,19 @@ class TestSamplingSpec:
             SamplingSpec(n_r=5, n_theta=n_theta, quotient=True)
         assert len(SamplingSpec(n_r=5, n_theta=4, quotient=True).thetas) == 2
         assert len(SamplingSpec(n_r=5, n_theta=n_theta).thetas) == n_theta
+
+    @pytest.mark.parametrize("bounds", [(0.2, 8.0), (0.125, 4.0), (1e10, 1e300), (0.5, 1.5)])
+    def test_quotient_needs_inversion_symmetric_radii(self, bounds):
+        # the seam glues r to 1/r: on any other grid it would join
+        # points that are not the same point of the surface
+        with pytest.raises(DomainError, match=r"r_min \* r_max = 1"):
+            SamplingSpec(r_min=bounds[0], r_max=bounds[1], quotient=True)
+        SamplingSpec(r_min=bounds[0], r_max=bounds[1])
+
+    @pytest.mark.parametrize("bounds", [(0.2, 5.0), (0.5, 2.0), (1e-200, 1e200)])
+    def test_quotient_accepts_inversion_symmetric_radii(self, bounds):
+        spec = SamplingSpec(r_min=bounds[0], r_max=bounds[1], quotient=True)
+        assert np.abs(spec.radii[::-1] * spec.radii - 1.0).max() < 1e-9
 
 
 class TestBuildMesh:
@@ -82,7 +100,6 @@ class TestBuildMesh:
         from henneberg import eval_hm_even
 
         spec = SamplingSpec(n_r=9, n_theta=16, quotient=True)
-        assert spec.inversion_symmetric
         mesh = build_mesh(surface_hm(2), spec)
         # on the surface, theta = pi is the antipode of theta = 0 with the
         # radius inverted; the seam faces must realize that pairing
@@ -111,6 +128,41 @@ class TestBuildMesh:
         mesh = build_mesh(surface_h1(), SMALL)
         assert mesh.faces.min() >= 0
         assert mesh.faces.max() < len(mesh.vertices)
+
+
+#: every selector whose deck map z -> -1/conj(z) fixes the surface
+ONE_SIDED = {"h1": surface_h1(), "limit-m2": surface_limit_m2()}
+ONE_SIDED.update({f"hm-{m}": surface_hm(m) for m in range(1, 13)})
+ONE_SIDED.update({f"family-{t:.4g}": surface_integrated(family_theta2(t).weierstrass())
+                  for t in (0.8, 0.9, 1.0, math.pi / 3, 2.2, 2.3)})
+ONE_SIDED.update({f"associated-{m}-{phi:.4g}": surface_associated(symmetric_example(m), phi)
+                  for m in range(1, 5) for phi in (0.0, math.pi, 2 * math.pi)})
+
+#: selectors whose deck map is an isometry other than the identity
+TWO_SIDED = {f"conjugate-{m}": surface_conjugate(m) for m in range(1, 12, 2)}
+TWO_SIDED.update({f"associated-{m}-{phi:.4g}": surface_associated(symmetric_example(m), phi)
+                  for m in range(1, 5) for phi in (0.1, 0.7, math.pi / 2, 2.5, 4.0)})
+
+
+def _seam_gap(smap):
+    """max |X(r_i, pi) - X(r_{n-1-i}, 0)| over the default quotient radii,
+    the pairs the quotient seam glues, relative to max |X| there."""
+    radii = SamplingSpec(quotient=True).radii
+    at_pi, at_zero = smap(radii, math.pi), smap(radii[::-1], 0.0)
+    return np.abs(at_pi - at_zero).max() / max(np.abs(at_pi).max(), np.abs(at_zero).max())
+
+
+class TestQuotientSeam:
+    @pytest.mark.parametrize("name", ONE_SIDED)
+    def test_one_sided_seam_points_agree(self, name):
+        # measured worst: 1.7e-15 (hm 12)
+        assert _seam_gap(ONE_SIDED[name]) < 1e-14
+
+    @pytest.mark.parametrize("name", TWO_SIDED)
+    def test_two_sided_seam_points_differ(self, name):
+        # their quotient seam would join distant points (measured: 2.0 for
+        # every conjugate, at least 0.188 for associated m = 2, phi = 0.1)
+        assert _seam_gap(TWO_SIDED[name]) > 0.1
 
 
 class TestExport:
@@ -337,16 +389,14 @@ def _loop_faces(spec):
     for i in range(n_r - 1):
         for j in range(n_t - 1):
             add_quad(vid[i, j], vid[i, j + 1], vid[i + 1, j + 1], vid[i + 1, j])
-    if spec.wrap:
-        if spec.quotient:
-            if spec.inversion_symmetric:
-                for i in range(n_r - 1):
-                    a, b = vid[i, n_t - 1], vid[n_r - 1 - i, 0]
-                    c, d = vid[n_r - 2 - i, 0], vid[i + 1, n_t - 1]
-                    add_quad(a, b, c, d)
-        else:
-            for i in range(n_r - 1):
-                add_quad(vid[i, n_t - 1], vid[i, 0], vid[i + 1, 0], vid[i + 1, n_t - 1])
+    if spec.quotient:
+        for i in range(n_r - 1):
+            a, b = vid[i, n_t - 1], vid[n_r - 1 - i, 0]
+            c, d = vid[n_r - 2 - i, 0], vid[i + 1, n_t - 1]
+            add_quad(a, b, c, d)
+    else:
+        for i in range(n_r - 1):
+            add_quad(vid[i, n_t - 1], vid[i, 0], vid[i + 1, 0], vid[i + 1, n_t - 1])
     return np.asarray(faces, dtype=np.int32)
 
 
@@ -382,16 +432,19 @@ def _struct_ply(mesh) -> bytes:
     n_r=st.integers(2, 12),
     n_theta=st.integers(2, 16),
     quotient=st.booleans(),
-    wrap=st.booleans(),
     r_min=st.sampled_from([0.125, 0.2]),
     block=st.sampled_from([1, 7, meshing.OBJ_BLOCK]),
 )
 def test_vectorised_output_matches_per_record_oracles(
-    tmp_path_factory, n_r, n_theta, quotient, wrap, r_min, block
+    tmp_path_factory, n_r, n_theta, quotient, r_min, block
 ):
     assume(not (quotient and n_theta < 4))
-    spec = SamplingSpec(r_min=r_min, n_r=n_r, n_theta=n_theta,
-                        quotient=quotient, wrap=wrap)
+    if quotient and r_min == 0.2:
+        # 0.2 * 8 != 1: a quotient grid the seam cannot glue is refused
+        with pytest.raises(DomainError, match=r"r_min \* r_max = 1"):
+            SamplingSpec(r_min=r_min, n_r=n_r, n_theta=n_theta, quotient=True)
+        return
+    spec = SamplingSpec(r_min=r_min, n_r=n_r, n_theta=n_theta, quotient=quotient)
     mesh = build_mesh(surface_hm(3), spec)
     want = _loop_faces(spec)
     assert mesh.faces.dtype == want.dtype and mesh.faces.shape == want.shape
@@ -858,7 +911,7 @@ _PARTIAL_MAPS = {
 
 @pytest.mark.parametrize("name", _PARTIAL_MAPS)
 @pytest.mark.parametrize("spec", [SMALL, SamplingSpec(n_r=7, n_theta=12, quotient=True),
-                                  SamplingSpec(n_r=2, n_theta=3, wrap=False)])
+                                  SamplingSpec(n_r=2, n_theta=3)])
 def test_build_mesh_broadcasts_like_meshgrid(name, spec):
     # build_mesh passes a column of radii and a row of angles; a map that
     # reads one of them still meshes every grid point, and every map

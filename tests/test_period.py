@@ -14,6 +14,7 @@ from henneberg import (
     ConvergenceError,
     DomainError,
     ModuliPoint,
+    SearchHit,
     WeierstrassData,
     brute_search_m1,
     continue_from,
@@ -347,6 +348,29 @@ def _distance_to_h1_zeros(hit):
     )
 
 
+class TestIsHenneberg:
+    @pytest.mark.parametrize("theta2, beta", [
+        (math.pi / 2, 0.0), (math.pi / 2, math.pi), (3 * math.pi / 2, 0.0),
+        (3 * math.pi / 2, math.pi), (-3 * math.pi / 2, 2 * math.pi - 1e-17),
+        (math.pi / 2 + 1e-9, -1e-9), (5 * math.pi / 2, 3 * math.pi),
+    ])
+    def test_on_the_zero_set(self, theta2, beta):
+        assert SearchHit(1.0, 1.0, theta2, beta, 0.0).is_henneberg() is True
+
+    @pytest.mark.parametrize("r1, r2, theta2, beta", [
+        (1.0, 1.0, math.pi / 2, math.pi / 2),
+        (1.0, 1.0, 3 * math.pi / 2, 3 * math.pi / 2),
+        (1.0, 1.0, math.pi / 2, 1e-3),
+        (1.0, 1.0, math.pi, 0.0),
+        (1.0 + 1e-3, 1.0, math.pi / 2, 0.0),
+        (1.0, 0.999, math.pi / 2, math.pi),
+    ])
+    def test_off_the_zero_set(self, r1, r2, theta2, beta):
+        # beta = pi/2 at r1 = r2 = 1, theta2 = pi/2 has m1_residual 4, not 0
+        assert m1_residual(r1, r2, theta2, beta) > 1e-7
+        assert SearchHit(r1, r2, theta2, beta, 0.0).is_henneberg() is False
+
+
 class TestSearchPinned:
     @pytest.mark.parametrize(
         "kwargs",
@@ -358,6 +382,7 @@ class TestSearchPinned:
         # themselves are the exact zeros to within rounding
         for hit in brute_search_m1(**kwargs):
             assert _distance_to_h1_zeros(hit) < 1e-15, hit
+            assert hit.is_henneberg(), hit
 
     def test_no_finite_differences(self):
         # the search refines on _m1_jacobian; the difference quotients are
