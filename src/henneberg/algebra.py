@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import DomainError
 
-#: relative magnitude below which stored coefficients are dropped to zero
+#: relative magnitude at or below which expand_product, its only reader,
+#: sets the real or imaginary part of a branch coefficient to zero
 DROP_TOL = 1e-15
 
 #: largest common tag denominator N multiplied in the cyclotomic field; its
@@ -114,10 +115,10 @@ def _require_finite(values, what):
 class LaurentPoly:
     """Finite Laurent polynomial: coeffs[k] multiplies z**(lowest + k).
 
-    Instances are normalized on construction: coefficients whose magnitude is
-    at most DROP_TOL times the largest one are set to zero and the exponent
-    range is trimmed.  Instances are immutable; all operations return new
-    objects and are safe to share across threads.
+    Construction keeps every coefficient it is given: it only checks that
+    they are finite and trims exact-zero ends from the exponent range.
+    Instances are immutable; all operations return new objects and are safe
+    to share across threads.
     """
 
     lowest: int
@@ -125,19 +126,12 @@ class LaurentPoly:
 
     def __post_init__(self):
         arr = np.array(self.coeffs, dtype=complex, ndmin=1)
-        mag = np.abs(arr)
-        top = mag.max() if arr.size else 0.0
-        if not np.isfinite(top):  # a NaN or infinite coefficient, or overflow
-            _require_finite(arr.view(float), "Laurent coefficients")
-        lowest = self.lowest
-        if top == 0.0:
-            arr = np.zeros(1, dtype=complex)
-            lowest = 0
+        _require_finite(arr.view(float), "Laurent coefficients")
+        keep = np.flatnonzero(arr)
+        if keep.size:
+            lowest, arr = self.lowest + keep[0], arr[keep[0] : keep[-1] + 1]
         else:
-            arr[mag <= DROP_TOL * top] = 0.0
-            keep = np.flatnonzero(arr)
-            lowest += keep[0]
-            arr = arr[keep[0] : keep[-1] + 1]
+            lowest, arr = 0, np.zeros(1, dtype=complex)
         arr.setflags(write=False)
         object.__setattr__(self, "lowest", int(lowest))
         object.__setattr__(self, "coeffs", arr)
@@ -307,8 +301,9 @@ def expand_product(config: BranchConfiguration) -> LaurentPoly:
     whose common denominator exceeds MAX_FIELD_ORDER.
 
     Real or imaginary parts at most DROP_TOL times the largest coefficient
-    are set to zero.  Raises DomainError when the largest coefficient is so
-    large that this rule would also drop the unit-modulus end terms.
+    are set to zero; no other constructor of a LaurentPoly drops anything.
+    Raises DomainError when the largest coefficient is so large that this
+    cut would also drop the unit-modulus end terms.
     """
     n, turns = (None, None) if config.angles_pi is None else pi_turns(config.angles_pi)
     if n is not None and n <= MAX_FIELD_ORDER:

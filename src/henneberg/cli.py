@@ -326,7 +326,7 @@ def cmd_search_m1(args) -> int:
     payload = {
         "schema": 1,
         "grid": {
-            "span": args.span,
+            "span": args.span if args.r_lo is None else None,
             "n_radial": args.n_radial,
             "n_angular": args.n_angular,
             "r_lo": r_lo,

@@ -8,21 +8,21 @@ analytic speed, to
 
 A planar curve is given as finite trigonometric sums with rational
 frequencies, and is stored, from construction on, as the Laurent polynomials
-in E = e^{i w / D} that those sums are; its points, velocities, normals and
-cusps are all evaluated from them.  The analytic speed is the exact
-polynomial square root of gamma' . gamma' (an error is raised when that is
-not a perfect square).  Its integral is closed-form: the primitive P,
-termwise D s_k E^k / (i k) for k != 0, plus s_0 w, whose imaginary part is
-s_0 v = -s_0 D ln|E| (s_0 is 0 for every hypocycloid, the radius for a
-circle).  So the patch is an IntegratedForms like every Weierstrass
-immersion, with polys (x, y, -i P) and log coefficients (0, 0, -s_0 D),
-less its value at E_0 = e^{i w0 / D} on x3.  The Gauss map of the patch
-is the ratio g = -i s / (x' - i y') with its common factors
-(the cusps, where both vanish) divided out of both by synthetic division,
-one root of x' - i y' at a time, and the cusps of such a curve
-are the unit-circle roots of x' + i y'.  Cusps of a band-limited callable
-curve are counted the same way, from the Laurent polynomial that its
-discrete Fourier transform gives.
+in E = e^{i w / D} that those sums are, with phases exact at quarter turns;
+its points, velocities, normals and cusps are all evaluated from them.  The
+analytic speed is the polynomial square root of gamma' . gamma' once float
+residue at its ends (at most 1e-10 of its largest term) is trimmed; an error
+is raised when that is not a perfect square.  Its integral is closed-form: the
+primitive P, termwise D s_k E^k / (i k) for k != 0, plus s_0 w, whose
+imaginary part is s_0 v = -s_0 D ln|E| (s_0 is 0 for every hypocycloid, the
+radius for a circle).  So the patch is an IntegratedForms like every
+Weierstrass immersion, with polys (x, y, -i P) and log coefficients
+(0, 0, -s_0 D), less its value at E_0 = e^{i w0 / D} on x3.  Its Gauss map
+is g = -i s / (x' - i y') with the common factors (the cusps, where both
+vanish) divided out by synthetic division, one root of x' - i y' at a time;
+the cusps of such a curve are the unit-circle roots of x' + i y'.  Cusps of
+a band-limited callable curve are counted the same way, from the Laurent
+polynomial that its discrete Fourier transform gives.
 
 The isometry group of the symmetric surface of complexity m, D_{2m+2} for
 odd m and D_{m+1} x Z_2 for even m, is in the parameter plane for both
@@ -41,14 +41,13 @@ fit (_procrustes).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .algebra import LaurentPoly, pi_turns
+from .algebra import LaurentPoly, cis, pi_turns
 from .errors import DomainError, StructureError
 from .period import symmetric_example
 from .surfaces import _forms_map, _polar_point, symmetric_phase
@@ -84,7 +83,7 @@ def _terms_to_laurent(terms, denom: int) -> LaurentPoly:
         k = term.frequency * denom
         assert k.denominator == 1
         k = int(k)
-        half = 0.5 * term.amplitude * cmath.exp(1j * term.phase)
+        half = 0.5 * term.amplitude * cis(term.phase)
         acc[k] = acc.get(k, 0.0) + half
         acc[-k] = acc.get(-k, 0.0) + half.conjugate()
     return LaurentPoly.from_dict(acc)
@@ -184,12 +183,19 @@ def circle_curve(radius: float = 1.0) -> AnalyticPlanarCurve:
 
 
 def _laurent_sqrt(q: LaurentPoly) -> LaurentPoly:
-    """Exact square root of a perfect-square Laurent polynomial."""
-    lo, coeffs = q.lowest, q.coeffs
-    n = len(coeffs)
-    if q.is_zero or lo % 2 != 0 or (n - 1) % 2 != 0:
+    """Exact square root of a perfect-square Laurent polynomial q = speed^2.
+
+    An end term of q that cancels exactly can leave float residue, which
+    would decide the root's degree and parity.  So end coefficients at or
+    below 1e-10 of q's largest are trimmed first, and the root is accepted
+    when its square is within that same 1e-10 of q."""
+    mag = np.abs(q.coeffs)
+    tol = 1e-10 * float(mag.max())
+    keep = np.flatnonzero(mag > tol)
+    if not keep.size or (q.lowest + keep[0]) % 2 or (keep[-1] - keep[0]) % 2:
         raise StructureError("speed^2 is not a perfect square Laurent polynomial")
-    half = (n - 1) // 2
+    lo, coeffs = q.lowest + int(keep[0]), q.coeffs[keep[0] : keep[-1] + 1]
+    half = (len(coeffs) - 1) // 2
     s = np.zeros(half + 1, dtype=complex)
     s[0] = np.sqrt(coeffs[0])
     for i in range(1, half + 1):
@@ -197,7 +203,6 @@ def _laurent_sqrt(q: LaurentPoly) -> LaurentPoly:
         s[i] = (coeffs[i] - conv) / (2 * s[0])
     root = LaurentPoly(lo // 2, s)
     check = root * root - q
-    tol = 1e-10 * float(np.abs(coeffs).max())
     if not check.is_zero and float(np.abs(check.coeffs).max()) > tol:
         raise StructureError(
             "speed^2 is not a perfect square: the unit normal has no "

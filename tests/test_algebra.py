@@ -35,10 +35,60 @@ def poly_close(p, q, rel=1e-12):
     return diff <= rel * scale
 
 
+def exact_poly(lowest, coeffs):
+    """(lowest, coeffs) with exact-zero ends trimmed, the zero polynomial as
+    (0, [0])."""
+    arr = np.asarray(coeffs, dtype=complex)
+    keep = np.flatnonzero(arr)
+    if not keep.size:
+        return 0, np.zeros(1, dtype=complex)
+    return lowest + int(keep[0]), arr[keep[0] : keep[-1] + 1]
+
+
+def assert_poly_is(p, lowest, coeffs):
+    lo, want = exact_poly(lowest, coeffs)
+    assert p.lowest == lo and p.coeffs.tobytes() == want.tobytes()
+
+
+#: complex numbers whose moduli are log-uniform over 1e-30..1e30
+wide_complex = st.builds(lambda e, t: 10.0**e * cis(t), st.floats(-30.0, 30.0), st.floats(-4.0, 4.0))
+
+
+@st.composite
+def wide_polys(draw):
+    """A LaurentPoly with wide_complex coefficients and exact zeros
+    anywhere, with the exponent and array it was built from."""
+    lowest = draw(st.integers(-5, 5))
+    coeffs = draw(st.lists(st.one_of(st.just(0.0), wide_complex), min_size=1, max_size=6))
+    return LaurentPoly(lowest, coeffs), lowest, coeffs
+
+
 class TestLaurentPoly:
-    def test_normalization_drops_relative_dirt(self):
-        p = LaurentPoly(0, [1.0, 1e-17, 2.0])
-        assert p.coefficient(1) == 0
+    def test_keeps_relatively_small_coefficients(self):
+        assert LaurentPoly(0, [1.0, 1e-17, 2.0]).coefficient(1) == 1e-17
+        assert_poly_is(LaurentPoly(0, [1e-16, 1.0]), 0, [1e-16, 1.0])
+        p = LaurentPoly(0, [1, 0.5]) * LaurentPoly(0, [1e-16, 1e3])
+        assert (p.lowest, p.coefficient(0)) == (0, 1e-16)
+
+    def test_exact_cancellation_is_the_zero_polynomial(self):
+        p = LaurentPoly(-2, [1e-20, 3.0, 1e20])
+        assert_poly_is(p - p, 0, [0.0])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(a=wide_polys(), b=wide_polys(), c=wide_complex, k=st.integers(-4, 4))
+    def test_arithmetic_is_exact_over_wide_ranges(self, a, b, c, k):
+        # every operation equals its numpy computation on the stored arrays,
+        # trimmed only of exact-zero ends
+        (p, p_lo, p_coeffs), (q, _, _) = a, b
+        assert_poly_is(p, p_lo, p_coeffs)
+        assert_poly_is(p * q, p.lowest + q.lowest, np.convolve(p.coeffs, q.coeffs))
+        lo, hi = min(p.lowest, q.lowest), max(p.highest, q.highest)
+        total = np.zeros(hi - lo + 1, dtype=complex)
+        total[p.lowest - lo : p.highest - lo + 1] += p.coeffs
+        total[q.lowest - lo : q.highest - lo + 1] += q.coeffs
+        assert_poly_is(p + q, lo, total)
+        assert_poly_is(p.scale(c), p.lowest, p.coeffs * c)
+        assert_poly_is(p.shift(k), p.lowest + k, p.coeffs)
 
     def test_trims_exponent_range(self):
         p = LaurentPoly(-2, [0.0, 1.0, 0.0])
@@ -211,7 +261,8 @@ class TestExpandProductDomain:
         BranchConfiguration.from_pi_fractions([(1e300, 0), (1e300, Fraction(1, 2))]),
     ])
     def test_far_moduli_raise_instead_of_losing_end_terms(self, config):
-        # the drop rule would zero the monic and the unit-modulus constant
+        # the real/imaginary cut at DROP_TOL of the largest coefficient would
+        # zero the monic and the unit-modulus constant
         with pytest.raises(DomainError, match=r"moduli \(1"):
             expand_product(config)
 

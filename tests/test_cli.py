@@ -311,7 +311,8 @@ class TestVerify:
         [[1e8, 0.3], [1e-8, 1.1], [2.0, 2.0]],
     ])
     def test_far_moduli_exit_2(self, capsys, tmp_path, pairs):
-        # their branch polynomial would lose its end terms to the drop rule
+        # their branch polynomial would lose its end terms to expand_product's
+        # real/imaginary cut at DROP_TOL of its largest coefficient
         data = tmp_path / "far.json"
         data.write_text(json.dumps({"c": [0, 1], "m": len(pairs) - 1, "a": pairs}))
         code, stdout, err = run(capsys, "verify", "custom", "--data", str(data))
@@ -425,7 +426,8 @@ class TestSearch:
         grid = json.loads(stdout)["grid"]
         assert (grid["r_lo"], grid["r_hi"]) == bounds
         assert set(grid) == {"span", "n_radial", "n_angular", "r_lo", "r_hi"}
-        assert grid["span"] == (2.0 if "--span" in argv else 4.0)  # the default otherwise
+        # the given or default span; none when the bounds were searched instead
+        assert grid["span"] == (None if "--r-lo" in argv else 2.0 if "--span" in argv else 4.0)
 
     @pytest.mark.parametrize("argv", [
         ["--span", "2", "--r-lo", "1.5", "--r-hi", "3"],
@@ -612,42 +614,43 @@ class TestContinue:
 
 #: `bjorling` at the default 64x9 grid and strip: closed_form_m, sup_error
 #: and the SHA-256 of the --out OBJ and PLY files (numpy 2.4, x86-64
-#: Linux), recorded once the mesh became the closed band: 64 columns over
-#: theta in [0, 2 pi) and 2 * 64 * 8 faces, the seam quads included
+#: Linux), recorded on the closed band (64 columns over theta in [0, 2 pi)
+#: and 2 * 64 * 8 faces, the seam quads included) once the curve's phases
+#: became exact at quarter turns and LaurentPoly stopped dropping terms
 BJORLING_PINS = {
-    "3": (2.0, 3.469446951953614e-16,
-          "de5c6947871eb07001c7f351502464f9cc4af77c7f67f33f16e4e417e31c6a54",
-          "99aece213ac2d4529857dc0c325df4b75f3be122538e237a30e49d6e30193fbc"),
-    "4": (1.0, 8.881784197001252e-16,
-          "c2dbbdee99cb4c7462f6a89b1fd34f5f81606f57d7af7f492d9b763ca164092c",
-          "3c6127d5ea4f22baac0f0c8e9657b8720f8875a0836617fa8efe78b2bdeeecbd"),
-    "5": (4.0, 5.689893001203927e-16,
-          "6baeab375db9986a520f701159c60fb2014ac9396b677312e5bcb2ae00100012",
-          "e3932bf7c768d8e44ef6d655c5be180ee1d8db171db019806cba9c84d9981641"),
+    "3": (2.0, 3.3306690738754696e-16,
+          "7661d9d6d769a8e734a63243073cc91b3cffdae1651ee3c95cb44233f3e995f8",
+          "299e4d8b685b8380c248cf5e21455b4076bade1eab03a66bc31a161d18ddea74"),
+    "4": (1.0, 6.661338147750939e-16,
+          "cc56c338425b7c429e21449f0f97aed7ca919516e3800cbca3bdda9292741318",
+          "1fc82b555951d0cd07743509e1bf361c5f174fa8dc3c748f5941ab11c3fd74d7"),
+    "5": (4.0, 5.898059818321144e-16,
+          "a245414be82f61f54e8d2c98d5e6f01ed1b950f29f1d4f0c13767c06e9d3aaf1",
+          "82bfea8070295b482b1fb11d79f0166936dd223e85181c221a4f64fbc95ace69"),
     "6": (0.5, 1.3322676295501878e-15,
-          "86e8c81d25f842227366db2c8f07c35b0ab4213716f609df22869b56574d3434",
-          "742fc4e7969e494f0fef624b4d4478bf72d128853d487cfadfa2805c101f502c"),
-    "7": (6.0, 6.106226635438361e-16,
-          "a98c4c4be7409c9f6ca34a1c410f13d85093ec3e8b0e5ceb77a6b3f4a9c8050f",
-          "fb1f14f632834d3e39e7c58a551877cbabe4c38f96cc40f893e5fece1a953db4"),
-    "8": (3.0, 5.273559366969494e-16,
-          "77f97dae35243dcda39e11a83dad77ae36834da0e0a752cb7717de03676cdf90",
-          "0ada44ec660f544e53a8458ab84b5df0fe806ffe4ca9a565aabe96f6517cf8a7"),
+          "6a2098152dbf6f1e1ff3f0ced649821cf820d70323794aec87568833024ecf9d",
+          "c28841ed83d0a00372881e74305b83e5bbd670aab509e8ad66887b426eb25e1b"),
+    "7": (6.0, 6.38378239159465e-16,
+          "c1082052c5c6ab2e33de456c33e20c91743f5ec606821942ea4de4a714a0ff2e",
+          "9acdc062c27f6c597d2831a92d7a936f1eee9a1779c9a1948ecca6f45331d31b"),
+    "8": (3.0, 4.996003610813204e-16,
+          "5e3575cb624ee197591651ba55269be77a7aac75ffc2051fd47b847ef60ab8b9",
+          "fbc595b0e53a77850366d6dda394201df7e1adc989613714d8d8dce2e8e712e3"),
     "9": (8.0, 4.718447854656915e-16,
-          "7f47ae64cf152d9eb7dba1882342e606602fd4c4135c6069cafd36360edb16b3",
-          "ae6f45d0bf55d6936c26c807e152366e9f1789060cd20dd87e875c083b8d8505"),
-    "10": (0.25, 2.6645352591003757e-15,
-          "77a380ed9f4c53d6a4cbb93410b5898b3d06aad9e0dccc83922073e14f749edc",
-          "73c593c632260efd93cbd8080e649a2173c48c1424bc2c775d03087b4a257d9e"),
-    "11": (10.0, 1.1102230246251565e-15,
-          "63b8e4c7abddff9e8da495dcaa288a6ca0a4d65d8db537d941376ccbef8f3bbe",
-          "0058e50f5cc281a5ed65c2e3faca2eaeb7d9148938008170a79d23039b75092d"),
-    "12": (5.0, 6.106226635438361e-16,
-          "b18c9766ef0a453cb2fa050e41a1705bac0445ebf00e11a0775c5cce0b8a2aab",
-          "b11098f84c08ba463145973a2f40046fba4ef9a3d2e6832b6adbee40603fa655"),
-    "astroid": (1.0, 8.881784197001252e-16,
-          "c2dbbdee99cb4c7462f6a89b1fd34f5f81606f57d7af7f492d9b763ca164092c",
-          "3c6127d5ea4f22baac0f0c8e9657b8720f8875a0836617fa8efe78b2bdeeecbd"),
+          "5b00d9dc81cde710eb32e6ff7ab9b62925a841f259773c6d4bcb38274707d260",
+          "82f29ba0bf9adfe16d0606e616ebc4c4afea19f20b28e36de73ff07f3fa5e79c"),
+    "10": (0.25, 2.220446049250313e-15,
+          "3f09c12bc84442eba00b34056af8c82e7847eb2546c9d155037d08df2a7e449c",
+          "2f68b23fbb3f517d24dfdd42cf279ae2400e9aa989055ab1bb74c00db8bf0afe"),
+    "11": (10.0, 1.096345236817342e-15,
+          "47fd42100383e447eac536a382f6a1e34e3516d4b1ef205331cc03dc96a99a67",
+          "3d528cde841485ce0f58d462e879333e3747aaa50baa5aaacef9972572cfd93e"),
+    "12": (5.0, 5.828670879282072e-16,
+          "d41e7b68b6f0b38baaf97bfb8ef1fb895a28271c459fc19a40973be08826a83d",
+          "24cecfbefe24be418b6bac3ffe5b07f97f904d790c17ae876a76daf85586482b"),
+    "astroid": (1.0, 6.661338147750939e-16,
+          "cc56c338425b7c429e21449f0f97aed7ca919516e3800cbca3bdda9292741318",
+          "1fc82b555951d0cd07743509e1bf361c5f174fa8dc3c748f5941ab11c3fd74d7"),
 }
 
 

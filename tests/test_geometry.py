@@ -55,6 +55,18 @@ def limacon_curve(eps=0.3):
     return AnalyticPlanarCurve(x, y)
 
 
+def moved_curve(curve, t0, alpha):
+    """t -> R_alpha gamma(t + t0) over the same domain, as trig terms."""
+    def shifted(terms, scale):
+        return tuple(TrigTerm(scale * term.amplitude, term.frequency,
+                              term.phase + float(term.frequency) * t0) for term in terms)
+
+    c, s = math.cos(alpha), math.sin(alpha)
+    return AnalyticPlanarCurve(shifted(curve.x_terms, c) + shifted(curve.y_terms, -s),
+                               shifted(curve.x_terms, s) + shifted(curve.y_terms, c),
+                               curve.domain)
+
+
 def trig_sum(terms, t):
     """Oracle: the sum of a cos(f t + p) over the terms, evaluated directly
     (complex t gives the analytic extension)."""
@@ -262,6 +274,37 @@ class TestBjorling:
         for cusps in range(3, 13):
             bjorling_solve(equator_curve(cli._closed_form_for_cusps(cusps)))
         assert not calls
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.4])
+    @pytest.mark.parametrize("t0", [0.1, 0.7, 1.3, 2.9])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, Fraction(1, 2), 8], ids=str)
+    def test_moved_hypocycloids(self, m, t0, alpha):
+        # gamma(t + t0) rotated by alpha: its speed^2 has float residue at
+        # the ends (2e-15 of the top coefficient for m = 8, t0 = 2.9), which
+        # the root trims; the sign of x3 follows the arc that w0 lands on
+        curve = moved_curve(equator_curve(m), t0, alpha)
+        patch = bjorling_solve(curve)
+        strip = 0.05 / curve.denom
+        spec = SamplingSpec(r_min=math.exp(-strip), r_max=math.exp(strip), n_r=5, n_theta=32)
+        normals = build_mesh(patch.surface_map(), spec).normals
+        assert np.isfinite(normals).all()
+        assert np.abs(np.linalg.norm(normals, axis=1) - 1.0).max() < 1e-12
+        us = np.linspace(curve.domain[0], curve.domain[1], 65)
+        vs = np.linspace(-0.2, 0.2, 5)[:, None]
+        c, s = math.cos(alpha), math.sin(alpha)
+        rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        want = eval_hm_even(m, np.exp(-vs) * np.ones_like(us), us + t0) @ rotation.T
+        got = patch.at(us, vs)
+        err = max(np.abs(got[..., :2] - want[..., :2]).max(),
+                  min(np.abs(got[..., 2] - sign * want[..., 2]).max() for sign in (1, -1)))
+        assert err < 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("q", [*range(1, 13), Fraction(1, 2), Fraction(1, 4)], ids=str)
+    def test_quarter_turn_phases_give_exact_coefficients(self, q):
+        # x has phases +-pi/2, y has phase pi: cis makes them exact
+        curve = equator_curve(q)
+        assert not curve.x.coeffs.real.any()
+        assert not curve.y.coeffs.imag.any()
 
     def test_arrays_broadcast(self):
         patch = bjorling_solve(equator_curve(2))
