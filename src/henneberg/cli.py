@@ -548,6 +548,11 @@ def main(argv=None) -> int:
         # OSError: an unwritable --out (input files are read by _load_json)
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # a grid too large for this machine: a bad input, like a bad flag
+        print(f"error: out of memory: {str(exc) or 'the grid is too large'}",
+              file=sys.stderr)
+        return 2
     except HennebergError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -275,23 +275,52 @@ def _radial_bounds(span):
     return 1.0 / span, float(span)
 
 
+def _m1_search_terms(rs, angles):
+    """The factors (S, B, C) of the search grid over the radii ``rs`` and
+    the ``angles``: S and C on the angle pairs (k, l), and the bracket B
+    packed as _factored_minima reads it, one row per radius pair i <= j of
+    np.triu_indices(len(rs)) by k.
+
+    B is symmetric bit for bit under swapping r1 and r2: IEEE + and *
+    commute, and both gaps are radial_gap of the same ``rs``.  So the
+    triangle holds every value of the full (i, j, k) bracket, and each
+    value with the same rounding.
+    """
+    iu, ju = np.triu_indices(len(rs))
+    s, b, c = _m1_terms(
+        rs[iu][:, None, None], rs[ju][:, None, None], angles[:, None], angles
+    )
+    return s, b[..., 0], c
+
+
 def _factored_minima(s, b, c, threshold):
     """Grid-local minima below ``threshold`` of the 4-D grid
-    r[i, j, k, l] = s[k, l] * b[i, j, k] + c[k, l], with s >= 0, as an
+    r[i, j, k, l] = s[k, l] * B[i, j, k] + c[k, l], with s >= 0, as an
     (n, 4) array of indices (i, j, k, l) in lexicographic order.
+
+    The bracket B must be symmetric in (i, j), and ``b`` holds its upper
+    triangle packed (see _m1_search_terms): an (n_r (n_r + 1) / 2, n_a)
+    array whose row a n_r - a (a - 1) / 2 + (j - a) is B[a, j, :] for
+    a <= j.  A point (i, j, k, l) reads row (min(i, j), max(i, j)).
 
     A point is a minimum when it is <= both neighbours on every axis.  The
     two radial axes (i, j) are clamped, so an edge point is compared with
     itself, which is the same as padding with +inf; the two angular axes
     (k, l) wrap.  The grid is never built: only points that can lie below
-    ``threshold`` are evaluated, each with the same two roundings.
+    ``threshold`` are evaluated, each with the same two roundings.  Since
+    r[i, j, k, l] = r[j, i, k, l] and the neighbours of (j, i, k, l) are
+    those of (i, j, k, l) mirrored, the minima with i > j are the mirrors
+    of those with i < j, and only the triangle i <= j is tested.
     """
-    n_r, _, n_a = b.shape
+    n_pairs, n_a = b.shape
+    n_r = (math.isqrt(8 * n_pairs + 1) - 1) // 2
     s_flat, b_flat, c_flat = s.reshape(-1), b.reshape(-1), c.reshape(-1)
 
     def value(i, j, k, l):
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        row = lo * n_r - lo * (lo - 1) // 2 + (hi - lo)
         kl = k * n_a + l
-        return s_flat[kl] * b_flat[(i * n_r + j) * n_a + k] + c_flat[kl]
+        return s_flat[kl] * b_flat[row * n_a + k] + c_flat[kl]
 
     # For s >= 0 the rounded s * b + c is non-decreasing in b, whatever the
     # sign of b (a bracket that rounds slightly below 0 included), since
@@ -302,7 +331,7 @@ def _factored_minima(s, b, c, threshold):
     # widened and then checked with the formula itself; a cut that fails
     # the check (as every cut does where s = 0) becomes +inf, which drops
     # nothing.
-    b_min = np.fmin.reduce(b_flat.reshape(-1, n_a), axis=0)
+    b_min = np.fmin.reduce(b, axis=0)
     k, l = np.nonzero(s * b_min[:, None] + c < threshold)
     sp, cp = s[k, l], c[k, l]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -312,34 +341,38 @@ def _factored_minima(s, b, c, threshold):
 
     # Join each bracket under the widest cut of its column k with the kept
     # pairs (k, l) of that column, and keep the joined points whose value is
-    # below threshold.  The brackets come in flat (i, j, k) order and the
+    # below threshold.  The brackets come in flat (row, k) order and the
     # pairs sorted by (k, l), so the points are in lexicographic order.
     widest = np.full(n_a, -np.inf)
     np.maximum.at(widest, k, cut)
-    ijk = np.flatnonzero(b <= widest)
+    rk = np.flatnonzero(b <= widest)
     per_k = np.bincount(k, minlength=n_a)
     first = np.cumsum(per_k) - per_k
-    reps = per_k[ijk % n_a]
+    reps = per_k[rk % n_a]
     # the n-th joined point, copy r of its bracket in column k, takes the
     # pair first[k] + r, where r = n - (copies of the brackets before it)
-    shift = first[ijk % n_a] - (np.cumsum(reps) - reps)
-    ijk = np.repeat(ijk, reps)
-    pair = np.arange(len(ijk)) + np.repeat(shift, reps)
-    v = sp[pair] * b_flat[ijk] + cp[pair]
+    shift = first[rk % n_a] - (np.cumsum(reps) - reps)
+    rk = np.repeat(rk, reps)
+    pair = np.arange(len(rk)) + np.repeat(shift, reps)
+    v = sp[pair] * b_flat[rk] + cp[pair]
     below = v < threshold
-    v = v[below]
-    point = np.array([*np.unravel_index(ijk[below], b.shape), l[pair[below]]])
+    v, pair = v[below], pair[below]
+    row, kk = np.divmod(rk[below], n_a)
+    iu, ju = np.triu_indices(n_r)
+    point = [iu[row], ju[row], kk, l[pair]]
 
     # Test the neighbours one direction at a time, on the survivors only.
-    keep = np.ones(len(v), dtype=bool)
     for axis, n in enumerate((n_r, n_r, n_a, n_a)):
         for step in (-1, 1):
-            point, v = point[:, keep], v[keep]
-            nb = point.copy()
-            nb[axis] += step
-            nb[axis] = np.clip(nb[axis], 0, n - 1) if axis < 2 else nb[axis] % n
-            keep = v <= value(*nb)
-    return point[:, keep].T
+            nb = point[axis] + step
+            nb = np.clip(nb, 0, n - 1) if axis < 2 else nb % n
+            keep = v <= value(*point[:axis], nb, *point[axis + 1:])
+            point, v = [x[keep] for x in point], v[keep]
+
+    rows = np.stack(point, axis=1)
+    mirrors = rows[point[0] < point[1]][:, [1, 0, 2, 3]]
+    rows = np.concatenate([rows, mirrors])
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 def brute_search_m1(
@@ -363,10 +396,13 @@ def brute_search_m1(
     The 4-D residual grid is never built.  It factors as
     S[k, l] * B[i, j, k] + C[k, l] (see _m1_terms), so the search builds S
     and C on the (n_angular, n_angular) angle grid and the bracket B on
-    (n_radial, n_radial, n_angular), and evaluates the residual only at
-    the points that can lie below 1 and at their grid neighbours
-    (_factored_minima).  Time and memory grow as
-    n_radial^2 * n_angular + n_angular^2 plus the number of those points.
+    the radius pairs i <= j only, and evaluates the residual only at the
+    points that can lie below 1 and at their grid neighbours
+    (_factored_minima).  The triangle suffices because B is symmetric bit
+    for bit under swapping r1 and r2 (see _m1_search_terms), so the
+    residual at (i, j, k, l) equals the one at (j, i, k, l).  Time and
+    memory grow as n_radial (n_radial + 1) / 2 * n_angular + n_angular^2
+    plus the number of those points.
     """
     r_lo, r_hi = _radial_bounds(span)
     if n_radial < 1 or n_angular < 1:
@@ -377,10 +413,7 @@ def brute_search_m1(
     rs = np.exp(np.linspace(math.log(r_lo), math.log(r_hi), n_radial))
     angles = np.linspace(0.0, 2 * math.pi, n_angular, endpoint=False)
 
-    s, b, c = _m1_terms(
-        rs[:, None, None, None], rs[:, None, None], angles[:, None], angles
-    )
-    minima = _factored_minima(s, b[..., 0], c, 1.0)
+    minima = _factored_minima(*_m1_search_terms(rs, angles), 1.0)
 
     lo, hi = 0.9 * r_lo, 1.1 * r_hi
     hits = []

@@ -441,6 +441,25 @@ class TestSearch:
         assert stdout == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("message", [
+        "Unable to allocate 29.1 TiB for an array with shape "
+        "(2000000, 2000000) and data type float64",
+        "",
+    ])
+    def test_out_of_memory_exits_2(self, capsys, tmp_path, monkeypatch, message):
+        # a grid too large to allocate is a bad input: one line, no file
+        def search(**kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "brute_search_m1", search)
+        out = tmp_path / "big.json"
+        code, stdout, err = run(capsys, "search-m1", "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
+
     def test_angles_wrapped_below_two_pi(self, capsys):
         # on this grid a refined beta of about -1e-17 used to be reported
         # as 2 pi

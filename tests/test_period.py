@@ -33,6 +33,7 @@ from henneberg.period import (
     _damped_newton,
     _factored_minima,
     _m1_jacobian,
+    _m1_search_terms,
     _m1_terms,
     _m1_vector,
 )
@@ -217,13 +218,9 @@ def _search_axes(span, n_radial, n_angular):
 
 
 def _search_terms(span, n_radial, n_angular):
-    """The factors (S, B, C) of the search grid, shaped as brute_search_m1
-    builds them: S and C on (k, l), B on (i, j, k)."""
-    rs, angles = _search_axes(span, n_radial, n_angular)
-    s, b, c = _m1_terms(
-        rs[:, None, None, None], rs[:, None, None], angles[:, None], angles
-    )
-    return s, b[..., 0], c
+    """The factors (S, B, C) of the search grid as brute_search_m1 builds
+    them: S and C on (k, l), B packed on the radius pairs i <= j by k."""
+    return _m1_search_terms(*_search_axes(span, n_radial, n_angular))
 
 
 def _search_grid(span, n_radial, n_angular):
@@ -234,14 +231,48 @@ def _search_grid(span, n_radial, n_angular):
     )
 
 
+def _full_bracket(b):
+    """The symmetric (n_r, n_r, n_a) bracket whose upper triangle the
+    (n_r (n_r + 1) / 2, n_a) array ``b`` packs."""
+    n_pairs, n_angular = b.shape
+    n_radial = (math.isqrt(8 * n_pairs + 1) - 1) // 2
+    iu, ju = np.triu_indices(n_radial)
+    full = np.empty((n_radial, n_radial, n_angular))
+    full[iu, ju] = b
+    full[ju, iu] = b
+    return full
+
+
 def _product_grid(s, b, c):
-    """The 4-D grid s[k, l] * b[i, j, k] + c[k, l], built whole."""
-    return s * b[..., None] + c
+    """The 4-D grid s[k, l] * B[i, j, k] + c[k, l], built whole from the
+    packed bracket ``b``."""
+    return s * _full_bracket(b)[..., None] + c
 
 
 class TestStreamedMinima:
-    """The minima found from the factors S, B, C equal the dense 4-D mask
-    on the whole grid."""
+    """The minima found from the factors S, B, C, with B packed on the
+    radius pairs i <= j, equal the dense 4-D mask on the whole grid."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        radii=st.lists(
+            st.tuples(
+                st.floats(0.0, 1e308, exclude_min=True),
+                st.floats(0.0, 1e308, exclude_min=True),
+            ),
+            min_size=1, max_size=20,
+        ),
+        theta2=st.lists(st.floats(0.0, 2 * math.pi), min_size=1, max_size=12),
+    )
+    def test_bracket_symmetric_bit_for_bit(self, radii, theta2):
+        # the packing rests on B(r1, r2) == B(r2, r1) in every bit, for
+        # every finite radius > 0 (overflow to inf included)
+        r1, r2 = np.array(radii).T[:, :, None]
+        t2 = np.array(theta2)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            b12 = _m1_terms(r1, r2, t2, 0.0)[1]
+            b21 = _m1_terms(r2, r1, t2, 0.0)[1]
+        np.testing.assert_array_equal(b12.view(np.int64), b21.view(np.int64))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -282,9 +313,12 @@ class TestStreamedMinima:
         # small integer factors make ties between neighbours common, and
         # S = 0 gives every point of a (k, l) pair the value C
         n_radial, n_angular = shape
+        # the bracket is drawn packed: the search only ever passes a
+        # symmetric one, and _product_grid mirrors it for the oracle
         rng = np.random.default_rng(seed)
         s = rng.integers(0, 3, (n_angular, n_angular)).astype(float)
-        b = rng.integers(0, 4, (n_radial, n_radial, n_angular)).astype(float)
+        n_pairs = n_radial * (n_radial + 1) // 2
+        b = rng.integers(0, 4, (n_pairs, n_angular)).astype(float)
         c = rng.integers(0, 4, (n_angular, n_angular)).astype(float)
         got = _factored_minima(s, b, c, threshold)
         np.testing.assert_array_equal(
@@ -300,9 +334,19 @@ class TestStreamedMinima:
         (0.10104853533656588, 2.792514049422561, 0.01782054539906766, 0.3),
     ])
     def test_cut_keeps_rounding_edges(self, s, b, c, threshold):
-        s, b, c = np.full((1, 1), s), np.full((1, 1, 1), b), np.full((1, 1), c)
+        s, b, c = np.full((1, 1), s), np.full((1, 1), b), np.full((1, 1), c)
         assert _product_grid(s, b, c) < threshold
         assert _factored_minima(s, b, c, threshold).tolist() == [[0, 0, 0, 0]]
+
+    @pytest.mark.parametrize("n_radial, n_angular", [(33, 48), (41, 60)])
+    def test_search_minima_equal_dense(self, n_radial, n_angular):
+        # the pre-refinement minima of the default and the 41x60 search,
+        # against the dense grids (20 and 48 MB)
+        span = (0.25, 4.0)
+        got = _factored_minima(*_search_terms(span, n_radial, n_angular), 1.0)
+        want = _dense_minima(_search_grid(span, n_radial, n_angular), 1.0)
+        assert len(want) > 0
+        np.testing.assert_array_equal(got, want)
 
 
 #: the four refined H1 minimizers that the original dense search returned
@@ -403,16 +447,16 @@ class TestSearchPinned:
         assert [(*h.params, h.residual) for h in hits] == want
 
     def test_memory_peak_65x96(self):
-        # the factors S, B and C take about 3.4 MB at 65x96 and the points
-        # below threshold a few MB more; the dense 4-D grid alone would take
-        # 311 MB
+        # the factors S, B and C take about 1.8 MB at 65x96 (B packed on the
+        # 2,145 radius pairs i <= j) and the points below threshold a few MB
+        # more, about 5 MB in all; the dense 4-D grid alone would take 311 MB
         tracemalloc.start()
         try:
             brute_search_m1(n_radial=65, n_angular=96)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
+        assert peak < 7e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestThreads:
