@@ -117,6 +117,8 @@ class LaurentPoly:
 
     Construction keeps every coefficient it is given: it only checks that
     they are finite and trims exact-zero ends from the exponent range.
+    ``integral`` is the package's one termwise antiderivative: the
+    Weierstrass forms and the Björling speed are both integrated by it.
     Instances are immutable; all operations return new objects and are safe
     to share across threads.
     """
@@ -187,6 +189,14 @@ class LaurentPoly:
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by z**k."""
         return LaurentPoly(self.lowest + k, self.coeffs)
+
+    def integral(self) -> tuple["LaurentPoly", complex]:
+        """(P, c): P the termwise antiderivative, c_k z^k -> c_k z^{k+1}/(k+1)
+        for k != -1, and c the z^{-1} coefficient, whose antiderivative
+        c ln z is left to the caller."""
+        exps = np.arange(self.lowest + 1, self.highest + 2)
+        coeffs = np.where(exps == 0, 0.0, self.coeffs / np.where(exps == 0, 1, exps))
+        return LaurentPoly(self.lowest + 1, coeffs), self.coefficient(-1)
 
     @functools.cached_property
     def _horner_parts(self) -> tuple:

@@ -405,6 +405,10 @@ def cmd_bjorling(args) -> int:
         largest = math.floor(_MANTISSA_LOG / top * 1e4) / 1e4
         raise CliError(f"--strip must be at most {largest} for {cusps} cusps, "
                        f"got {args.strip}")
+    # the mesh samples the E-plane of surface_map, v = -D ln r
+    strip = args.strip / curve.denom
+    if args.out and not math.exp(-strip) < math.exp(strip):
+        raise CliError(f"--strip {args.strip} is too small to mesh: every radius rounds to 1")
     patch = bjorling_solve(curve)
 
     us = np.linspace(curve.domain[0], curve.domain[1], args.n_u)
@@ -426,8 +430,6 @@ def cmd_bjorling(args) -> int:
         "quad_order": 24,
     }
     if args.out:
-        # the mesh samples the E-plane of surface_map, v = -D ln r
-        strip = args.strip / curve.denom
         spec = SamplingSpec(
             r_min=math.exp(-strip),
             r_max=math.exp(strip),

@@ -12,13 +12,14 @@ in E = e^{i w / D} that those sums are, with phases exact at quarter turns;
 its points, velocities, normals and cusps are all evaluated from them.  The
 analytic speed is the polynomial square root of gamma' . gamma' once float
 residue at its ends (at most 1e-10 of its largest term) is trimmed; an error
-is raised when that is not a perfect square.  Its integral is closed-form: the
-primitive P, termwise D s_k E^k / (i k) for k != 0, plus s_0 w, whose
-imaginary part is s_0 v = -s_0 D ln|E| (s_0 is 0 for every hypocycloid, the
-radius for a circle).  So the patch is an IntegratedForms like every
-Weierstrass immersion, with polys (x, y, -i P) and log coefficients
-(0, 0, -s_0 D), less its value at E_0 = e^{i w0 / D} on x3.  Its Gauss map
-is g = -i s / (x' - i y') with the common factors (the cusps, where both
+is raised when that is not a perfect square.  It is integrated as the
+Weierstrass forms are: dw = D dE / (i E), so x3 is Re P - s_0 D ln|E|, with
+P = -D times the termwise integral of s / E (``LaurentPoly.integral``) and
+s_0 the E^{-1} coefficient of s / E (0 for every hypocycloid, the radius for
+a circle).  So the patch is an IntegratedForms like every Weierstrass
+immersion, with polys (x, y, P) and log coefficients (0, 0, -s_0 D), less
+its value at E_0 = e^{i w0 / D} on x3.  Its Gauss map is
+g = -i s / (x' - i y') with the common factors (the cusps, where both
 vanish) divided out by synthetic division, one root of x' - i y' at a time;
 the cusps of such a curve are the unit-circle roots of x' + i y'.  Cusps of
 a band-limited callable curve are counted the same way, from the Laurent
@@ -211,15 +212,6 @@ def _laurent_sqrt(q: LaurentPoly) -> LaurentPoly:
     return root
 
 
-def _laurent_primitive(poly: LaurentPoly, denom: int):
-    """Termwise antiderivative in w of poly(E), E = e^{i w / D}: the Laurent
-    part D c_k E^k / (i k) for k != 0, and the coefficient c_0 of w."""
-    exps = np.arange(poly.lowest, poly.highest + 1)
-    safe = np.where(exps == 0, 1, exps)
-    coeffs = np.where(exps == 0, 0.0, poly.coeffs * denom / (1j * safe))
-    return LaurentPoly(poly.lowest, coeffs), poly.coefficient(0)
-
-
 def _synthetic_division(coeffs: list, root: complex):
     """coeffs (highest power first) divided by (E - root) by Horner's
     scheme: the quotient's coefficients and the remainder, which is the
@@ -273,12 +265,9 @@ class BjorlingPatch:
         s0 = self._speed.evaluate(self._arg(self.w0))
         if abs(s0 - speeds[base]) > abs(s0 + speeds[base]):
             self._speed = self._speed.scale(-1.0)
-        # -i is complex(0.0, -1.0): the literal -1j has real part -0.0 and
-        # would give a coefficient with imaginary part -0.0 a real part -0.0.
         # s_0 is real, as s is on the curve; offset needs no ln|E_0| = 0 term
-        primitive, drift = _laurent_primitive(self._speed, self.denom)
-        self.forms = IntegratedForms((curve.x, curve.y, primitive.scale(complex(0.0, -1.0))),
-                                     (0.0, 0.0, -drift.real * self.denom))
+        primitive, log = self._speed.scale(-self.denom).shift(-1).integral()
+        self.forms = IntegratedForms((curve.x, curve.y, primitive), (0.0, 0.0, log.real))
         self.offset = np.array([0.0, 0.0, self.forms.polys[2].evaluate(self._arg(self.w0)).real])
 
     def _arg(self, w):
@@ -299,8 +288,10 @@ class BjorlingPatch:
         num = num.scale(complex(0.0, -1.0))
 
         def normal(r, theta):
-            e = _polar_point(r, theta)
-            return unit_normal(num.evaluate(e) / den.evaluate(e))
+            e = _polar_point(r, theta)  # r > 0, so E != 0
+            z = np.atleast_1d(e)  # _horner takes arrays; a scalar keeps its shape
+            w = 1.0 / z
+            return unit_normal((num._horner(z, w) / den._horner(z, w)).reshape(np.shape(e)))
 
         return _forms_map("bjorling", self.forms, offset=self.offset, normal=normal)
 
@@ -467,8 +458,8 @@ def enumerate_isometries(m: int):
 
 
 def flux_exactness(data: WeierstrassData):
-    """Magnitudes of the three form residues; all below ~1e-12 means the
-    Weierstrass form is exact (vanishing flux around the puncture)."""
+    """Magnitudes of the three form residues; all below EXACTNESS_TOL means
+    the Weierstrass form is exact (vanishing flux around the puncture)."""
     return tuple(float(x) for x in np.abs(form_residues(data)))
 
 

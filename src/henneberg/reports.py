@@ -15,13 +15,13 @@ from .period import (
     period_residuals,
     vertical_residual_m2,
 )
-from .weierstrass import WeierstrassData, stability_report
+from .weierstrass import EXACTNESS_TOL, WeierstrassData, stability_report
 
 SCHEMA_VERSION = 1
 
 TOLERANCES = {
     "period": PERIOD_TOL,
-    "flux_exact": 1e-12,
+    "flux_exact": EXACTNESS_TOL,
     "isometry_rel": ISOMETRY_REL_TOL,
 }
 

@@ -26,15 +26,13 @@ from .algebra import BranchConfiguration, cis
 from .errors import DomainError, StructureError
 from .period import symmetric_example
 from .weierstrass import (
+    EXACTNESS_TOL,
     Immersion,
     IntegratedForms,
     WeierstrassData,
     form_residues,
     unit_normal,
 )
-
-#: residues larger than this reject the associated-family construction
-EXACTNESS_TOL = 1e-12
 
 
 def _radius(r):
@@ -190,7 +188,7 @@ def surface_limit_m2() -> SurfaceMap:
 
 def surface_integrated(data: WeierstrassData) -> SurfaceMap:
     imm = Immersion(data)
-    return SurfaceMap("integrated", lambda r, t: imm(_polar_point(r, t)))
+    return _forms_map("integrated", imm.forms, offset=imm.offset)
 
 
 def surface_associated(data: WeierstrassData, phase_angle: float) -> SurfaceMap:

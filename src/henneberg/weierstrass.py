@@ -25,6 +25,9 @@ from .errors import DomainError, PeriodError
 #: imaginary parts of form residues below this are projected to real
 RESIDUE_IM_TOL = 1e-10
 
+#: form residues all below this in modulus make the form exact (no flux)
+EXACTNESS_TOL = 1e-12
+
 #: points IntegratedForms.evaluate runs through Horner at a time
 HORNER_BLOCK = 8192
 
@@ -135,28 +138,22 @@ class IntegratedForms:
 
 
 def integrate_forms(data: WeierstrassData) -> IntegratedForms:
-    """Antidifferentiate the three forms termwise.
+    """Antidifferentiate the three forms termwise (``LaurentPoly.integral``).
 
-    Exponent k != -1 maps to z^{k+1}/(k+1); the z^{-1} coefficient must be
-    real (up to RESIDUE_IM_TOL) and becomes the ln|z| coefficient.  Data
-    whose periods do not close is rejected here with the offending residual.
+    The z^{-1} coefficient of each form must be real (up to RESIDUE_IM_TOL)
+    and becomes its ln|z| coefficient.  Data whose periods do not close is
+    rejected here with the offending residual.
     """
-    polys = []
-    logs = np.zeros(3)
+    polys, logs = [], np.zeros(3)
     for j, phi in enumerate(data.phi):
-        res = phi.coefficient(-1)
+        poly, res = phi.integral()
         if abs(res.imag) >= RESIDUE_IM_TOL:
             raise PeriodError(
                 f"form {j + 1} has non-real residue {res:.3e}; "
                 "the period problem is not solved"
             )
+        polys.append(poly)
         logs[j] = res.real
-        exps = np.arange(phi.lowest, phi.highest + 1)
-        keep = exps != -1
-        lo = phi.lowest + 1
-        arr = np.zeros(phi.highest + 2 - lo, dtype=complex)
-        arr[exps[keep] + 1 - lo] = phi.coeffs[keep] / (exps[keep] + 1)
-        polys.append(LaurentPoly(lo, arr))
     return IntegratedForms(tuple(polys), logs)
 
 

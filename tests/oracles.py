@@ -27,6 +27,7 @@ import numpy as np
 from henneberg import (
     BranchConfiguration,
     DomainError,
+    IntegratedForms,
     IsometryCertificate,
     LaurentPoly,
     ModuliPoint,
@@ -367,3 +368,31 @@ def forms_reference(forms, z):
     parts = [np.real(horner_reference(p, z)) for p in forms.polys]
     logs = np.log(np.abs(z))
     return np.stack([parts[j] + forms.log_coeffs[j] * logs for j in range(3)], axis=-1)
+
+
+def integrated_forms_reference(data: WeierstrassData) -> IntegratedForms:
+    """integrate_forms by its own exponent loop: z^k -> z^{k+1}/(k+1) on the
+    exponents k != -1 of each form, and the real part of its z^{-1}
+    coefficient as the ln|z| coefficient."""
+    polys, logs = [], np.zeros(3)
+    for j, phi in enumerate(data.phi):
+        exps = np.arange(phi.lowest, phi.highest + 1)
+        keep = exps != -1
+        lo = phi.lowest + 1
+        arr = np.zeros(phi.highest + 2 - lo, dtype=complex)
+        arr[exps[keep] + 1 - lo] = phi.coeffs[keep] / (exps[keep] + 1)
+        polys.append(LaurentPoly(lo, arr))
+        logs[j] = phi.coefficient(-1).real
+    return IntegratedForms(tuple(polys), logs)
+
+
+def bjorling_x3_reference(speed: LaurentPoly, denom: int):
+    """x3 of a Björling patch as the primitive in w of its analytic speed
+    s(E), E = e^{i w / D}: the Laurent part D s_k E^k / (i k) for k != 0,
+    rotated by -i, and the ln|E| coefficient -s_0 D of the drift s_0 w.
+    Returns (polynomial, log coefficient)."""
+    exps = np.arange(speed.lowest, speed.highest + 1)
+    safe = np.where(exps == 0, 1, exps)
+    coeffs = np.where(exps == 0, 0.0, speed.coeffs * denom / (1j * safe))
+    primitive = LaurentPoly(speed.lowest, coeffs).scale(complex(0.0, -1.0))
+    return primitive, -speed.coefficient(0).real * denom

@@ -130,6 +130,50 @@ class TestLaurentPoly:
         assert LaurentPoly.from_dict({3: 2.0}).coefficient(-1) == 0.0
 
 
+@st.composite
+def integrable_polys(draw):
+    """A LaurentPoly with lowest exponent in -6..3, up to 10 terms of
+    wide_complex coefficients and exact zeros anywhere."""
+    lowest = draw(st.integers(-6, 3))
+    coeffs = draw(st.lists(st.one_of(st.just(0.0), wide_complex), min_size=1, max_size=10))
+    return LaurentPoly(lowest, coeffs)
+
+
+class TestIntegral:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(p=integrable_polys())
+    def test_termwise_antiderivative_bit_for_bit(self, p):
+        # z^k -> z^{k+1}/(k+1) by numpy's complex division for k != -1; the
+        # z^{-1} coefficient is returned as it is stored
+        poly, residue = p.integral()
+        want_residue = p.coefficient(-1)
+        assert (residue.real.hex(), residue.imag.hex()) == (want_residue.real.hex(),
+                                                            want_residue.imag.hex())
+        want = np.zeros(len(p.coeffs), dtype=complex)
+        for i, c in enumerate(p.coeffs):
+            k = p.lowest + i
+            if k != -1:
+                want[i] = np.complex128(c) / (k + 1)
+        assert_poly_is(poly, p.lowest + 1, want)
+
+    @pytest.mark.parametrize("c", [1.0, -2.5j, 1e-30 - 1e30j])
+    def test_reciprocal_integrates_to_zero_with_its_residue(self, c):
+        poly, residue = LaurentPoly.from_dict({-1: c}).integral()
+        assert poly.is_zero and (poly.lowest, len(poly.coeffs)) == (0, 1)
+        assert residue == c
+
+    def test_trims_only_exact_zero_ends(self):
+        # the z^{-1} term leaves an exact zero at z^0: an end is trimmed, an
+        # inner zero kept, and a tiny end coefficient stays
+        first = np.complex128(2.0) / -1
+        poly, residue = LaurentPoly(-2, [2.0, 3.0, 1e-300]).integral()
+        assert residue == 3.0
+        assert_poly_is(poly, -1, [first, 0.0, 1e-300])
+        poly, _ = LaurentPoly(-2, [2.0, 3.0]).integral()
+        assert_poly_is(poly, -1, [first])
+        assert_poly_is(LaurentPoly(0, [0.0]).integral()[0], 0, [0.0])
+
+
 class TestRadialGap:
     def test_unit_circle(self):
         assert radial_gap(1.0) == 0.0

@@ -14,7 +14,7 @@ from henneberg import bjorling_solve, equator_curve
 #: module that defined them
 GONE = {
     "algebra": ["extend_by_pair", "residue_at_zero"],
-    "geometry": ["fit_rigid_motion", "verify_isometry"],
+    "geometry": ["fit_rigid_motion", "verify_isometry", "_laurent_primitive"],
     "period": ["horizontal_residual_m2_alt", "period_jacobian_m2_fd"],
     "weierstrass": ["immersion", "metric_density"],
 }

@@ -1057,6 +1057,24 @@ def test_strip_bound_names_largest_strip(capsys, cusps, top):
     assert code == 0 and math.isfinite(json.loads(stdout)["sup_error"])
 
 
+@pytest.mark.parametrize("argv", [["--cusps", "3", "--strip", "5e-17"],
+                                  ["--cusps", "6", "--strip", "1e-16"],
+                                  ["--astroid", "--strip", "1e-17"]])
+def test_strip_too_small_to_mesh_names_strip(capsys, tmp_path, argv):
+    # e^(+-strip/D) both round to 1, so the band has one radius
+    out = tmp_path / "b.obj"
+    code, stdout, err = run(capsys, "bjorling", *argv, "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--strip" in err
+    assert not out.exists()
+    # without --out the strip is only sampled, and a band just wide enough meshes
+    code, stdout, _ = run(capsys, "bjorling", *argv, "--n-u", "8", "--n-v", "3")
+    assert code == 0 and math.isfinite(json.loads(stdout)["sup_error"])
+    code, _, _ = run(capsys, "bjorling", "--cusps", "3", "--strip", "6e-17", "--n-u", "8",
+                     "--n-v", "3", "--out", str(out))
+    assert code == 0 and out.exists()
+
+
 class TestGenerateSelectors:
     @pytest.mark.parametrize(
         "argv",

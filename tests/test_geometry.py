@@ -30,15 +30,18 @@ from henneberg import (
     family_theta2,
     flux_exactness,
     integrate_forms,
+    limit_m2_data,
     surface_h1,
     symmetric_example,
     symmetric_phase,
     unit_normal,
 )
 from oracles import (
+    bjorling_x3_reference,
     closed_form_hm,
     compose,
     fit_rigid_motion,
+    integrated_forms_reference,
     reflection,
     rotation_z,
     verify_isometry,
@@ -195,6 +198,55 @@ class TestLaurentCurves:
     @pytest.mark.parametrize("radius", [1.0, 0.5, 2.7])
     def test_default_base_of_circles(self, radius):
         assert bjorling_solve(circle_curve(radius)).w0 == 0.0
+
+
+def _zero_signs_cleared(coeffs):
+    """coeffs with each -0.0 part made +0.0 (x + 0.0), every other bit kept."""
+    return (np.asarray(coeffs) + 0.0).tobytes()
+
+
+class TestOneAntiderivative:
+    """LaurentPoly.integral against the two termwise integrators it
+    replaced, kept as oracles: integrate_forms' exponent loop, and the
+    Björling primitive in w rotated by -i."""
+
+    @pytest.mark.parametrize("data", [
+        *(symmetric_example(m) for m in range(1, 13)), limit_m2_data(),
+        *(family_theta2(t).weierstrass() for t in (0.83, 1.0, 2.2)),
+    ], ids=[*(f"hm-{m}" for m in range(1, 13)), "limit-m2",
+            *(f"family-{t}" for t in (0.83, 1.0, 2.2))])
+    def test_weierstrass_forms_bit_for_bit(self, data):
+        got, want = data.forms, integrated_forms_reference(data)
+        assert got.log_coeffs.tobytes() == want.log_coeffs.tobytes()
+        for p, q in zip(got.polys, want.polys):
+            assert p.lowest == q.lowest and p.coeffs.tobytes() == q.coeffs.tobytes()
+
+    @pytest.mark.parametrize("curve", [
+        *(equator_curve(cli._closed_form_for_cusps(n)) for n in range(3, 25)),
+        *(circle_curve(r) for r in (0.5, 1.0, 2.7)),
+        moved_curve(equator_curve(Fraction(1, 6)), 0.37, 0.5),
+        moved_curve(equator_curve(Fraction(1, 10)), 1.1, 2.0),
+    ], ids=[*(f"{n}-cusps" for n in range(3, 25)), "circle-0.5", "circle-1", "circle-2.7",
+            "moved-14-cusps", "moved-22-cusps"])
+    def test_bjorling_forms_bit_for_bit(self, curve):
+        # the coefficients agree in every bit but the sign of a zero part,
+        # which the old -i rotation set; the evaluations, offset included,
+        # agree in every bit, on and off the curve and at quarter turns.
+        # Only on the moved curves, with generic coefficients and D = 6 and
+        # 10, would integrating before the scaling by -D round differently
+        patch = bjorling_solve(curve)
+        x3, log = bjorling_x3_reference(patch._speed, curve.denom)
+        got = patch.forms
+        assert got.polys[:2] == (curve.x, curve.y)
+        assert got.log_coeffs.tobytes() == np.array([0.0, 0.0, log]).tobytes()
+        assert got.polys[2].lowest == x3.lowest
+        assert _zero_signs_cleared(got.polys[2].coeffs) == _zero_signs_cleared(x3.coeffs)
+        offset = x3.evaluate(patch._arg(patch.w0)).real
+        assert patch.offset.tobytes() == np.array([0.0, 0.0, offset]).tobytes()
+        want = IntegratedForms((curve.x, curve.y, x3), (0.0, 0.0, log))
+        e = np.exp(np.linspace(-0.4, 0.4, 9))[:, None] * np.exp(
+            1j * np.linspace(0.0, 2 * math.pi, 96, endpoint=False))
+        assert got.evaluate(e).tobytes() == want.evaluate(e).tobytes()
 
 
 class TestBjorling:
@@ -417,6 +469,21 @@ class TestBjorlingNormals:
         got = smap.normal_at(r, theta)
         assert np.abs(np.linalg.norm(got, axis=-1) - 1.0).max() < 1e-14
         assert np.sum(got * ref, axis=-1)[regular].min() >= 1 - 1e-9
+
+    @pytest.mark.parametrize("curve", [circle_curve(), equator_curve(2),
+                                       equator_curve(Fraction(1, 5))],
+                             ids=["circle", "m=2", "m=1/5"])
+    def test_scalar_point_matches_grid(self, curve):
+        # a scalar (r, theta) gives one normal of shape (3,), bit for bit the
+        # grid's at that point, cusps (r = 1, theta = 0) included
+        smap = bjorling_solve(curve).surface_map()
+        rs, ts = np.array([1.0, 0.8, 1.3]), np.array([0.0, 0.7, 2.5, math.pi])
+        grid = smap.normal_at(rs[:, None], ts[None, :])
+        for i, r in enumerate(rs):
+            for k, t in enumerate(ts):
+                got = smap.normal_at(float(r), float(t))
+                assert got.shape == (3,)
+                assert got.tobytes() == grid[i, k].tobytes()
 class TestRigidMotion:
     def test_fit_recovers_improper_motion(self, rng):
         pts = rng.normal(size=(60, 3))
