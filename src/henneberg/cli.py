@@ -343,7 +343,8 @@ def cmd_search_m1(args) -> int:
             }
             for h in hits
         ],
-        "all_henneberg": bool(all(h.is_henneberg() for h in hits)),
+        # nothing found certifies nothing: an empty search fails
+        "all_henneberg": bool(hits) and all(h.is_henneberg() for h in hits),
     }
     _emit(payload, args.out)
     return 0 if payload["all_henneberg"] else 1

@@ -49,6 +49,9 @@ PERIOD_TOL = 1e-10
 #: damped Newton steps brute_search_m1 allows each grid minimizer
 M1_REFINE_STEPS = 50
 
+#: continue_from's damped Newton target (on _system_norm) and steps per jump
+CONTINUE_TOL, CONTINUE_STEPS = 1e-12, 50
+
 log = logging.getLogger(__name__)
 
 
@@ -146,8 +149,6 @@ def m1_residual(r1, r2, theta2, beta):
 def _m1_vector(x):
     """Real residual vector whose squared norm is m1_residual."""
     r1, r2, t2, b = x
-    if r1 <= 0 or r2 <= 0:
-        return None
     g1, g2 = radial_gap(r1), radial_gap(r2)
     horizontal = -2j * (g1 * cmath.exp(-1j * t2) + g2) * math.sin(b + t2)
     vertical = -(2.0 * math.cos(t2) - g1 * g2) * cmath.exp(1j * (b + t2))
@@ -158,8 +159,7 @@ def _m1_vector(x):
 
 
 def _m1_jacobian(x):
-    """Exact 5x4 Jacobian of _m1_vector in (r1, r2, theta2, beta), or None
-    where _m1_vector is undefined.
+    """Exact 5x4 Jacobian of _m1_vector in (r1, r2, theta2, beta).
 
     With g = r - 1/r, g' = 1 + 1/r^2, phi = theta2 + beta and
     w = g1 g2 - 2 cos theta2, the components are
@@ -170,8 +170,6 @@ def _m1_jacobian(x):
         Re P = cos 2 phi + 1,    Im P = sin 2 phi.
     """
     r1, r2, t2, b = x
-    if r1 <= 0 or r2 <= 0:
-        return None
     g1, g2 = radial_gap(r1), radial_gap(r2)
     d1, d2 = 1.0 + 1.0 / (r1 * r1), 1.0 + 1.0 / (r2 * r2)
     phi = t2 + b
@@ -196,32 +194,35 @@ def _damped_newton(vector, jacobian, x0, norm, tol, max_iter, admissible):
 
     Each iteration takes the least-squares step of ``jacobian(x)`` and halves
     it, at most 20 times, until it lands on an ``admissible`` point with a
-    smaller ``norm``.  Returns (x, norm, stop) with stop one of "converged"
-    (norm < tol), "stalled" (no halving helped), "max_iter", or "domain"
-    (``jacobian`` returned None); x is the last accepted point.
+    smaller ``norm``.  Returns (x, norm, stop), x the last accepted point,
+    with stop one of "converged" (norm < tol), "stalled" (no halving
+    helped), "max_iter", or "domain": the residual vector or the Jacobian at
+    x holds an inf or a NaN, checked before the step is solved for, so an
+    overflow ends the solve without a warning.
     """
     x = np.asarray(x0, dtype=float).copy()
-    v = vector(x)
-    nv = norm(v)
-    for _ in range(max_iter):
-        if nv < tol:
-            return x, nv, "converged"
-        jac = jacobian(x)
-        if jac is None:
-            return x, nv, "domain"
-        step, *_ = np.linalg.lstsq(jac, -v, rcond=None)
-        lam = 1.0
-        for _ in range(20):
-            xn = x + lam * step
-            if admissible(xn):
-                vn = vector(xn)
-                nn = norm(vn)
-                if nn < nv:
-                    x, v, nv = xn, vn, nn
-                    break
-            lam *= 0.5
-        else:
-            return x, nv, "stalled"
+    with np.errstate(all="ignore"):
+        v = vector(x)
+        nv = norm(v)
+        for _ in range(max_iter):
+            if nv < tol:
+                return x, nv, "converged"
+            jac = jacobian(x)
+            if not (np.isfinite(v).all() and np.isfinite(jac).all()):
+                return x, nv, "domain"
+            step, *_ = np.linalg.lstsq(jac, -v, rcond=None)
+            lam = 1.0
+            for _ in range(20):
+                xn = x + lam * step
+                if admissible(xn):
+                    vn = vector(xn)
+                    nn = norm(vn)
+                    if nn < nv:
+                        x, v, nv = xn, vn, nn
+                        break
+                lam *= 0.5
+            else:
+                return x, nv, "stalled"
     return x, nv, "converged" if nv < tol else "max_iter"
 
 
@@ -390,8 +391,9 @@ def brute_search_m1(
     that bound; plateaus of large constant residual are skipped).  Each
     step solves with the closed-form Jacobian _m1_jacobian of _m1_vector;
     no finite difference is taken.  Refinement stays inside the radial
-    search box.  Hits below 1e-8 are merged when closer than 1e-4 in
-    parameter space and returned sorted by parameters.
+    search box.  Refinements that converge (to Newton's 1e-28 target) are
+    merged when closer than 1e-4 in parameter space and returned sorted by
+    parameters; the others are dropped.
 
     The 4-D residual grid is never built.  It factors as
     S[k, l] * B[i, j, k] + C[k, l] (see _m1_terms), so the search builds S
@@ -402,7 +404,8 @@ def brute_search_m1(
     for bit under swapping r1 and r2 (see _m1_search_terms), so the
     residual at (i, j, k, l) equals the one at (j, i, k, l).  Time and
     memory grow as n_radial (n_radial + 1) / 2 * n_angular + n_angular^2
-    plus the number of those points.
+    plus the number of those points.  A bracket that overflows is +inf,
+    never below 1, and drops out without a warning.
     """
     r_lo, r_hi = _radial_bounds(span)
     if n_radial < 1 or n_angular < 1:
@@ -413,30 +416,20 @@ def brute_search_m1(
     rs = np.exp(np.linspace(math.log(r_lo), math.log(r_hi), n_radial))
     angles = np.linspace(0.0, 2 * math.pi, n_angular, endpoint=False)
 
-    minima = _factored_minima(*_m1_search_terms(rs, angles), 1.0)
+    with np.errstate(all="ignore"):
+        minima = _factored_minima(*_m1_search_terms(rs, angles), 1.0)
 
     lo, hi = 0.9 * r_lo, 1.1 * r_hi
     hits = []
     for i, j, k, l in minima:
-        x, value, _ = _damped_newton(
-            _m1_vector,
-            _m1_jacobian,
-            np.array([rs[i], rs[j], angles[k], angles[l]]),
-            lambda v: float(v @ v),
-            1e-28,
-            M1_REFINE_STEPS,
+        x, value, stop = _damped_newton(
+            _m1_vector, _m1_jacobian, np.array([rs[i], rs[j], angles[k], angles[l]]),
+            lambda v: float(v @ v), 1e-28, M1_REFINE_STEPS,
             lambda x: lo <= x[0] <= hi and lo <= x[1] <= hi,
         )
-        if value < 1e-8:
-            hits.append(
-                SearchHit(
-                    float(x[0]),
-                    float(x[1]),
-                    _wrap_angle(float(x[2])),
-                    _wrap_angle(float(x[3])),
-                    float(value),
-                )
-            )
+        if stop == "converged":
+            r1, r2, theta2, beta = map(float, x)
+            hits.append(SearchHit(r1, r2, _wrap_angle(theta2), _wrap_angle(beta), float(value)))
 
     merged: list[SearchHit] = []
     for hit in sorted(hits, key=lambda h: h.residual):
@@ -561,37 +554,38 @@ def _system_norm(v) -> float:
     return max(math.hypot(v[0], v[1]), abs(v[2]))
 
 
-def continue_from(p0: ModuliPoint, r1: float, r2: float, tol: float = 1e-12,
-                  max_iter: int = 50, _depth: int = 0) -> ModuliPoint:
+def continue_from(p0: ModuliPoint, r1: float, r2: float, _depth: int = 0) -> ModuliPoint:
     """Continue the solved point p0 to prescribed (r1, r2).
 
-    Newton iterates on (r3, theta2, theta3) with (r1, r2) held fixed; if the
-    direct jump diverges the path from (p0.r1, p0.r2) is bisected.  beta is
+    Newton iterates on (r3, theta2, theta3) with (r1, r2) held fixed, at
+    most CONTINUE_STEPS steps until _system_norm < CONTINUE_TOL; if the
+    direct jump fails the path from (p0.r1, p0.r2) is bisected.  beta is
     recovered from the phase condition.  The solution branch is only locally
     guaranteed: paths that run into a fold (vanishing Jacobian determinant)
-    end in ConvergenceError, carrying the last residual.
+    or whose system overflows end in ConvergenceError, naming the stop and
+    carrying the last residual.
     """
     if not all(math.isfinite(r) and r > 0 for r in (r1, r2)):
         raise DomainError(f"target moduli must be finite and positive, got {r1}, {r2}")
-    det = float(np.linalg.det(period_jacobian_m2(p0)))
-    if abs(det) <= 1e-6:
+    with np.errstate(all="ignore"):
+        det = float(np.linalg.det(period_jacobian_m2(p0)))
+    if not abs(det) > 1e-6:  # nan where the Jacobian overflows
         raise StructureError(f"Jacobian at start point is singular (det={det:.3e})")
     x, norm, stop = _damped_newton(
         lambda x: _system_vector(r1, r2, x),
         lambda x: period_jacobian_m2(ModuliPoint(r1, r2, *x, math.pi / 2)),
         p0.triple,
         _system_norm,
-        tol,
-        max_iter,
+        CONTINUE_TOL,
+        CONTINUE_STEPS,
         lambda x: x[0] > 0,
     )
     if stop == "converged":
         return ModuliPoint(r1, r2, *x, beta_from_angles(x[1], x[2]))
     if _depth >= 12:
         raise ConvergenceError(f"Newton {stop}; last residual {norm:.3e}", norm)
-    half = continue_from(p0, 0.5 * (p0.r1 + r1), 0.5 * (p0.r2 + r2), tol=tol,
-                         max_iter=max_iter, _depth=_depth + 1)
-    return continue_from(half, r1, r2, tol=tol, max_iter=max_iter, _depth=_depth + 1)
+    half = continue_from(p0, 0.5 * (p0.r1 + r1), 0.5 * (p0.r2 + r2), _depth=_depth + 1)
+    return continue_from(half, r1, r2, _depth=_depth + 1)
 
 
 # ---------------------------------------------------------------------------

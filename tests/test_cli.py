@@ -1,12 +1,14 @@
+import contextlib
 import hashlib
 import io
 import json
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from henneberg import SamplingSpec, equator_curve, eval_hm_even, read_obj, read_ply
@@ -381,10 +383,19 @@ class TestSearch:
         assert len(rep["minimizers"]) > 0
 
     def test_restricted_grid(self, capsys):
-        code, stdout, _ = run(
+        # a box without a minimizer certifies nothing: exit 1
+        code, stdout, err = run(
             capsys, "search-m1", "--r-lo", "1.5", "--r-hi", "3.0"
         )
-        assert code == 0
+        assert code == 1 and err == ""
+        rep = json.loads(stdout)
+        assert rep["minimizers"] == [] and rep["all_henneberg"] is False
+
+    def test_overflowing_box_fails_quietly(self, capsys):
+        # the brackets of r = 1e-300 overflow to +inf and drop out unwarned
+        code, stdout, err = run(capsys, "search-m1", "--r-lo", "1e-300", "--r-hi", "2",
+                                "--n-radial", "4", "--n-angular", "1")
+        assert code == 1 and err == ""
         assert json.loads(stdout)["minimizers"] == []
 
     @pytest.mark.parametrize(
@@ -422,7 +433,8 @@ class TestSearch:
         code, stdout, _ = run(
             capsys, "search-m1", "--n-radial", "5", "--n-angular", "8", *argv
         )
-        assert code == 0
+        # the box (1.5, 3) holds no minimizer, so it certifies nothing
+        assert code == (1 if "--r-lo" in argv else 0)
         grid = json.loads(stdout)["grid"]
         assert (grid["r_lo"], grid["r_hi"]) == bounds
         assert set(grid) == {"span", "n_radial", "n_angular", "r_lo", "r_hi"}
@@ -1121,3 +1133,93 @@ class TestVerifyFamily:
         assert abs(rep["m2_system"]["G"]) < 1e-9
         assert "isometries" not in rep
         assert rep["c_scale"] == 1.0
+
+
+# Every command line ends: exit 0, 1 or 2, one stderr line on 2, at most one
+# on 1 and none on 0, with no exception and no warning.  A line is a command
+# that works plus up to three flags (a later flag overrides an earlier one)
+# drawn from vocabularies of the values that broke commands before: NaN, the
+# infinities, 1e+-300, bad ints, missing or malformed files and unwritable
+# --out paths.  Every size is capped (m <= 12, cusps <= 24, grids <= 64), so
+# no example allocates much.
+_FLOATS = ["nan", "inf", "-inf", "1e300", "-1e300", "1e-300", "-1e-300", "0", "-1",
+           "0.5", "0.83", "1.05", "2", "x"]
+_M = ["-1", "0", "1", "2", "3", "8", "12", "x", "1.5"]
+_CUSPS = ["-3", "0", "2", "3", "4", "6", "7", "12", "24", "x"]
+_GRID = ["-1", "0", "1", "2", "5", "17", "64", "x", "nan"]
+_OUT = ["o.obj", "o.ply", "o.json", "o.txt", "missing/o.obj", "missing/o.json", ".", ""]
+_PI_2 = math.pi / 2
+_FILES = {
+    "missing.json": None,
+    "bad.json": "{not json",
+    "list.json": "[1, 2]",
+    "empty.json": "{}",
+    "h1.json": json.dumps({"c": [1, 0], "m": 1, "a": [[1, 0], [1, _PI_2]]}),
+    "off.json": json.dumps({"c": [1, 0], "m": 1, "a": [[2, 0], [1, _PI_2]]}),
+    "huge.json": json.dumps({"c": [1e300, 0], "m": 1, "a": [[1e300, 0], [1e-300, 1]]}),
+    "h2.json": json.dumps({"r1": 1, "r2": 1, "r3": 1, "theta2": math.pi / 3,
+                           "theta3": 2 * math.pi / 3, "beta": _PI_2}),
+    "far.json": json.dumps({"r1": 1e300, "r2": 1e-300, "r3": 1e300, "theta2": 1,
+                            "theta3": 2, "beta": 0}),
+    "nan.json": '{"r1": NaN, "r2": 1, "r3": 1, "theta2": 1, "theta3": 2, "beta": 0}',
+}
+
+#: per command, the lines that work and the flags that may follow them, each
+#: with its vocabulary (None for a switch)
+_BASES = {
+    "generate": [[*sel, "--nr=9", "--ntheta=16"] for sel in (
+        ["h1"], ["hm-odd", "--m=3"], ["hm-even", "--m=2"], ["conjugate", "--m=3"],
+        ["associated", "--m=3", "--phi=0.7"], ["limit-m2"], ["family", "--theta2=1.0"],
+        ["custom", "--data=h1.json"])],
+    "verify": [["h1"], ["hm", "--m=3"], ["family", "--theta2=0.83"],
+               ["custom", "--data=h1.json"]],
+    "search-m1": [[], ["--span=2"], ["--r-lo=0.5", "--r-hi=2"],
+                  ["--n-radial=5", "--n-angular=8"]],
+    "continue": [["--r1=1.05", "--r2=1"], ["--r1=1", "--r2=1", "--from=h2.json"]],
+    "bjorling": [["--cusps=3"], ["--astroid"], ["--cusps=6", "--n-u=8", "--n-v=3"]],
+}
+_FLAGS = {
+    "generate": {"m": _M, "phi": _FLOATS, "theta2": _FLOATS, "data": list(_FILES),
+                 "out": _OUT, "format": ["obj", "ply", "xyz"], "r-min": _FLOATS,
+                 "r-max": _FLOATS, "nr": _GRID, "ntheta": _GRID, "quotient": None},
+    "verify": {"m": _M, "theta2": _FLOATS, "data": list(_FILES), "out": _OUT},
+    "search-m1": {"span": _FLOATS, "r-lo": _FLOATS, "r-hi": _FLOATS, "n-radial": _GRID,
+                  "n-angular": _GRID, "out": _OUT},
+    "continue": {"r1": _FLOATS, "r2": _FLOATS, "from": list(_FILES), "out": _OUT},
+    "bjorling": {"cusps": _CUSPS, "astroid": None, "strip": _FLOATS, "n-u": _GRID,
+                 "n-v": _GRID, "out": _OUT},
+}
+
+
+def _flag(name, values):
+    if values is None:
+        return st.just([f"--{name}"])
+    return st.sampled_from(values).map(lambda v: [f"--{name}={v}"])
+
+
+def _command_line(cmd):
+    flags = st.one_of(*[_flag(name, values) for name, values in _FLAGS[cmd].items()])
+    return st.tuples(st.sampled_from(_BASES[cmd]), st.lists(flags, max_size=3)).map(
+        lambda drawn: [cmd, *drawn[0], *sum(drawn[1], [])])
+
+
+_COMMAND_LINES = st.sampled_from(sorted(_BASES)).flatmap(_command_line)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_COMMAND_LINES)
+def test_every_command_line_ends(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # relative --out and --data paths, and generate's default
+    for name, text in _FILES.items():
+        if text is not None and not (tmp_path / name).exists():
+            (tmp_path / name).write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2), (argv, code)
+    assert len(lines) in {0: (0,), 1: (0, 1), 2: (1,)}[code], (argv, code, lines)
+    assert not caught, (argv, [str(w.message) for w in caught])

@@ -162,13 +162,6 @@ class TestM1Jacobian:
         fd = fd_jacobian(_m1_vector, x, 1e-7)
         assert np.abs(got - fd).max() <= 1e-7 * np.abs(got).max()
 
-    @pytest.mark.parametrize("r1, r2", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0),
-                                        (1.0, -0.5), (-2.0, -2.0)])
-    def test_none_outside_domain(self, r1, r2):
-        x = np.array([r1, r2, 0.3, 1.2])
-        assert _m1_vector(x) is None
-        assert _m1_jacobian(x) is None
-
 
 class TestBruteSearch:
     def test_default_grid_finds_only_henneberg(self):
@@ -727,23 +720,30 @@ class TestDampedNewton:
         x, _, stop = _newton(*_square_minus(2.0), [3.0], admissible=lambda x: False)
         assert stop == "stalled" and x[0] == 3.0
 
-    def test_domain(self):
-        vector, _ = _square_minus(2.0)
-        x, _, stop = _newton(vector, lambda x: None, [3.0])
-        assert stop == "domain" and x[0] == 3.0
+    def test_domain(self, monkeypatch):
+        # a residual or a Jacobian holding an inf or a NaN ends the solve at
+        # the start point, before a step is solved for
+        def lstsq(*args, **kwargs):
+            raise AssertionError("lstsq called on a non-finite system")
 
-    def test_fd_probe_outside_domain_keeps_start_point(self):
-        # a central-difference Jacobian of _m1_vector at r1 = 5e-8 probes
-        # r1 < 0, where _m1_vector is undefined, so refinement stops where
-        # it started
-        x0 = np.array([5e-8, 1.0, 1.0, 0.5])
-        v0 = _m1_vector(x0)
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+        vector, jacobian = _square_minus(2.0)
+        for bad in (math.inf, -math.inf, math.nan):
+            for vec, jac in [(lambda x: np.array([bad]), jacobian),
+                             (vector, lambda x: np.array([[bad]]))]:
+                x, _, stop = _newton(vec, jac, [3.0])
+                assert stop == "domain" and x[0] == 3.0, (bad, stop)
+
+    def test_overflow_ends_in_domain_without_warning(self):
+        # the complexity-2 system at (1e300, 1e-300) overflows at the start
+        # triple; under the suite's error::RuntimeWarning a warning would raise
+        r1, r2 = 1e300, 1e-300
         x, norm, stop = _damped_newton(
-            _m1_vector, lambda x: fd_jacobian(_m1_vector, x, 1e-7), x0,
-            lambda v: float(v @ v), 1e-28, 50, lambda x: True,
+            lambda x: period._system_vector(r1, r2, x),
+            lambda x: period_jacobian_m2(ModuliPoint(r1, r2, *x, math.pi / 2)),
+            h2_point().triple, period._system_norm, 1e-12, 50, lambda x: x[0] > 0,
         )
-        assert stop == "domain"
-        assert np.array_equal(x, x0) and norm == float(v0 @ v0)
+        assert stop == "domain" and tuple(x) == h2_point().triple
 
 
 class TestSymmetricExample:
@@ -835,11 +835,17 @@ class TestContinuationContract:
         assert err.value.residual is not None
         assert any(stop in str(err.value) for stop in ("stalled", "max_iter"))
 
-    @pytest.mark.parametrize("kwargs, stop", [
-        ({"max_iter": 0}, "max_iter"),
-        ({"tol": 0.0}, "stalled"),
-    ])
-    def test_error_names_stop_reason(self, kwargs, stop):
-        with pytest.raises(ConvergenceError, match=stop) as err:
-            continue_from(h2_point(), 1.05, 1.0, **kwargs)
+    @pytest.mark.parametrize("option", [{"tol": 0.0}, {"max_iter": 0}],
+                             ids=["tol", "max_iter"])
+    def test_solver_settings_are_not_options(self, option):
+        # the Newton target and step count are CONTINUE_TOL and CONTINUE_STEPS
+        with pytest.raises(TypeError):
+            continue_from(h2_point(), 1.05, 1.0, **option)
+
+    @pytest.mark.parametrize("r1, r2", [(1e300, 1e-300), (1e300, 0.5), (1e150, 1e-150)])
+    def test_overflowing_target_raises(self, r1, r2):
+        # the system overflows near the start triple: the solve ends, without
+        # a warning, in a ConvergenceError that names its stop
+        with pytest.raises(ConvergenceError, match="Newton (stalled|domain|max_iter)") as err:
+            continue_from(h2_point(), r1, r2)
         assert err.value.residual > 0
