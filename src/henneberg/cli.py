@@ -390,6 +390,17 @@ def _closed_form_for_cusps(n: int):
     return Fraction(1, (n - 2) // 2)  # n = 4k+2  ->  m = 1/(2k)
 
 
+def _largest_strip(top: float) -> float:
+    """52 ln 2 / top rounded down to 4 decimals, or to 4 significant digits
+    where 4 decimals give 0."""
+    bound = _MANTISSA_LOG / top
+    largest = math.floor(bound * 1e4) / 1e4
+    if largest:
+        return largest
+    scale = 10 ** (3 - math.floor(math.log10(bound)))
+    return math.floor(Fraction(bound) * scale) / scale
+
+
 def cmd_bjorling(args) -> int:
     cusps = 4 if args.astroid else args.cusps
     if not (math.isfinite(args.strip) and args.strip > 0):
@@ -398,14 +409,17 @@ def cmd_bjorling(args) -> int:
         raise CliError("--n-u and --n-v must be at least 2")
     fmt = args.out and _mesh_format(args.out)
     m = _closed_form_for_cusps(cusps)
-    curve = equator_curve(m)
     # the closed form grows like e^{K strip}, K = m + 2 its largest radial
-    # exponent; past K strip = 52 ln 2 the float spacing there exceeds 1
-    top = max(-curve.z.lowest, curve.z.highest) / curve.denom
+    # exponent; past K strip = 52 ln 2 the float spacing there exceeds 1.
+    # K is read off m, so a refused strip builds no curve
+    try:
+        top = float(m + 2)
+    except OverflowError:
+        raise CliError(f"--cusps must be below 1.8e308, got {len(str(cusps))} digits") from None
     if top * args.strip > _MANTISSA_LOG:
-        largest = math.floor(_MANTISSA_LOG / top * 1e4) / 1e4
-        raise CliError(f"--strip must be at most {largest} for {cusps} cusps, "
+        raise CliError(f"--strip must be at most {_largest_strip(top)} for {cusps} cusps, "
                        f"got {args.strip}")
+    curve = equator_curve(m)
     # the mesh samples the E-plane of surface_map, v = -D ln r
     strip = args.strip / curve.denom
     if args.out and not math.exp(-strip) < math.exp(strip):

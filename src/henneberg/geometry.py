@@ -42,6 +42,7 @@ fit (_procrustes).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -154,11 +155,25 @@ class AnalyticPlanarCurve:
         n = np.stack([v[..., 1], -v[..., 0]], axis=-1)
         return n / np.linalg.norm(n, axis=-1, keepdims=True)
 
+    @functools.cached_property
+    def _bjorling_patch(self) -> BjorlingPatch:
+        """The curve's one Björling patch, solved on first use (a failed
+        solve is not kept); cached_property writes past the frozen fields."""
+        return BjorlingPatch(self)
+
 
 def equator_curve(m) -> AnalyticPlanarCurve:
     """Unit-circle image of the even-type surface with exponent m: the
-    standard hypocycloid in the theta parametrization."""
-    q = Fraction(m)
+    standard hypocycloid in the theta parametrization.
+
+    One curve is shared per exact value of m (2, Fraction(2) and 2.0 give
+    the same object), so its Björling patch is solved once."""
+    return _equator_curve(Fraction(m))
+
+
+# a curve's Laurent polynomials grow with m, so only the recent ones are kept
+@functools.lru_cache(maxsize=64)
+def _equator_curve(q: Fraction) -> AnalyticPlanarCurve:
     mf, m2 = float(q), float(q + 2)
     x = (TrigTerm(1 / mf, q, math.pi / 2), TrigTerm(1 / m2, q + 2, -math.pi / 2))
     y = (TrigTerm(1 / mf, q, math.pi), TrigTerm(1 / m2, q + 2, math.pi))
@@ -251,7 +266,8 @@ class BjorlingPatch:
     half its maximum; there the analytic speed s is oriented to equal the
     speed.  Evaluate with ``at(u, v)`` in curve coordinates w = u + i v, or
     via the (r, theta) interface of ``surface_map``, E = r e^{i theta},
-    which also builds the Gauss map for the mesh normals.
+    whose mesh normals read the Gauss map, built on its first call and kept.
+    ``bjorling_solve`` shares one patch per curve, so ``offset`` is read-only.
     """
 
     def __init__(self, curve: AnalyticPlanarCurve):
@@ -269,6 +285,7 @@ class BjorlingPatch:
         primitive, log = self._speed.scale(-self.denom).shift(-1).integral()
         self.forms = IntegratedForms((curve.x, curve.y, primitive), (0.0, 0.0, log.real))
         self.offset = np.array([0.0, 0.0, self.forms.polys[2].evaluate(self._arg(self.w0)).real])
+        self.offset.setflags(write=False)  # the patch is shared by bjorling_solve
 
     def _arg(self, w):
         return np.exp(1j * np.asarray(w, dtype=complex) / self.denom)
@@ -278,14 +295,19 @@ class BjorlingPatch:
         w = np.asarray(u, dtype=float) + 1j * np.asarray(v, dtype=float)
         return self.forms.evaluate(self._arg(w)) - self.offset
 
+    @functools.cached_property
+    def _gauss(self):
+        """The Gauss map g = -i s / (x' - i y') as (numerator, denominator);
+        s^2 = (x' + i y')(x' - i y'), so at a cusp both vanish and the common
+        factor is divided out.  Built on first use and kept: a solve without
+        a mesh never needs it."""
+        num, den = _cancel_common_roots(self._speed, self.curve.dx - self.curve.dy.scale(1j))
+        return num.scale(complex(0.0, -1.0)), den
+
     def surface_map(self):
         """The patch over the E-plane, E = r e^{i theta}: the whole curve,
         t in [0, 2 pi D], lies on the unit circle."""
-        # Gauss map g = -i s / (x' - i y'); s^2 = (x' + i y')(x' - i y'),
-        # so at a cusp both vanish and the common factor is divided out.
-        # Built here, not in __init__: a solve without a mesh never needs it
-        num, den = _cancel_common_roots(self._speed, self.curve.dx - self.curve.dy.scale(1j))
-        num = num.scale(complex(0.0, -1.0))
+        num, den = self._gauss
 
         def normal(r, theta):
             e = _polar_point(r, theta)  # r > 0, so E != 0
@@ -298,8 +320,12 @@ class BjorlingPatch:
 
 def bjorling_solve(curve: AnalyticPlanarCurve) -> BjorlingPatch:
     """Solve the Björling problem for a planar trig-sum curve with its
-    planar unit normal field."""
-    return BjorlingPatch(curve)
+    planar unit normal field.
+
+    The curve's one patch is returned, solved on the first call and kept as
+    long as the curve; it is shared, so treat it as read-only.  A curve with
+    no single-valued solution raises StructureError on every call."""
+    return curve._bjorling_patch
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import contextlib
+import decimal
 import hashlib
 import io
 import json
@@ -855,7 +856,7 @@ class TestBjorling:
                 shapes.append(np.broadcast_shapes(np.shape(u), np.shape(v)))
                 return real_at(u, v)
 
-            patch.at = at
+            monkeypatch.setattr(patch, "at", at)  # the patch is shared
             return patch
 
         monkeypatch.setattr(cli, "bjorling_solve", solve)
@@ -1067,6 +1068,26 @@ def test_strip_bound_names_largest_strip(capsys, cusps, top):
     code, stdout, _ = run(capsys, "bjorling", "--cusps", str(cusps),
                           "--strip", str(largest), "--n-u", "8", "--n-v", "3")
     assert code == 0 and math.isfinite(json.loads(stdout)["sup_error"])
+
+
+@pytest.mark.parametrize("cusps,top", [(360435, 360436), (360437, 360438),
+                                       (720876, 360439), (10_000_000, 5_000_001)])
+def test_strip_bound_keeps_four_digits(capsys, cusps, top):
+    # where 4 decimals would read 0.0 the bound keeps 4 significant digits,
+    # rounded down; no curve is built for a refused strip
+    bound = decimal.Decimal(52 * math.log(2) / top)
+    digits = -4 if bound.adjusted() >= -4 else bound.adjusted() - 3
+    largest = float(bound.quantize(decimal.Decimal(1).scaleb(digits), decimal.ROUND_FLOOR))
+    assert largest > 0
+    code, stdout, err = run(capsys, "bjorling", "--cusps", str(cusps))
+    assert code == 2 and stdout == "" and err.count("\n") == 1
+    assert f"--strip must be at most {largest} for {cusps} cusps" in err
+
+
+def test_cusps_beyond_floats_refused(capsys):
+    code, stdout, err = run(capsys, "bjorling", "--cusps", "9" * 400)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: --cusps") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [["--cusps", "3", "--strip", "5e-17"],

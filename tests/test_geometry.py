@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from henneberg import (
     ParameterMap,
     RigidMotion,
     SamplingSpec,
+    StructureError,
     TrigTerm,
     astroid_curve,
     bjorling_solve,
@@ -364,6 +366,102 @@ class TestBjorling:
         grid = patch.at(us[None, :], np.array([[-0.1], [0.0], [0.2]]))
         assert grid.shape == (3, 7, 3)
         assert np.abs(grid[2, 4] - patch.at(us[4], 0.2)).max() < 1e-15
+
+
+def ellipse_curve():
+    """x = cos t, y = sin(t) / 2: speed^2 = 5/8 - 3/8 cos 2t is no square."""
+    return AnalyticPlanarCurve((TrigTerm(1.0, Fraction(1)),),
+                               (TrigTerm(0.5, Fraction(1), -math.pi / 2),))
+
+
+def _patch_bytes(patch):
+    """Every number a patch is made of and gives on a 9 x 64 grid of its
+    surface map, as bytes."""
+    smap = patch.surface_map()
+    r = np.exp(np.linspace(-0.05, 0.05, 9) / patch.denom)[:, None]
+    theta = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+    parts = [p.coeffs.tobytes() + str(p.lowest).encode() for p in patch.forms.polys]
+    parts += [patch.forms.log_coeffs.tobytes(), patch.offset.tobytes(), repr(patch.w0).encode(),
+              smap(r, theta).tobytes(), smap.normal_at(r, theta).tobytes()]
+    return parts
+
+
+class TestSharedPatch:
+    """One curve per exact m, one read-only patch per curve."""
+
+    def test_one_patch_per_curve(self):
+        for curve in (equator_curve(3), astroid_curve(), circle_curve(2.0)):
+            patch = bjorling_solve(curve)
+            assert bjorling_solve(curve) is patch and patch.curve is curve
+
+    def test_one_curve_per_exact_m(self):
+        assert equator_curve(2) is equator_curve(Fraction(2)) is equator_curve(2.0)
+        assert equator_curve(Fraction(1, 2)) is equator_curve(0.5)
+        assert equator_curve(1) is astroid_curve()
+        assert equator_curve(2) is not equator_curve(3)
+
+    def test_offset_is_read_only(self):
+        patch = bjorling_solve(equator_curve(2))
+        with pytest.raises(ValueError):
+            patch.offset[2] = 1.0
+
+    @pytest.mark.parametrize("argv", [["--cusps", "3"], ["--cusps", "6"], ["--cusps", "8"],
+                                      ["--astroid"]], ids=" ".join)
+    def test_fresh_patch_matches_shared(self, capsys, tmp_path, argv):
+        # the mesh written by the CLI used the shared patch and its Gauss map
+        assert cli.main(["bjorling", *argv, "--out", str(tmp_path / "b.ply")]) == 0
+        capsys.readouterr()
+        cusps = 4 if argv == ["--astroid"] else int(argv[1])
+        curve = equator_curve(cli._closed_form_for_cusps(cusps))
+        assert _patch_bytes(BjorlingPatch(curve)) == _patch_bytes(bjorling_solve(curve))
+
+    def test_gauss_map_built_once(self, monkeypatch):
+        patch = bjorling_solve(moved_curve(equator_curve(4), 0.3, 0.2))
+        calls, real = [], geometry._cancel_common_roots
+        monkeypatch.setattr(geometry, "_cancel_common_roots",
+                            lambda *a: calls.append(a) or real(*a))
+        for _ in range(3):
+            patch.surface_map().normal_at(1.01, 0.4)
+        assert len(calls) == 1
+
+    def test_failed_solve_is_not_kept(self):
+        curve = ellipse_curve()
+        for _ in range(2):
+            with pytest.raises(StructureError, match="perfect square"):
+                bjorling_solve(curve)
+
+    def test_refused_strip_builds_no_curve(self, capsys):
+        before = geometry._equator_curve.cache_info().currsize
+        assert cli.main(["bjorling", "--cusps", "10000000"]) == 2
+        assert "--strip" in capsys.readouterr().err
+        assert geometry._equator_curve.cache_info().currsize == before
+
+
+class TestDenseCuspBase:
+    """Pins a known defect: w0 is the first of 1025 samples where the speed
+    reaches half its maximum, and once an arch between cusps spans fewer
+    than about 2.4 samples that sample can lie past the first cusp, where
+    the analytic speed s has the other sign.  From 427 cusps on the patch
+    is then the closed form mirrored in x3, and bjorling still exits 0."""
+
+    @pytest.mark.parametrize("cusps, w0, flipped",
+                             [(425, "0.006135923151542565", False),
+                              (427, "0.01227184630308513", True)])
+    def test_late_base_mirrors_x3(self, capsys, cusps, w0, flipped):
+        m = cli._closed_form_for_cusps(cusps)
+        curve = equator_curve(m)
+        patch = bjorling_solve(curve)
+        assert repr(patch.w0) == w0
+        us = np.linspace(curve.domain[0], curve.domain[1], 64)
+        vs = np.linspace(-0.05, 0.05, 9)[:, None]
+        got, want = patch.at(us, vs), eval_hm_even(m, np.exp(-vs), us)
+        scale = np.abs(want).max()  # about 4e6
+        assert np.abs(got[..., :2] - want[..., :2]).max() < 1e-12 * scale
+        mirrored = want[..., 2] * (-1 if flipped else 1)
+        assert np.abs(got[..., 2] - mirrored).max() < 1e-12 * scale
+        assert cli.main(["bjorling", "--cusps", str(cusps)]) == 0
+        sup_error = json.loads(capsys.readouterr().out)["sup_error"]
+        assert (sup_error > 1e6) == flipped
 
 
 def _polydiv_deflate(poly, root):
