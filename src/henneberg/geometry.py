@@ -167,18 +167,29 @@ def equator_curve(m) -> AnalyticPlanarCurve:
     standard hypocycloid in the theta parametrization.
 
     One curve is shared per exact value of m (2, Fraction(2) and 2.0 give
-    the same object), so its Björling patch is solved once."""
-    return _equator_curve(Fraction(m))
+    the same object), so a process that asks for the same m again gets its
+    Björling patch without a second solve.  A curve whose Laurent degree,
+    at most (|m| + 2) D, exceeds _SHARED_DEGREE is built afresh on each call
+    and freed with its last reference."""
+    q = Fraction(m)
+    if abs(q.numerator) + 2 * q.denominator > _SHARED_DEGREE:
+        return _build_equator_curve(q)
+    return _shared_equator_curve(q)
 
 
-# a curve's Laurent polynomials grow with m, so only the recent ones are kept
-@functools.lru_cache(maxsize=64)
-def _equator_curve(q: Fraction) -> AnalyticPlanarCurve:
+def _build_equator_curve(q: Fraction) -> AnalyticPlanarCurve:
     mf, m2 = float(q), float(q + 2)
     x = (TrigTerm(1 / mf, q, math.pi / 2), TrigTerm(1 / m2, q + 2, -math.pi / 2))
     y = (TrigTerm(1 / mf, q, math.pi), TrigTerm(1 / m2, q + 2, math.pi))
     span = 2 * math.pi * q.denominator
     return AnalyticPlanarCurve(x, y, (0.0, span))
+
+
+# a shared curve with its patch and Gauss map keeps about 0.3 KB per unit
+# of degree, so the 64 most recent of degree <= 128 hold under 4 MB;
+# degree 128 covers every cusp count up to 128
+_SHARED_DEGREE = 128
+_shared_equator_curve = functools.lru_cache(maxsize=64)(_build_equator_curve)
 
 
 def astroid_curve() -> AnalyticPlanarCurve:

@@ -430,11 +430,22 @@ class TestSharedPatch:
             with pytest.raises(StructureError, match="perfect square"):
                 bjorling_solve(curve)
 
-    def test_refused_strip_builds_no_curve(self, capsys):
-        before = geometry._equator_curve.cache_info().currsize
+    def test_refused_strip_builds_no_curve(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "equator_curve", lambda m: built.append(m))
         assert cli.main(["bjorling", "--cusps", "10000000"]) == 2
         assert "--strip" in capsys.readouterr().err
-        assert geometry._equator_curve.cache_info().currsize == before
+        assert built == []
+
+    def test_large_curve_is_not_kept(self):
+        # degree (m + 2) D: 128 is shared, 129 is built on each call
+        assert equator_curve(126) is equator_curve(126)
+        assert equator_curve(Fraction(1, 63)) is equator_curve(Fraction(1, 63))
+        before = geometry._shared_equator_curve.cache_info()
+        for m in (127, Fraction(1, 64)):
+            assert equator_curve(m) is not equator_curve(m)
+            assert equator_curve(m) == equator_curve(m)
+        assert geometry._shared_equator_curve.cache_info() == before
 
 
 class TestDenseCuspBase:
