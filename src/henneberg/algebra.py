@@ -105,9 +105,9 @@ def cis(angle: float) -> complex:
     return complex(math.cos(angle), math.sin(angle))
 
 
-def _require_finite(values, what):
-    arr = np.asarray(values)
-    if not np.all(np.isfinite(arr)):
+def _require_finite(values: tuple, what):
+    """values: a tuple of Python floats."""
+    if not all(map(math.isfinite, values)):
         raise DomainError(f"{what} must be finite, got {values!r}")
 
 
@@ -115,8 +115,9 @@ def _require_finite(values, what):
 class LaurentPoly:
     """Finite Laurent polynomial: coeffs[k] multiplies z**(lowest + k).
 
-    Construction keeps every coefficient it is given: it only checks that
-    they are finite and trims exact-zero ends from the exponent range.
+    Construction keeps every coefficient it is given: it checks that they
+    form a 1-D sequence of finite values (DomainError otherwise) and trims
+    exact-zero ends from the exponent range.
     ``integral`` is the package's one termwise antiderivative: the
     Weierstrass forms and the Björling speed are both integrated by it.
     Instances are immutable; all operations return new objects and are safe
@@ -128,8 +129,11 @@ class LaurentPoly:
 
     def __post_init__(self):
         arr = np.array(self.coeffs, dtype=complex, ndmin=1)
-        _require_finite(arr.view(float), "Laurent coefficients")
-        keep = np.flatnonzero(arr)
+        if arr.ndim != 1:
+            raise DomainError(f"Laurent coefficients must be 1-D, got shape {arr.shape}")
+        if not np.isfinite(arr).all():  # both parts of each coefficient
+            raise DomainError(f"Laurent coefficients must be finite, got {arr!r}")
+        keep = arr.nonzero()[0]
         if keep.size:
             lowest, arr = self.lowest + keep[0], arr[keep[0] : keep[-1] + 1]
         else:
@@ -195,7 +199,11 @@ class LaurentPoly:
         for k != -1, and c the z^{-1} coefficient, whose antiderivative
         c ln z is left to the caller."""
         exps = np.arange(self.lowest + 1, self.highest + 2)
-        coeffs = np.where(exps == 0, 0.0, self.coeffs / np.where(exps == 0, 1, exps))
+        i = -1 - self.lowest  # the index of the z^{-1} term, whose divisor would be 0
+        log = slice(i, i + 1) if 0 <= i < len(exps) else slice(0, 0)
+        exps[log] = 1
+        coeffs = self.coeffs / exps
+        coeffs[log] = 0.0
         return LaurentPoly(self.lowest + 1, coeffs), self.coefficient(-1)
 
     @functools.cached_property

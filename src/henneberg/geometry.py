@@ -344,18 +344,36 @@ def bjorling_solve(curve: AnalyticPlanarCurve) -> BjorlingPatch:
 # ---------------------------------------------------------------------------
 
 
+_EYE3 = np.eye(3)
+
+
 @dataclass(frozen=True)
 class RigidMotion:
-    """Orthogonal matrix (det +-1) plus translation."""
+    """Orthogonal matrix (det +-1) plus translation.
+
+    Construction raises DomainError unless the matrix is a finite 3 x 3
+    array with |Q^T Q - I| < 1e-12 and the translation a finite 3-vector.
+    """
 
     matrix: np.ndarray
     translation: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.matrix, dtype=float)
-        t = np.asarray(self.translation, dtype=float)
-        if np.abs(q.T @ q - np.eye(3)).max() >= 1e-12:
-            raise DomainError("matrix is not orthogonal")
+        # copies, so that freezing them leaves the caller's arrays writable
+        q = np.array(self.matrix, dtype=float)
+        t = np.array(self.translation, dtype=float)
+        if q.shape != (3, 3) or t.shape != (3,):
+            raise DomainError(
+                f"need a 3 x 3 matrix and a 3-vector, got shapes {q.shape} and {t.shape}"
+            )
+        if not all(map(math.isfinite, t.tolist())):
+            raise DomainError(f"translation must be finite, got {t!r}")
+        # the entries of an orthogonal matrix sum to at most 3 sqrt(3) in
+        # modulus: bounding them first keeps NaN, inf and overflow out of Q^T Q
+        bounded = sum(map(abs, q.ravel().tolist())) <= 6.0
+        err = np.abs(q.T @ q - _EYE3).max() if bounded else math.inf
+        if not err < 1e-12:
+            raise DomainError(f"matrix is not orthogonal: |Q^T Q - I| = {err:.3g}")
         q.setflags(write=False)
         t.setflags(write=False)
         object.__setattr__(self, "matrix", q)

@@ -66,7 +66,8 @@ class WeierstrassData:
 
     @cached_property
     def f(self) -> LaurentPoly:
-        return self.branch_poly.shift(-self.m - 3).scale(self.c)
+        bp = self.branch_poly
+        return LaurentPoly(bp.lowest - self.m - 3, bp.coeffs * self.c)
 
     @cached_property
     def phi(self) -> tuple:
@@ -87,13 +88,27 @@ class WeierstrassData:
 
 
 def phi_forms(data: WeierstrassData):
-    """The coefficient polynomials of the three Weierstrass forms."""
+    """The coefficient polynomials of the three Weierstrass forms.
+
+    phi_1 and phi_2 are written into one zero-padded block spanning the
+    exponents of f and z^2 f, by the numpy operations that the LaurentPoly
+    expressions f.scale(0.5) - f.shift(2).scale(0.5) and
+    f.scale(0.5j) + f.shift(2).scale(0.5j) perform: one complex multiply,
+    then adds into the zeros in operand order, the subtracted block
+    negated.  So every coefficient keeps its bits, signed zeros included
+    (an end the expressions would trim as -0 meets the +0 padding, and
+    +0 + -0 = +0).  Do not reorder them: 0.5 * (F[:-2] - F[2:]), say, can
+    flip the sign of a zero, which shows in the OBJ text as "-0".
+    """
     f = data.f
-    f2 = f.shift(2)
-    phi1 = f.scale(0.5) - f2.scale(0.5)
-    phi2 = f.scale(0.5j) + f2.scale(0.5j)
-    phi3 = f.shift(1)
-    return phi1, phi2, phi3
+    n = len(f.coeffs)
+    half, ihalf = f.coeffs * 0.5, f.coeffs * 0.5j
+    p1, p2 = np.zeros(n + 2, dtype=complex), np.zeros(n + 2, dtype=complex)
+    p1[:n] += half
+    p1[2:] += -half
+    p2[:n] += ihalf
+    p2[2:] += ihalf
+    return LaurentPoly(f.lowest, p1), LaurentPoly(f.lowest, p2), f.shift(1)
 
 
 def form_residues(data: WeierstrassData) -> np.ndarray:

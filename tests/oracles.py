@@ -10,9 +10,10 @@ parameter, so that numpy evaluates it on arrays and mpmath at high
 precision.  The other references check one result each by another route:
 the one-pair coefficient recursion against the branch product, a sampled
 Procrustes fit against the coefficient certificates of the isometries,
-central differences against the analytic period Jacobians, and the metric
-density against the immersion's derivatives.  Import as ``conftest`` is:
-``from oracles import eval_h1``.
+central differences against the analytic period Jacobians, the metric
+density against the immersion's derivatives, and LaurentPoly arithmetic
+against the aligned coefficient block of ``phi_forms``.  Import as
+``conftest`` is: ``from oracles import eval_h1``.
 """
 
 from __future__ import annotations
@@ -370,20 +371,36 @@ def forms_reference(forms, z):
     return np.stack([parts[j] + forms.log_coeffs[j] * logs for j in range(3)], axis=-1)
 
 
+def f_by_arithmetic(data: WeierstrassData) -> LaurentPoly:
+    """WeierstrassData.f by LaurentPoly arithmetic: P shifted by z^{-m-3},
+    then scaled by c."""
+    return data.branch_poly.shift(-data.m - 3).scale(data.c)
+
+
+def phi_forms_by_arithmetic(data: WeierstrassData) -> tuple:
+    """phi_forms by LaurentPoly arithmetic on f_by_arithmetic(data), term by
+    term as the ``weierstrass`` module docstring writes the three forms."""
+    f = f_by_arithmetic(data)
+    f2 = f.shift(2)
+    return f.scale(0.5) - f2.scale(0.5), f.scale(0.5j) + f2.scale(0.5j), f.shift(1)
+
+
+def integral_reference(phi: LaurentPoly) -> LaurentPoly:
+    """LaurentPoly.integral's polynomial by its own exponent loop:
+    z^k -> z^{k+1}/(k+1) on the exponents k != -1."""
+    exps = np.arange(phi.lowest, phi.highest + 1)
+    keep = exps != -1
+    lo = phi.lowest + 1
+    arr = np.zeros(phi.highest + 2 - lo, dtype=complex)
+    arr[exps[keep] + 1 - lo] = phi.coeffs[keep] / (exps[keep] + 1)
+    return LaurentPoly(lo, arr)
+
+
 def integrated_forms_reference(data: WeierstrassData) -> IntegratedForms:
-    """integrate_forms by its own exponent loop: z^k -> z^{k+1}/(k+1) on the
-    exponents k != -1 of each form, and the real part of its z^{-1}
-    coefficient as the ln|z| coefficient."""
-    polys, logs = [], np.zeros(3)
-    for j, phi in enumerate(data.phi):
-        exps = np.arange(phi.lowest, phi.highest + 1)
-        keep = exps != -1
-        lo = phi.lowest + 1
-        arr = np.zeros(phi.highest + 2 - lo, dtype=complex)
-        arr[exps[keep] + 1 - lo] = phi.coeffs[keep] / (exps[keep] + 1)
-        polys.append(LaurentPoly(lo, arr))
-        logs[j] = phi.coefficient(-1).real
-    return IntegratedForms(tuple(polys), logs)
+    """integrate_forms by integral_reference on each form, with the real
+    part of its z^{-1} coefficient as the ln|z| coefficient."""
+    polys = tuple(integral_reference(phi) for phi in data.phi)
+    return IntegratedForms(polys, [phi.coefficient(-1).real for phi in data.phi])
 
 
 def bjorling_x3_reference(speed: LaurentPoly, denom: int):

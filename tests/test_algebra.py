@@ -98,6 +98,16 @@ class TestLaurentPoly:
         with pytest.raises(DomainError):
             LaurentPoly(0, [float("nan"), 1.0])
 
+    @pytest.mark.parametrize("coeffs", [[1.0, complex(0.0, math.inf)], [complex(-math.inf, 0.0)]])
+    def test_rejects_infinite_part(self, coeffs):
+        with pytest.raises(DomainError, match="must be finite"):
+            LaurentPoly(0, coeffs)
+
+    @pytest.mark.parametrize("coeffs", [[[0, 0], [0, 1]], [[1, 2], [3, 4]], [[]], np.ones((1, 1, 1))])
+    def test_rejects_coefficients_not_1d(self, coeffs):
+        with pytest.raises(DomainError, match="must be 1-D"):
+            LaurentPoly(0, coeffs)
+
     def test_evaluate_root(self):
         p = LaurentPoly.from_dict({4: 1.0, 0: -1.0})  # z^4 - 1
         assert p.evaluate(1.0) == 0

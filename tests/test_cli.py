@@ -374,6 +374,18 @@ class TestVerify:
             # each WeierstrassData instance derives its forms at most once
             assert seen and all(sum(d is e for e in seen) == 1 for d in seen), name
 
+    def test_fresh_family_builds_eight_polynomials(self, capsys, monkeypatch):
+        # the branch polynomial, f, the three forms and their three
+        # antiderivatives: no intermediate LaurentPoly on the way
+        from henneberg.algebra import LaurentPoly
+
+        built = []
+        post_init = LaurentPoly.__post_init__
+        monkeypatch.setattr(LaurentPoly, "__post_init__",
+                            lambda self: built.append(1) or post_init(self))
+        code, _, _ = run(capsys, "verify", "family", "--theta2", "1.0")
+        assert code == 0 and len(built) <= 8
+
 
 class TestSearch:
     def test_default_exit_zero(self, capsys):

@@ -215,8 +215,11 @@ class TestOneAntiderivative:
     @pytest.mark.parametrize("data", [
         *(symmetric_example(m) for m in range(1, 13)), limit_m2_data(),
         *(family_theta2(t).weierstrass() for t in (0.83, 1.0, 2.2)),
+        family_theta2(2.3).weierstrass(),
+        *(family_theta2(t, -1).weierstrass() for t in (0.83, 1.0, 2.2, 2.3)),
     ], ids=[*(f"hm-{m}" for m in range(1, 13)), "limit-m2",
-            *(f"family-{t}" for t in (0.83, 1.0, 2.2))])
+            *(f"family-{t}" for t in (0.83, 1.0, 2.2, 2.3)),
+            *(f"family-{t}-mirror" for t in (0.83, 1.0, 2.2, 2.3))])
     def test_weierstrass_forms_bit_for_bit(self, data):
         got, want = data.forms, integrated_forms_reference(data)
         assert got.log_coeffs.tobytes() == want.log_coeffs.tobytes()
@@ -604,8 +607,38 @@ class TestRigidMotion:
         assert np.linalg.det(fit.matrix) < 0
 
     def test_orthogonality_enforced(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="not orthogonal"):
             RigidMotion(np.eye(3) * 1.5, np.zeros(3))
+
+    @pytest.mark.parametrize("matrix", [
+        np.full((3, 3), np.nan), np.diag([np.inf, 1.0, 1.0]), np.diag([np.nan, 1.0, 1.0]),
+        np.array([[1e200, 1e200, 0.0], [1e200, -1e200, 0.0], [0.0, 0.0, 1.0]]),
+    ], ids=["nan", "inf", "one-nan", "overflowing"])
+    def test_non_finite_or_huge_matrix_refused(self, matrix):
+        # refused without a numpy warning: none reaches the product Q^T Q
+        with pytest.raises(DomainError, match="not orthogonal"):
+            RigidMotion(matrix, np.zeros(3))
+
+    @pytest.mark.parametrize("translation", [[np.inf, 0.0, 0.0], [0.0, np.nan, 0.0]])
+    def test_non_finite_translation_refused(self, translation):
+        with pytest.raises(DomainError, match="translation must be finite"):
+            RigidMotion(np.eye(3), translation)
+
+    @pytest.mark.parametrize("matrix,translation", [
+        (np.eye(3), np.zeros(5)), (np.eye(3), np.zeros((1, 3))), (np.eye(3), 0.0),
+        (np.eye(2), np.zeros(3)), (np.eye(4), np.zeros(3)), (np.eye(3).ravel(), np.zeros(3)),
+    ], ids=["5-vector", "row", "scalar", "2x2", "4x4", "flat"])
+    def test_shapes_refused(self, matrix, translation):
+        with pytest.raises(DomainError, match="3 x 3 matrix and a 3-vector"):
+            RigidMotion(matrix, translation)
+
+    def test_callers_arrays_stay_writable(self):
+        q, t = np.eye(3), np.zeros(3)
+        motion = RigidMotion(q, t)
+        q[0, 0], t[0] = 2.0, 1.0
+        assert motion.matrix[0, 0] == 1.0 and motion.translation[0] == 0.0
+        with pytest.raises(ValueError):
+            motion.matrix[0, 0] = 2.0
 
 
 class TestIsometries:

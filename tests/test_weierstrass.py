@@ -27,8 +27,16 @@ from henneberg import (
 )
 from henneberg.geometry import _cancel_common_roots
 from henneberg.surfaces import _polar_point, limit_m2_data
-from conftest import random_annulus
-from oracles import eval_hm_odd, forms_reference, horner_reference, metric_density
+from conftest import random_annulus, random_configuration
+from oracles import (
+    eval_hm_odd,
+    f_by_arithmetic,
+    forms_reference,
+    horner_reference,
+    integral_reference,
+    metric_density,
+    phi_forms_by_arithmetic,
+)
 
 
 class TestData:
@@ -62,6 +70,66 @@ class TestPhiForms:
     def test_h2_residues_all_exactly_zero(self):
         d = symmetric_example(2)
         assert np.all(form_residues(d) == 0)
+
+
+def _same_poly(p, q):
+    return p.lowest == q.lowest and p.coeffs.tobytes() == q.coeffs.tobytes()
+
+
+def _untagged_data(seed):
+    rng = np.random.default_rng(seed)
+    config = random_configuration(rng, int(rng.integers(1, 13)))
+    return WeierstrassData(np.exp(1j * rng.uniform(0.0, 2 * np.pi)), config)
+
+
+def _tagged_data(seed):
+    """Angles k pi / N with N <= 12 and half of the moduli exactly 1, so
+    that coefficients cancel to exact zeros."""
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 13)), int(rng.integers(1, 13))
+    pairs = [(1.0 if rng.random() < 0.5 else float(np.exp(rng.uniform(-1.0, 1.0))),
+              Fraction(int(rng.integers(0, 2 * n)), n)) for _ in range(m + 1)]
+    c = (1j) ** int(rng.integers(0, 4))
+    return WeierstrassData(c, BranchConfiguration.from_pi_fractions(pairs))
+
+
+NAMED_DATA = {
+    **{f"hm-{m}": lambda m=m: symmetric_example(m) for m in range(1, 13)},
+    "limit-m2": limit_m2_data,
+    **{f"family-{t}-{sign:+d}": lambda t=t, sign=sign: family_theta2(t, sign).weierstrass()
+       for t in (0.83, 1.0, 2.2, 2.3) for sign in (1, -1)},
+}
+
+
+class TestFormsBitForBit:
+    """f and phi_forms keep every bit, signed zeros included, of the
+    LaurentPoly arithmetic they replaced (f_by_arithmetic,
+    phi_forms_by_arithmetic), and so do the forms' antiderivatives against
+    the exponent loop; a flipped zero sign would show in the OBJ text as
+    "-0".  Random data has non-real residues, which integrate_forms
+    refuses, so each form is integrated here on its own."""
+
+    @staticmethod
+    def check(data):
+        assert _same_poly(data.f, f_by_arithmetic(data))
+        for got, want in zip(phi_forms(data), phi_forms_by_arithmetic(data), strict=True):
+            assert _same_poly(got, want)
+            poly, residue = got.integral()
+            assert _same_poly(poly, integral_reference(want))
+            assert np.complex128(residue).tobytes() == np.complex128(want.coefficient(-1)).tobytes()
+
+    @pytest.mark.parametrize("name", NAMED_DATA)
+    def test_named_data(self, name):
+        # integrate_forms on these: test_geometry's TestOneAntiderivative
+        self.check(NAMED_DATA[name]())
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_untagged_configurations(self, seed):
+        self.check(_untagged_data(seed))
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_tagged_configurations(self, seed):
+        self.check(_tagged_data(seed))
 
 
 class TestMetric:
