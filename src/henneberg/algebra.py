@@ -115,8 +115,9 @@ def _require_finite(values: tuple, what):
 class LaurentPoly:
     """Finite Laurent polynomial: coeffs[k] multiplies z**(lowest + k).
 
-    Construction keeps every coefficient it is given: it checks that they
-    form a 1-D sequence of finite values (DomainError otherwise) and trims
+    Construction keeps every coefficient it is given: it checks that
+    ``lowest`` is an integer (Python or numpy) and that the coefficients
+    form a 1-D sequence of finite values (DomainError otherwise), and trims
     exact-zero ends from the exponent range.
     ``integral`` is the package's one termwise antiderivative: the
     Weierstrass forms and the Björling speed are both integrated by it.
@@ -128,6 +129,10 @@ class LaurentPoly:
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        try:
+            lowest = operator.index(self.lowest)
+        except TypeError:
+            raise DomainError(f"Laurent exponent must be an integer, got {self.lowest!r}") from None
         arr = np.array(self.coeffs, dtype=complex, ndmin=1)
         if arr.ndim != 1:
             raise DomainError(f"Laurent coefficients must be 1-D, got shape {arr.shape}")
@@ -135,7 +140,7 @@ class LaurentPoly:
             raise DomainError(f"Laurent coefficients must be finite, got {arr!r}")
         keep = arr.nonzero()[0]
         if keep.size:
-            lowest, arr = self.lowest + keep[0], arr[keep[0] : keep[-1] + 1]
+            lowest, arr = lowest + keep[0], arr[keep[0] : keep[-1] + 1]
         else:
             lowest, arr = 0, np.zeros(1, dtype=complex)
         arr.setflags(write=False)

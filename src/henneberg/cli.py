@@ -36,7 +36,7 @@ from .period import (
     symmetric_example,
     vertical_residual_m2,
 )
-from .reports import verification_report
+from .reports import SCHEMA_VERSION, verification_report
 from .surfaces import (
     eval_hm_even,
     surface_associated,
@@ -264,7 +264,7 @@ def cmd_generate(args) -> int:
         if not res.passes(PERIOD_TOL):
             _emit(
                 {
-                    "schema": 1,
+                    "schema": SCHEMA_VERSION,
                     "refused": True,
                     "reason": "period residuals exceed tolerance",
                     "tolerance": PERIOD_TOL,
@@ -282,7 +282,7 @@ def cmd_generate(args) -> int:
     (write_obj if fmt == "obj" else write_ply)(mesh, out)
     _emit(
         {
-            "schema": 1,
+            "schema": SCHEMA_VERSION,
             "surface": smap.name,
             "out": out,
             "format": fmt,
@@ -318,14 +318,12 @@ def cmd_search_m1(args) -> int:
         raise CliError("--r-lo and --r-hi must be given together")
     span = args.span if args.r_lo is None else (args.r_lo, args.r_hi)
     r_lo, r_hi = _radial_bounds(span)
-    hits = brute_search_m1(
-        span=span,
-        n_radial=args.n_radial,
-        n_angular=args.n_angular,
-    )
+    hits = brute_search_m1(span=span)
     payload = {
-        "schema": 1,
+        "schema": SCHEMA_VERSION,
         "grid": {
+            # the grid sizes are echoed for schema-1 readers; the solutions
+            # are exact, so they change nothing
             "span": args.span if args.r_lo is None else None,
             "n_radial": args.n_radial,
             "n_angular": args.n_angular,
@@ -364,7 +362,7 @@ def cmd_continue(args) -> int:
     point = continue_from(start, args.r1, args.r2)
     f_val = horizontal_residual_m2(point)
     payload = {
-        "schema": 1,
+        "schema": SCHEMA_VERSION,
         "r1": point.r1,
         "r2": point.r2,
         "r3": point.r3,
@@ -436,7 +434,7 @@ def cmd_bjorling(args) -> int:
     sup_err = float(np.max(np.abs(got - want)))  # a NaN point propagates
 
     payload = {
-        "schema": 1,
+        "schema": SCHEMA_VERSION,
         "cusps": int(cusps),
         "closed_form_m": float(m),
         "strip": args.strip,
@@ -515,14 +513,18 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--out")
     ver.set_defaults(func=cmd_verify)
 
-    sea = sub.add_parser("search-m1", help="brute-force the complexity-1 moduli")
+    sea = sub.add_parser("search-m1", help="list the complexity-1 solutions in a radial box",
+                         description="The four exact complexity-1 period solutions "
+                         "(r1 = r2 = 1), when the radial box holds radius 1.")
     # --r-hi needs --r-lo (cmd_search_m1), so --span excludes both
     bounds = sea.add_mutually_exclusive_group()
     bounds.add_argument("--span", type=float, default=4.0)
     bounds.add_argument("--r-lo", dest="r_lo", type=float)
     sea.add_argument("--r-hi", dest="r_hi", type=float)
-    sea.add_argument("--n-radial", dest="n_radial", type=int, default=33)
-    sea.add_argument("--n-angular", dest="n_angular", type=int, default=48)
+    sea.add_argument("--n-radial", dest="n_radial", type=int, default=33,
+                     help="echoed in the report; does not change the result")
+    sea.add_argument("--n-angular", dest="n_angular", type=int, default=48,
+                     help="echoed in the report; does not change the result")
     sea.add_argument("--out")
     sea.set_defaults(func=cmd_search_m1)
 
@@ -566,7 +568,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        # a grid too large for this machine: a bad input, like a bad flag
+        # a mesh grid too large for this machine: a bad input, like a bad flag
         print(f"error: out of memory: {str(exc) or 'the grid is too large'}",
               file=sys.stderr)
         return 2

@@ -273,10 +273,12 @@ class BjorlingPatch:
 
     ``forms`` is the patch as an IntegratedForms in E = e^{i w / D} (see the
     module docstring), and ``offset`` its value on x3 at the base parameter
-    ``w0``, the first of 1025 samples of the domain where the speed reaches
-    half its maximum; there the analytic speed s is oriented to equal the
-    speed.  Evaluate with ``at(u, v)`` in curve coordinates w = u + i v, or
-    via the (r, theta) interface of ``surface_map``, E = r e^{i theta},
+    ``w0``: the first sample of the domain where the speed reaches half its
+    maximum, on 1025 samples or, for a speed of more than 128 terms, on 8
+    per term, which keeps w0 in the first arch between cusps.  There the
+    analytic speed s is oriented to equal the speed.  Evaluate with
+    ``at(u, v)`` in curve coordinates w = u + i v, or via the (r, theta)
+    interface of ``surface_map``, E = r e^{i theta},
     whose mesh normals read the Gauss map, built on its first call and kept.
     ``bjorling_solve`` shares one patch per curve, so ``offset`` is read-only.
     """
@@ -287,10 +289,21 @@ class BjorlingPatch:
         self._speed = _laurent_sqrt(curve.dx * curve.dx + curve.dy * curve.dy)
         ts = np.linspace(curve.domain[0], curve.domain[1], 1025)
         speeds = curve.speed(ts)
-        base = np.argmax(speeds >= 0.5 * speeds.max())
-        self.w0 = float(ts[base])
-        s0 = self._speed.evaluate(self._arg(self.w0))
-        if abs(s0 - speeds[base]) > abs(s0 + speeds[base]):
+        half = 0.5 * speeds.max()
+        self.w0 = float(ts[np.argmax(speeds >= half)])
+        # 8 samples per term of s resolve every arch between cusps; where
+        # they outnumber the 1025 (past 128 terms), the first of them to
+        # reach half the maximum lies in the first arch.  Only those before
+        # w0 are evaluated, a few arches' worth.
+        n_fine = 8 * len(self._speed.coeffs)
+        if n_fine > 1024:
+            fine = np.linspace(curve.domain[0], curve.domain[1], n_fine + 1)
+            fine = fine[fine < self.w0]
+            above = np.flatnonzero(curve.speed(fine) >= half)
+            if above.size:
+                self.w0 = float(fine[above[0]])
+        # s is real on the curve and |s| is the speed there
+        if self._speed.evaluate(self._arg(self.w0)).real < 0:
             self._speed = self._speed.scale(-1.0)
         # s_0 is real, as s is on the curve; offset needs no ln|E_0| = 0 term
         primitive, log = self._speed.scale(-self.denom).shift(-1).integral()

@@ -13,10 +13,11 @@ positive, to the pair of functions (horizontal_residual_m2,
 vertical_residual_m2) of (r1, r2, r3, theta2, theta3) plus a phase
 condition fixing beta.
 
-Both systems are solved by one damped Newton core, _damped_newton: a
-least-squares step halved until the norm drops.  The complexity-1 search
-refines grid minimizers with it on the closed-form Jacobian _m1_jacobian;
-continuation at complexity 2 uses the analytic Jacobian.
+The complexity-1 residual m1_residual factors as a sum of squares, so its
+zeros are known in closed form and brute_search_m1 returns them without a
+search.  Continuation at complexity 2 runs one damped Newton core,
+_damped_newton (a least-squares step halved until the norm drops), on the
+analytic Jacobian.
 """
 
 from __future__ import annotations
@@ -45,9 +46,6 @@ _SQRT2 = math.sqrt(2.0)
 
 #: largest |residual| for which data solves its period problem
 PERIOD_TOL = 1e-10
-
-#: damped Newton steps brute_search_m1 allows each grid minimizer
-M1_REFINE_STEPS = 50
 
 #: continue_from's damped Newton target (on _system_norm) and steps per jump
 CONTINUE_TOL, CONTINUE_STEPS = 1e-12, 50
@@ -107,10 +105,24 @@ def period_residuals(data: WeierstrassData) -> PeriodResiduals:
 # ---------------------------------------------------------------------------
 
 
-def _m1_terms(r1, r2, theta2, beta):
-    """The factors (S, B, C) of m1_residual = S * B + C, with phi = theta2 +
-    beta: S = sin^2 phi and C = 4 cos^2 phi depend on the angles only, the
-    bracket B on (r1, r2, theta2) only.  Broadcasts like m1_residual."""
+def m1_residual(r1, r2, theta2, beta):
+    """Squared magnitude of the complexity-1 period system.
+
+    Vanishes exactly when the list (e^{i beta}, r1, r2 e^{i theta2}) solves
+    the one-sided period problem.  Accepts scalars or broadcasting arrays.
+
+    With phi = beta + theta2 and g = radial_gap(r), the squared norm of the
+    five real residual components, |horizontal|^2 + Im(vertical)^2 +
+    |phase|^2, factors as
+
+        sin^2 phi (4 |g1 + g2 e^{i theta2}|^2 + (2 cos theta2 - g1 g2)^2)
+            + 4 cos^2 phi,
+
+    evaluated in real arithmetic through |g1 + g2 e^{i theta2}|^2 =
+    g1^2 + g2^2 + 2 g1 g2 cos theta2.  Every term is a square, so the
+    zeros are exactly r1 = r2 = 1, theta2 in {pi/2, 3 pi/2} and beta in
+    {0, pi}, each of them regular; brute_search_m1 reads them off here.
+    """
     g1 = radial_gap(np.asarray(r1, dtype=float))
     g2 = radial_gap(np.asarray(r2, dtype=float))
     t2 = np.asarray(theta2, dtype=float)
@@ -118,117 +130,14 @@ def _m1_terms(r1, r2, theta2, beta):
     c2 = np.cos(t2)
     g12 = g1 * g2
     bracket = 4.0 * (g1 * g1 + g2 * g2 + 2.0 * g12 * c2) + (2.0 * c2 - g12) ** 2
-    return np.sin(phi) ** 2, bracket, 4.0 * np.cos(phi) ** 2
-
-
-def m1_residual(r1, r2, theta2, beta):
-    """Squared magnitude of the complexity-1 period system.
-
-    Vanishes exactly when the list (e^{i beta}, r1, r2 e^{i theta2}) solves
-    the one-sided period problem.  Accepts scalars or broadcasting arrays.
-
-    With phi = beta + theta2 and g = radial_gap(r), the squared norm of
-    _m1_vector, |horizontal|^2 + Im(vertical)^2 + |phase|^2, factors as
-
-        sin^2 phi (4 |g1 + g2 e^{i theta2}|^2 + (2 cos theta2 - g1 g2)^2)
-            + 4 cos^2 phi,
-
-    evaluated in real arithmetic through |g1 + g2 e^{i theta2}|^2 =
-    g1^2 + g2^2 + 2 g1 g2 cos theta2 (see _m1_terms).  Every term is a
-    square, so the zeros are r1 = r2 = 1, theta2 in {pi/2, 3 pi/2} and
-    beta in {0, pi}.  The bracket depends on
-    (r1, r2, theta2) and phi on (theta2, beta), so on a grid only the last
-    multiply-add has the full broadcast shape.
-    """
-    s, bracket, c = _m1_terms(r1, r2, theta2, beta)
-    out = s * bracket
-    out += c
+    out = np.sin(phi) ** 2 * bracket
+    out += 4.0 * np.cos(phi) ** 2
     return out
-
-
-def _m1_vector(x):
-    """Real residual vector whose squared norm is m1_residual."""
-    r1, r2, t2, b = x
-    g1, g2 = radial_gap(r1), radial_gap(r2)
-    horizontal = -2j * (g1 * cmath.exp(-1j * t2) + g2) * math.sin(b + t2)
-    vertical = -(2.0 * math.cos(t2) - g1 * g2) * cmath.exp(1j * (b + t2))
-    phase = cmath.exp(2j * (b + t2)) + 1.0
-    return np.array(
-        [horizontal.real, horizontal.imag, vertical.imag, phase.real, phase.imag]
-    )
-
-
-def _m1_jacobian(x):
-    """Exact 5x4 Jacobian of _m1_vector in (r1, r2, theta2, beta).
-
-    With g = r - 1/r, g' = 1 + 1/r^2, phi = theta2 + beta and
-    w = g1 g2 - 2 cos theta2, the components are
-
-        Re H = -2 g1 sin theta2 sin phi
-        Im H = -2 (g1 cos theta2 + g2) sin phi
-        Im V = w sin phi
-        Re P = cos 2 phi + 1,    Im P = sin 2 phi.
-    """
-    r1, r2, t2, b = x
-    g1, g2 = radial_gap(r1), radial_gap(r2)
-    d1, d2 = 1.0 + 1.0 / (r1 * r1), 1.0 + 1.0 / (r2 * r2)
-    phi = t2 + b
-    s2, c2 = math.sin(t2), math.cos(t2)
-    sp, cp = math.sin(phi), math.cos(phi)
-    u = g1 * c2 + g2
-    w = g1 * g2 - 2.0 * c2
-    s2p, c2p = 2.0 * math.sin(2.0 * phi), 2.0 * math.cos(2.0 * phi)
-    return np.array([
-        [-2.0 * d1 * s2 * sp, 0.0, -2.0 * g1 * (c2 * sp + s2 * cp),
-         -2.0 * g1 * s2 * cp],
-        [-2.0 * d1 * c2 * sp, -2.0 * d2 * sp, 2.0 * (g1 * s2 * sp - u * cp),
-         -2.0 * u * cp],
-        [d1 * g2 * sp, g1 * d2 * sp, 2.0 * s2 * sp + w * cp, w * cp],
-        [0.0, 0.0, -s2p, -s2p],
-        [0.0, 0.0, c2p, c2p],
-    ])
-
-
-def _damped_newton(vector, jacobian, x0, norm, tol, max_iter, admissible):
-    """Damped Newton (Gauss-Newton when overdetermined) on ``vector``.
-
-    Each iteration takes the least-squares step of ``jacobian(x)`` and halves
-    it, at most 20 times, until it lands on an ``admissible`` point with a
-    smaller ``norm``.  Returns (x, norm, stop), x the last accepted point,
-    with stop one of "converged" (norm < tol), "stalled" (no halving
-    helped), "max_iter", or "domain": the residual vector or the Jacobian at
-    x holds an inf or a NaN, checked before the step is solved for, so an
-    overflow ends the solve without a warning.
-    """
-    x = np.asarray(x0, dtype=float).copy()
-    with np.errstate(all="ignore"):
-        v = vector(x)
-        nv = norm(v)
-        for _ in range(max_iter):
-            if nv < tol:
-                return x, nv, "converged"
-            jac = jacobian(x)
-            if not (np.isfinite(v).all() and np.isfinite(jac).all()):
-                return x, nv, "domain"
-            step, *_ = np.linalg.lstsq(jac, -v, rcond=None)
-            lam = 1.0
-            for _ in range(20):
-                xn = x + lam * step
-                if admissible(xn):
-                    vn = vector(xn)
-                    nn = norm(vn)
-                    if nn < nv:
-                        x, v, nv = xn, vn, nn
-                        break
-                lam *= 0.5
-            else:
-                return x, nv, "stalled"
-    return x, nv, "converged" if nv < tol else "max_iter"
 
 
 @dataclass(frozen=True)
 class SearchHit:
-    """A refined local minimizer of the complexity-1 residual."""
+    """A complexity-1 period solution and its m1_residual."""
 
     r1: float
     r2: float
@@ -247,13 +156,6 @@ class SearchHit:
             min(_angular_dist(x, a), _angular_dist(x, a + math.pi))
             for x, a in ((self.theta2, math.pi / 2), (self.beta, 0.0))]
         return all(d < tol for d in off)
-
-
-def _wrap_angle(a):
-    """a reduced to [0, 2 pi); a plain ``a % (2 pi)`` rounds tiny negative
-    angles up to 2 pi itself."""
-    a %= 2 * math.pi
-    return 0.0 if a == 2 * math.pi else a
 
 
 def _angular_dist(a, b):
@@ -276,173 +178,25 @@ def _radial_bounds(span):
     return 1.0 / span, float(span)
 
 
-def _m1_search_terms(rs, angles):
-    """The factors (S, B, C) of the search grid over the radii ``rs`` and
-    the ``angles``: S and C on the angle pairs (k, l), and the bracket B
-    packed as _factored_minima reads it, one row per radius pair i <= j of
-    np.triu_indices(len(rs)) by k.
-
-    B is symmetric bit for bit under swapping r1 and r2: IEEE + and *
-    commute, and both gaps are radial_gap of the same ``rs``.  So the
-    triangle holds every value of the full (i, j, k) bracket, and each
-    value with the same rounding.
-    """
-    iu, ju = np.triu_indices(len(rs))
-    s, b, c = _m1_terms(
-        rs[iu][:, None, None], rs[ju][:, None, None], angles[:, None], angles
-    )
-    return s, b[..., 0], c
+#: the zeros of m1_residual, sorted: (r1, r2, theta2, beta)
+_M1_ZEROS = tuple((1.0, 1.0, t2, b)
+                  for t2 in (math.pi / 2, 3 * math.pi / 2) for b in (0.0, math.pi))
 
 
-def _factored_minima(s, b, c, threshold):
-    """Grid-local minima below ``threshold`` of the 4-D grid
-    r[i, j, k, l] = s[k, l] * B[i, j, k] + c[k, l], with s >= 0, as an
-    (n, 4) array of indices (i, j, k, l) in lexicographic order.
+def brute_search_m1(span: float = 4.0):
+    """The complexity-1 period solutions whose radii lie in the search box.
 
-    The bracket B must be symmetric in (i, j), and ``b`` holds its upper
-    triangle packed (see _m1_search_terms): an (n_r (n_r + 1) / 2, n_a)
-    array whose row a n_r - a (a - 1) / 2 + (j - a) is B[a, j, :] for
-    a <= j.  A point (i, j, k, l) reads row (min(i, j), max(i, j)).
-
-    A point is a minimum when it is <= both neighbours on every axis.  The
-    two radial axes (i, j) are clamped, so an edge point is compared with
-    itself, which is the same as padding with +inf; the two angular axes
-    (k, l) wrap.  The grid is never built: only points that can lie below
-    ``threshold`` are evaluated, each with the same two roundings.  Since
-    r[i, j, k, l] = r[j, i, k, l] and the neighbours of (j, i, k, l) are
-    those of (i, j, k, l) mirrored, the minima with i > j are the mirrors
-    of those with i < j, and only the triangle i <= j is tested.
-    """
-    n_pairs, n_a = b.shape
-    n_r = (math.isqrt(8 * n_pairs + 1) - 1) // 2
-    s_flat, b_flat, c_flat = s.reshape(-1), b.reshape(-1), c.reshape(-1)
-
-    def value(i, j, k, l):
-        lo, hi = np.minimum(i, j), np.maximum(i, j)
-        row = lo * n_r - lo * (lo - 1) // 2 + (hi - lo)
-        kl = k * n_a + l
-        return s_flat[kl] * b_flat[row * n_a + k] + c_flat[kl]
-
-    # For s >= 0 the rounded s * b + c is non-decreasing in b, whatever the
-    # sign of b (a bracket that rounds slightly below 0 included), since
-    # rounding is monotone.  So a (k, l) pair has a point below threshold
-    # exactly when its smallest bracket gives one (fmin skips NaN, which is
-    # never below threshold), and every b above a cut whose value reaches
-    # threshold stays at or above it.  The cut (threshold - c) / s is
-    # widened and then checked with the formula itself; a cut that fails
-    # the check (as every cut does where s = 0) becomes +inf, which drops
-    # nothing.
-    b_min = np.fmin.reduce(b, axis=0)
-    k, l = np.nonzero(s * b_min[:, None] + c < threshold)
-    sp, cp = s[k, l], c[k, l]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        cut = (threshold - cp) / sp
-        cut += 1e-9 * np.abs(cut)
-        cut[~(sp * cut + cp >= threshold)] = np.inf
-
-    # Join each bracket under the widest cut of its column k with the kept
-    # pairs (k, l) of that column, and keep the joined points whose value is
-    # below threshold.  The brackets come in flat (row, k) order and the
-    # pairs sorted by (k, l), so the points are in lexicographic order.
-    widest = np.full(n_a, -np.inf)
-    np.maximum.at(widest, k, cut)
-    rk = np.flatnonzero(b <= widest)
-    per_k = np.bincount(k, minlength=n_a)
-    first = np.cumsum(per_k) - per_k
-    reps = per_k[rk % n_a]
-    # the n-th joined point, copy r of its bracket in column k, takes the
-    # pair first[k] + r, where r = n - (copies of the brackets before it)
-    shift = first[rk % n_a] - (np.cumsum(reps) - reps)
-    rk = np.repeat(rk, reps)
-    pair = np.arange(len(rk)) + np.repeat(shift, reps)
-    v = sp[pair] * b_flat[rk] + cp[pair]
-    below = v < threshold
-    v, pair = v[below], pair[below]
-    row, kk = np.divmod(rk[below], n_a)
-    iu, ju = np.triu_indices(n_r)
-    point = [iu[row], ju[row], kk, l[pair]]
-
-    # Test the neighbours one direction at a time, on the survivors only.
-    for axis, n in enumerate((n_r, n_r, n_a, n_a)):
-        for step in (-1, 1):
-            nb = point[axis] + step
-            nb = np.clip(nb, 0, n - 1) if axis < 2 else nb % n
-            keep = v <= value(*point[:axis], nb, *point[axis + 1:])
-            point, v = [x[keep] for x in point], v[keep]
-
-    rows = np.stack(point, axis=1)
-    mirrors = rows[point[0] < point[1]][:, [1, 0, 2, 3]]
-    rows = np.concatenate([rows, mirrors])
-    return rows[np.lexsort(rows.T[::-1])]
-
-
-def brute_search_m1(
-    span: float = 4.0,
-    n_radial: int = 33,
-    n_angular: int = 48,
-):
-    """Grid search + damped refinement for complexity-1 period solutions.
-
-    Moduli run log-spaced over [1/span, span] (or an explicit (lo, hi)
-    pair); angles over [0, 2 pi).
-    Grid-local minimizers below 1 are refined by at most M1_REFINE_STEPS
-    damped Newton steps (the residual is locally quadratic around its
-    zeros, so at this resolution every zero pulls a grid point well below
-    that bound; plateaus of large constant residual are skipped).  Each
-    step solves with the closed-form Jacobian _m1_jacobian of _m1_vector;
-    no finite difference is taken.  Refinement stays inside the radial
-    search box.  Refinements that converge (to Newton's 1e-28 target) are
-    merged when closer than 1e-4 in parameter space and returned sorted by
-    parameters; the others are dropped.
-
-    The 4-D residual grid is never built.  It factors as
-    S[k, l] * B[i, j, k] + C[k, l] (see _m1_terms), so the search builds S
-    and C on the (n_angular, n_angular) angle grid and the bracket B on
-    the radius pairs i <= j only, and evaluates the residual only at the
-    points that can lie below 1 and at their grid neighbours
-    (_factored_minima).  The triangle suffices because B is symmetric bit
-    for bit under swapping r1 and r2 (see _m1_search_terms), so the
-    residual at (i, j, k, l) equals the one at (j, i, k, l).  Time and
-    memory grow as n_radial (n_radial + 1) / 2 * n_angular + n_angular^2
-    plus the number of those points.  A bracket that overflows is +inf,
-    never below 1, and drops out without a warning.
+    The box is [1/span, span], or an explicit (lo, hi) pair.  m1_residual
+    is a sum of squares whose zeros are exactly r1 = r2 = 1, theta2 in
+    {pi/2, 3 pi/2} and beta in {0, pi}.  So the box holds these four when
+    lo <= 1 <= hi and none otherwise: they are returned as SearchHits,
+    sorted by parameters, each with its m1_residual (rounding, below
+    1e-30).  Nothing is sampled or iterated.
     """
     r_lo, r_hi = _radial_bounds(span)
-    if n_radial < 1 or n_angular < 1:
-        raise DomainError(
-            f"grid sizes must be at least 1, got n_radial={n_radial!r}, "
-            f"n_angular={n_angular!r}"
-        )
-    rs = np.exp(np.linspace(math.log(r_lo), math.log(r_hi), n_radial))
-    angles = np.linspace(0.0, 2 * math.pi, n_angular, endpoint=False)
-
-    with np.errstate(all="ignore"):
-        minima = _factored_minima(*_m1_search_terms(rs, angles), 1.0)
-
-    lo, hi = 0.9 * r_lo, 1.1 * r_hi
-    hits = []
-    for i, j, k, l in minima:
-        x, value, stop = _damped_newton(
-            _m1_vector, _m1_jacobian, np.array([rs[i], rs[j], angles[k], angles[l]]),
-            lambda v: float(v @ v), 1e-28, M1_REFINE_STEPS,
-            lambda x: lo <= x[0] <= hi and lo <= x[1] <= hi,
-        )
-        if stop == "converged":
-            r1, r2, theta2, beta = map(float, x)
-            hits.append(SearchHit(r1, r2, _wrap_angle(theta2), _wrap_angle(beta), float(value)))
-
-    merged: list[SearchHit] = []
-    for hit in sorted(hits, key=lambda h: h.residual):
-        for kept in merged:
-            if (
-                abs(hit.r1 - kept.r1) + abs(hit.r2 - kept.r2)
-                + _angular_dist(hit.theta2, kept.theta2)
-                + _angular_dist(hit.beta, kept.beta)
-            ) < 1e-4:
-                break
-        else:
-            merged.append(hit)
-    return sorted(merged, key=lambda h: h.params)
+    if not r_lo <= 1.0 <= r_hi:
+        return []
+    return [SearchHit(*x, float(m1_residual(*x))) for x in _M1_ZEROS]
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +306,43 @@ def period_jacobian_m2(p: ModuliPoint) -> np.ndarray:
 def _system_norm(v) -> float:
     """max(|F|, |G|) with F the complex horizontal condition."""
     return max(math.hypot(v[0], v[1]), abs(v[2]))
+
+
+def _damped_newton(vector, jacobian, x0, norm, tol, max_iter, admissible):
+    """Damped Newton (Gauss-Newton when overdetermined) on ``vector``.
+
+    Each iteration takes the least-squares step of ``jacobian(x)`` and halves
+    it, at most 20 times, until it lands on an ``admissible`` point with a
+    smaller ``norm``.  Returns (x, norm, stop), x the last accepted point,
+    with stop one of "converged" (norm < tol), "stalled" (no halving
+    helped), "max_iter", or "domain": the residual vector or the Jacobian at
+    x holds an inf or a NaN, checked before the step is solved for, so an
+    overflow ends the solve without a warning.
+    """
+    x = np.asarray(x0, dtype=float).copy()
+    with np.errstate(all="ignore"):
+        v = vector(x)
+        nv = norm(v)
+        for _ in range(max_iter):
+            if nv < tol:
+                return x, nv, "converged"
+            jac = jacobian(x)
+            if not (np.isfinite(v).all() and np.isfinite(jac).all()):
+                return x, nv, "domain"
+            step, *_ = np.linalg.lstsq(jac, -v, rcond=None)
+            lam = 1.0
+            for _ in range(20):
+                xn = x + lam * step
+                if admissible(xn):
+                    vn = vector(xn)
+                    nn = norm(vn)
+                    if nn < nv:
+                        x, v, nv = xn, vn, nn
+                        break
+                lam *= 0.5
+            else:
+                return x, nv, "stalled"
+    return x, nv, "converged" if nv < tol else "max_iter"
 
 
 def continue_from(p0: ModuliPoint, r1: float, r2: float, _depth: int = 0) -> ModuliPoint:

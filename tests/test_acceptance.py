@@ -78,19 +78,35 @@ def test_02_closed_form_equivalence():
 
 
 def test_03_m1_uniqueness_search():
+    # m1_residual is the squared norm of the generic complexity-1 residuals
+    # and equals the sum of squares sin^2 phi B + 4 cos^2 phi, so its zeros
+    # are exactly r1 = r2 = 1, theta2 in {pi/2, 3 pi/2}, beta in {0, pi}
     t0 = time.perf_counter()
-    hits = hb.brute_search_m1()
+    rng = np.random.default_rng(SEED)
+    worst_generic = worst_factored = 0.0
+    for _ in range(200):
+        r1, r2 = np.exp(rng.uniform(-1.5, 1.5, 2))
+        t2, beta = rng.uniform(0.0, 2 * math.pi, 2)
+        config = hb.BranchConfiguration.from_polar([(r1, 0.0), (r2, t2)])
+        res = hb.period_residuals(hb.WeierstrassData(np.exp(1j * beta), config))
+        generic = abs(res.horizontal) ** 2 + res.vertical**2 + res.onesided**2
+        g1, g2, phi = hb.radial_gap(r1), hb.radial_gap(r2), t2 + beta
+        factored = (math.sin(phi) ** 2 * (4 * abs(g1 + g2 * np.exp(1j * t2)) ** 2
+                                          + (2 * math.cos(t2) - g1 * g2) ** 2)
+                    + 4 * math.cos(phi) ** 2)
+        got = float(hb.m1_residual(r1, r2, t2, beta))
+        worst_generic = max(worst_generic, abs(got - generic) / max(1.0, generic))
+        worst_factored = max(worst_factored, abs(got - factored) / factored)
+    zeros = [(1.0, 1.0, t2, b) for t2 in (math.pi / 2, 3 * math.pi / 2) for b in (0.0, math.pi)]
+    at_zeros = max(float(hb.m1_residual(*z)) for z in zeros)
     elapsed = time.perf_counter() - t0
-    ok = len(hits) > 0 and all(h.is_henneberg(1e-6) for h in hits)
-    for h in hits:
-        t2 = h.theta2 % (2 * math.pi)
-        ok &= abs(h.r1 - 1) < 1e-6 and abs(h.r2 - 1) < 1e-6
-        ok &= min(abs(t2 - math.pi / 2), abs(t2 - 3 * math.pi / 2)) < 1e-6
     report(
         3,
-        bool(ok and elapsed < 60.0),
-        f"{len(hits)} minimizers, all at (1,1,±pi/2) within 1e-6, "
-        f"in {elapsed:.1f}s (< 60s)",
+        worst_generic < 1e-10 and worst_factored < 1e-14 and at_zeros < 1e-28
+        and elapsed < 60.0,
+        f"m1_residual vs generic residuals {worst_generic:.1e} (< 1e-10), vs sum of "
+        f"squares {worst_factored:.1e} (< 1e-14), {at_zeros:.1e} at the four zeros "
+        f"(< 1e-28), in {elapsed:.1f}s (< 60s)",
     )
 
 

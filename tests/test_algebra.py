@@ -108,6 +108,17 @@ class TestLaurentPoly:
         with pytest.raises(DomainError, match="must be 1-D"):
             LaurentPoly(0, coeffs)
 
+    @pytest.mark.parametrize("lowest", [1.5, 2.0, np.float64(-1.0), "1", None, Fraction(1, 2)])
+    def test_rejects_non_integer_lowest(self, lowest):
+        # 1.5 used to be truncated, giving z + 2 z^2
+        with pytest.raises(DomainError, match="exponent must be an integer"):
+            LaurentPoly(lowest, [1.0, 2.0])
+
+    @pytest.mark.parametrize("lowest", [-2, np.int64(-2), np.int32(-2), np.intp(-2)])
+    def test_integer_types_give_int_lowest(self, lowest):
+        p = LaurentPoly(lowest, [1.0, 2.0])
+        assert type(p.lowest) is int and p.lowest == -2 and p.highest == -1
+
     def test_evaluate_root(self):
         p = LaurentPoly.from_dict({4: 1.0, 0: -1.0})  # z^4 - 1
         assert p.evaluate(1.0) == 0

@@ -15,7 +15,9 @@ from henneberg import bjorling_solve, equator_curve
 GONE = {
     "algebra": ["extend_by_pair", "residue_at_zero"],
     "geometry": ["fit_rigid_motion", "verify_isometry", "_laurent_primitive"],
-    "period": ["horizontal_residual_m2_alt", "period_jacobian_m2_fd"],
+    "period": ["horizontal_residual_m2_alt", "period_jacobian_m2_fd", "_m1_terms",
+               "_m1_vector", "_m1_jacobian", "_m1_search_terms", "_factored_minima",
+               "_wrap_angle", "M1_REFINE_STEPS"],
     "weierstrass": ["immersion", "metric_density"],
 }
 

@@ -393,7 +393,38 @@ class TestSearch:
         assert code == 0
         rep = json.loads(stdout)
         assert rep["all_henneberg"]
-        assert len(rep["minimizers"]) > 0
+        assert len(rep["minimizers"]) == 4
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["--n-radial", "65", "--n-angular", "96"],
+        ["--span", "2"],
+        ["--r-lo", "0.3", "--r-hi", "5"],
+        # the 4 x 1 grid missed the zeros, and this line exited 1
+        ["--r-lo", "1e-300", "--r-hi", "2", "--n-radial", "4", "--n-angular", "1"],
+    ], ids=lambda argv: " ".join(argv) or "default")
+    def test_boxes_holding_radius_one_report_the_four_zeros(self, capsys, argv):
+        code, stdout, err = run(capsys, "search-m1", *argv)
+        assert (code, err) == (0, "")
+        rep = json.loads(stdout)
+        assert rep["all_henneberg"] is True
+        got = [(h["r1"], h["r2"], h["theta2"], h["beta"]) for h in rep["minimizers"]]
+        assert got == [(1.0, 1.0, t2, b) for t2 in (math.pi / 2, 3 * math.pi / 2)
+                       for b in (0.0, math.pi)]
+        assert all(h["henneberg"] and h["residual"] < 1e-28 for h in rep["minimizers"])
+
+    @pytest.mark.parametrize("grid", [["--n-radial", "0"], ["--n-radial", "-3"],
+                                      ["--n-angular", "0"], ["--n-angular", "20000000"]])
+    def test_grid_sizes_are_only_echoed(self, capsys, grid):
+        # the sizes still parse, for the readers of schema 1, and change
+        # nothing but their echo in the "grid" block
+        want = json.loads(run(capsys, "search-m1")[1])
+        code, stdout, err = run(capsys, "search-m1", *grid)
+        assert (code, err) == (0, "")
+        got = json.loads(stdout)
+        assert got["grid"].pop(grid[0][2:].replace("-", "_")) == int(grid[1])
+        want["grid"].pop(grid[0][2:].replace("-", "_"))
+        assert got == want
 
     def test_restricted_grid(self, capsys):
         # a box without a minimizer certifies nothing: exit 1
@@ -405,8 +436,9 @@ class TestSearch:
         assert rep["minimizers"] == [] and rep["all_henneberg"] is False
 
     def test_overflowing_box_fails_quietly(self, capsys):
-        # the brackets of r = 1e-300 overflow to +inf and drop out unwarned
-        code, stdout, err = run(capsys, "search-m1", "--r-lo", "1e-300", "--r-hi", "2",
+        # a box of radii whose gaps r - 1/r overflow holds no zero: exit 1,
+        # with no warning
+        code, stdout, err = run(capsys, "search-m1", "--r-lo", "1e-300", "--r-hi", "1e-200",
                                 "--n-radial", "4", "--n-angular", "1")
         assert code == 1 and err == ""
         assert json.loads(stdout)["minimizers"] == []
@@ -414,9 +446,9 @@ class TestSearch:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--n-radial", "0"],
-            ["--n-radial", "-3"],
-            ["--n-angular", "0"],
+            ["--r-lo", "nan", "--r-hi", "2"],
+            ["--r-lo", "0.5", "--r-hi", "inf"],
+            ["--span", "-inf"],
             ["--span", "inf"],
             ["--span", "0"],
             ["--span", "-2"],
@@ -472,7 +504,7 @@ class TestSearch:
         "",
     ])
     def test_out_of_memory_exits_2(self, capsys, tmp_path, monkeypatch, message):
-        # a grid too large to allocate is a bad input: one line, no file
+        # running out of memory is a bad input: one line, no file
         def search(**kwargs):
             raise MemoryError(message)
 

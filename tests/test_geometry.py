@@ -452,30 +452,34 @@ class TestSharedPatch:
 
 
 class TestDenseCuspBase:
-    """Pins a known defect: w0 is the first of 1025 samples where the speed
-    reaches half its maximum, and once an arch between cusps spans fewer
-    than about 2.4 samples that sample can lie past the first cusp, where
-    the analytic speed s has the other sign.  From 427 cusps on the patch
-    is then the closed form mirrored in x3, and bjorling still exits 0."""
+    """w0 lies in the first arch between cusps at every cusp count.  From
+    about 400 cusps on an arch spans fewer than about 2.4 of the 1025
+    samples, and the first of them to reach half the maximum speed can lie
+    past the first cusp, where the analytic speed s has the other sign:
+    427 cusps gave the closed form mirrored in x3 (sup_error 8.6e6), and
+    bjorling still exited 0.  The base is now read off 8 samples per term
+    of s."""
 
-    @pytest.mark.parametrize("cusps, w0, flipped",
-                             [(425, "0.006135923151542565", False),
-                              (427, "0.01227184630308513", True)])
-    def test_late_base_mirrors_x3(self, capsys, cusps, w0, flipped):
+    @pytest.mark.parametrize("cusps, strip, w0",
+                             [(425, 0.05, "0.0018458241207930629"),
+                              (427, 0.05, "0.0018371886863098206"),
+                              (2001, 0.001, "0.0003924047781151378")])
+    def test_base_in_first_arch(self, capsys, cusps, strip, w0):
         m = cli._closed_form_for_cusps(cusps)
         curve = equator_curve(m)
         patch = bjorling_solve(curve)
         assert repr(patch.w0) == w0
+        # the curve starts on a cusp, and its arches are period / cusps long
+        assert 0.0 < patch.w0 < curve.period / cusps
+        speeds = curve.speed(np.linspace(0.0, curve.period / cusps, 65))
+        assert curve.speed(patch.w0) >= 0.5 * speeds.max()
         us = np.linspace(curve.domain[0], curve.domain[1], 64)
-        vs = np.linspace(-0.05, 0.05, 9)[:, None]
+        vs = np.linspace(-strip, strip, 9)[:, None]
         got, want = patch.at(us, vs), eval_hm_even(m, np.exp(-vs), us)
-        scale = np.abs(want).max()  # about 4e6
-        assert np.abs(got[..., :2] - want[..., :2]).max() < 1e-12 * scale
-        mirrored = want[..., 2] * (-1 if flipped else 1)
-        assert np.abs(got[..., 2] - mirrored).max() < 1e-12 * scale
-        assert cli.main(["bjorling", "--cusps", str(cusps)]) == 0
-        sup_error = json.loads(capsys.readouterr().out)["sup_error"]
-        assert (sup_error > 1e6) == flipped
+        scale = np.abs(want).max()
+        assert np.abs(got - want).max() < 1e-12 * scale
+        assert cli.main(["bjorling", "--cusps", str(cusps), "--strip", str(strip)]) == 0
+        assert json.loads(capsys.readouterr().out)["sup_error"] < 1e-11 * scale
 
 
 def _polydiv_deflate(poly, root):

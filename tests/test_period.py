@@ -1,12 +1,12 @@
+import json
 import logging
 import math
 import os
-import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from henneberg import (
@@ -28,16 +28,9 @@ from henneberg import (
     symmetric_example,
     vertical_residual_m2,
 )
-from henneberg import period
-from henneberg.period import (
-    _damped_newton,
-    _factored_minima,
-    _m1_jacobian,
-    _m1_search_terms,
-    _m1_terms,
-    _m1_vector,
-)
-from oracles import antipodes, fd_jacobian, horizontal_residual_m2_alt, period_jacobian_m2_fd
+from henneberg import cli, period
+from henneberg.period import _damped_newton
+from oracles import antipodes, horizontal_residual_m2_alt, period_jacobian_m2_fd
 
 H2_FAMILY_GAUGE = ModuliPoint(1.0, 1.0, 1.0, math.pi / 3, -math.pi / 3, math.pi / 2)
 
@@ -112,61 +105,59 @@ class TestM1Residual:
     @pytest.mark.parametrize("theta2", [math.pi / 2, 3 * math.pi / 2])
     @pytest.mark.parametrize("beta", [0.0, math.pi])
     def test_four_regular_zeros(self, theta2, beta):
-        # each zero is isolated: the Jacobian has full rank there, with
-        # singular values 4, 4, sqrt(5) + 1 and sqrt(5) - 1
+        # each zero is isolated: the Jacobian of the five residual
+        # components has full rank there, with singular values 4, 4,
+        # sqrt(5) + 1 and sqrt(5) - 1
         x = np.array([1.0, 1.0, theta2, beta])
-        assert np.abs(_m1_vector(x)).max() <= 1e-15
-        sv = np.linalg.svd(_m1_jacobian(x), compute_uv=False)
+        assert np.abs(_m1_vector_mp(x)).max() <= 1e-15
+        sv = np.linalg.svd(_m1_jacobian_mp(x), compute_uv=False)
         want = [4.0, 4.0, math.sqrt(5) + 1, math.sqrt(5) - 1]
         assert np.abs(sv - want).max() <= 1e-12
 
 
-def _m1_jacobian_mp(x, dps=40):
-    """The Jacobian of _m1_vector's five components by mpmath.diff in
-    dps-digit arithmetic, as floats."""
-    def parts(r1, r2, t2, b):
-        g1, g2 = r1 - 1 / r1, r2 - 1 / r2
-        phi = t2 + b
-        return (
-            -2j * (g1 * mpmath.expj(-t2) + g2) * mpmath.sin(phi),
-            -(2 * mpmath.cos(t2) - g1 * g2) * mpmath.expj(phi),
-            mpmath.expj(2 * phi) + 1,
-        )
+def _m1_parts(r1, r2, t2, b):
+    """The complex horizontal, vertical and phase residuals of the list
+    (e^{i b}, r1, r2 e^{i t2}) in mpmath; m1_residual is |horizontal|^2 +
+    Im(vertical)^2 + |phase|^2."""
+    g1, g2 = r1 - 1 / r1, r2 - 1 / r2
+    phi = t2 + b
+    return (
+        -2j * (g1 * mpmath.expj(-t2) + g2) * mpmath.sin(phi),
+        -(2 * mpmath.cos(t2) - g1 * g2) * mpmath.expj(phi),
+        mpmath.expj(2 * phi) + 1,
+    )
 
+
+def _real_components(h, v, p):
+    return [float(h.real), float(h.imag), float(v.imag), float(p.real), float(p.imag)]
+
+
+def _m1_vector_mp(x, dps=40):
+    """The five real residual components at x in dps-digit arithmetic, as
+    floats."""
+    with mpmath.workdps(dps):
+        return np.array(_real_components(*_m1_parts(*(mpmath.mpf(float(v)) for v in x))))
+
+
+def _m1_jacobian_mp(x, dps=40):
+    """The Jacobian of the five real residual components by mpmath.diff in
+    dps-digit arithmetic, as floats."""
     with mpmath.workdps(dps):
         point = [mpmath.mpf(float(v)) for v in x]
         jac = np.empty((5, 4))
         for j in range(4):
             def column(s, k, j=j):
-                return parts(*point[:j], s, *point[j + 1:])[k]
+                return _m1_parts(*point[:j], s, *point[j + 1:])[k]
 
-            h, v, p = (mpmath.diff(lambda s: column(s, k), point[j]) for k in range(3))
-            jac[:, j] = [float(h.real), float(h.imag), float(v.imag),
-                         float(p.real), float(p.imag)]
+            jac[:, j] = _real_components(
+                *(mpmath.diff(lambda s: column(s, k), point[j]) for k in range(3)))
     return jac
-
-
-class TestM1Jacobian:
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        log_r=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
-        angles=st.tuples(
-            st.floats(0.0, 2 * math.pi, exclude_max=True),
-            st.floats(0.0, 2 * math.pi, exclude_max=True),
-        ),
-    )
-    def test_matches_extended_precision(self, log_r, angles):
-        x = np.array([math.exp(log_r[0]), math.exp(log_r[1]), *angles])
-        got, want = _m1_jacobian(x), _m1_jacobian_mp(x)
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-        fd = fd_jacobian(_m1_vector, x, 1e-7)
-        assert np.abs(got - fd).max() <= 1e-7 * np.abs(got).max()
 
 
 class TestBruteSearch:
     def test_default_grid_finds_only_henneberg(self):
         hits = brute_search_m1()
-        assert len(hits) > 0
+        assert len(hits) == 4
         for h in hits:
             assert h.is_henneberg(1e-6), h
             assert abs(h.r1 - 1) < 1e-6 and abs(h.r2 - 1) < 1e-6
@@ -177,172 +168,26 @@ class TestBruteSearch:
         assert brute_search_m1(span=(1.5, 3.0)) == []
 
     def test_grid_point_on_solution(self):
-        # the default grid contains (1, 1, pi/2, 0) exactly
-        rs = np.exp(np.linspace(np.log(0.25), np.log(4.0), 33))
-        assert any(abs(r - 1) < 1e-15 for r in rs)
-        angles = np.linspace(0, 2 * np.pi, 48, endpoint=False)
-        assert any(abs(a - math.pi / 2) < 1e-15 for a in angles)
-        assert m1_residual(1.0, 1.0, math.pi / 2, 0.0) < 1e-30
+        # the exact zero (1, 1, pi/2, 0) is a hit, with its m1_residual
+        want = SearchHit(1.0, 1.0, math.pi / 2, 0.0, float(m1_residual(1.0, 1.0, math.pi / 2, 0.0)))
+        assert want in brute_search_m1()
+        assert want.residual < 1e-30
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(exponents=st.lists(st.floats(-300.0, 300.0), min_size=2, max_size=2, unique=True))
+    @example(exponents=[0.0, 1.0])
+    @example(exponents=[-1.0, 0.0])
+    @example(exponents=[1e-16, 2.0])
+    def test_random_boxes(self, exponents):
+        # a box holds the four zeros exactly when lo <= 1 <= hi
+        lo, hi = sorted(10.0**e for e in exponents)
+        assume(lo < hi)
+        hits = brute_search_m1(span=(lo, hi))
+        want = _H1_HITS if lo <= 1.0 <= hi else []
+        assert [(*h.params, h.residual) for h in hits] == want
 
 
-def _dense_minima(res, threshold):
-    """Reference: the grid-local minima below ``threshold`` from a dense 4-D
-    mask built with padded and rolled copies of the whole grid, as
-    (i, j, k, l) rows in lexicographic order."""
-    is_min = np.ones_like(res, dtype=bool)
-    for axis in (0, 1):
-        pad = np.full_like(np.take(res, [0], axis=axis), np.inf)
-        padded = np.concatenate([pad, res, pad], axis=axis)
-        fwd = np.take(padded, range(2, padded.shape[axis]), axis=axis)
-        bwd = np.take(padded, range(0, padded.shape[axis] - 2), axis=axis)
-        is_min &= (res <= fwd) & (res <= bwd)
-    for axis in (2, 3):
-        is_min &= (res <= np.roll(res, 1, axis=axis)) & (
-            res <= np.roll(res, -1, axis=axis)
-        )
-    return np.argwhere(is_min & (res < threshold))
-
-
-def _search_axes(span, n_radial, n_angular):
-    lo, hi = span
-    rs = np.exp(np.linspace(math.log(lo), math.log(hi), n_radial))
-    angles = np.linspace(0.0, 2 * math.pi, n_angular, endpoint=False)
-    return rs, angles
-
-
-def _search_terms(span, n_radial, n_angular):
-    """The factors (S, B, C) of the search grid as brute_search_m1 builds
-    them: S and C on (k, l), B packed on the radius pairs i <= j by k."""
-    return _m1_search_terms(*_search_axes(span, n_radial, n_angular))
-
-
-def _search_grid(span, n_radial, n_angular):
-    rs, angles = _search_axes(span, n_radial, n_angular)
-    return m1_residual(
-        rs[:, None, None, None], rs[None, :, None, None],
-        angles[None, None, :, None], angles[None, None, None, :],
-    )
-
-
-def _full_bracket(b):
-    """The symmetric (n_r, n_r, n_a) bracket whose upper triangle the
-    (n_r (n_r + 1) / 2, n_a) array ``b`` packs."""
-    n_pairs, n_angular = b.shape
-    n_radial = (math.isqrt(8 * n_pairs + 1) - 1) // 2
-    iu, ju = np.triu_indices(n_radial)
-    full = np.empty((n_radial, n_radial, n_angular))
-    full[iu, ju] = b
-    full[ju, iu] = b
-    return full
-
-
-def _product_grid(s, b, c):
-    """The 4-D grid s[k, l] * B[i, j, k] + c[k, l], built whole from the
-    packed bracket ``b``."""
-    return s * _full_bracket(b)[..., None] + c
-
-
-class TestStreamedMinima:
-    """The minima found from the factors S, B, C, with B packed on the
-    radius pairs i <= j, equal the dense 4-D mask on the whole grid."""
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        radii=st.lists(
-            st.tuples(
-                st.floats(0.0, 1e308, exclude_min=True),
-                st.floats(0.0, 1e308, exclude_min=True),
-            ),
-            min_size=1, max_size=20,
-        ),
-        theta2=st.lists(st.floats(0.0, 2 * math.pi), min_size=1, max_size=12),
-    )
-    def test_bracket_symmetric_bit_for_bit(self, radii, theta2):
-        # the packing rests on B(r1, r2) == B(r2, r1) in every bit, for
-        # every finite radius > 0 (overflow to inf included)
-        r1, r2 = np.array(radii).T[:, :, None]
-        t2 = np.array(theta2)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            b12 = _m1_terms(r1, r2, t2, 0.0)[1]
-            b21 = _m1_terms(r2, r1, t2, 0.0)[1]
-        np.testing.assert_array_equal(b12.view(np.int64), b21.view(np.int64))
-
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(
-        n_radial=st.integers(1, 9),
-        n_angular=st.integers(1, 12),
-        lo=st.floats(0.1, 1.5),
-        width=st.floats(1.01, 20.0),
-    )
-    def test_factors_equal_residual_bit_for_bit(self, n_radial, n_angular, lo,
-                                               width):
-        span = (lo, lo * width)
-        got = _product_grid(*_search_terms(span, n_radial, n_angular))
-        want = _search_grid(span, n_radial, n_angular)
-        assert got.shape == want.shape
-        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-
-    @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(
-        n_radial=st.integers(1, 9),
-        n_angular=st.integers(1, 12),
-        lo=st.floats(0.1, 1.5),
-        width=st.floats(1.01, 20.0),
-        threshold=st.sampled_from([0.05, 0.5, 1.0, 2.0, 4.0, 4.5, 20.0, np.inf]),
-    )
-    def test_residual_grids(self, n_radial, n_angular, lo, width, threshold):
-        span = (lo, lo * width)
-        got = _factored_minima(*_search_terms(span, n_radial, n_angular), threshold)
-        want = _dense_minima(_search_grid(span, n_radial, n_angular), threshold)
-        np.testing.assert_array_equal(got, want)
-
-    @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(
-        shape=st.tuples(st.integers(1, 9), st.integers(1, 12)),
-        seed=st.integers(0, 2**32 - 1),
-        threshold=st.sampled_from([0.5, 1.5, 2.5, 3.5, 7.5, np.inf]),
-    )
-    def test_tied_values(self, shape, seed, threshold):
-        # small integer factors make ties between neighbours common, and
-        # S = 0 gives every point of a (k, l) pair the value C
-        n_radial, n_angular = shape
-        # the bracket is drawn packed: the search only ever passes a
-        # symmetric one, and _product_grid mirrors it for the oracle
-        rng = np.random.default_rng(seed)
-        s = rng.integers(0, 3, (n_angular, n_angular)).astype(float)
-        n_pairs = n_radial * (n_radial + 1) // 2
-        b = rng.integers(0, 4, (n_pairs, n_angular)).astype(float)
-        c = rng.integers(0, 4, (n_angular, n_angular)).astype(float)
-        got = _factored_minima(s, b, c, threshold)
-        np.testing.assert_array_equal(
-            got, _dense_minima(_product_grid(s, b, c), threshold)
-        )
-
-    @pytest.mark.parametrize("s, b, c, threshold", [
-        # a bracket rounded to just below 0 brings s * b + c under c, which
-        # alone reaches the threshold
-        (0.75, -1e-16, 1.0, 1.0),
-        # b lies one ulp above (threshold - c) / s, yet s * b + c rounds
-        # below the threshold
-        (0.10104853533656588, 2.792514049422561, 0.01782054539906766, 0.3),
-    ])
-    def test_cut_keeps_rounding_edges(self, s, b, c, threshold):
-        s, b, c = np.full((1, 1), s), np.full((1, 1), b), np.full((1, 1), c)
-        assert _product_grid(s, b, c) < threshold
-        assert _factored_minima(s, b, c, threshold).tolist() == [[0, 0, 0, 0]]
-
-    @pytest.mark.parametrize("n_radial, n_angular", [(33, 48), (41, 60)])
-    def test_search_minima_equal_dense(self, n_radial, n_angular):
-        # the pre-refinement minima of the default and the 41x60 search,
-        # against the dense grids (20 and 48 MB)
-        span = (0.25, 4.0)
-        got = _factored_minima(*_search_terms(span, n_radial, n_angular), 1.0)
-        want = _dense_minima(_search_grid(span, n_radial, n_angular), 1.0)
-        assert len(want) > 0
-        np.testing.assert_array_equal(got, want)
-
-
-#: the four refined H1 minimizers that the original dense search returned
+#: the four exact H1 zeros with their m1_residual, as the search returns them
 _H1_HITS = [
     (1.0, 1.0, 1.5707963267948966, 0.0, 2.999519565323715e-32),
     (1.0, 1.0, 1.5707963267948966, 3.141592653589793, 1.4997597826618574e-31),
@@ -352,22 +197,10 @@ _H1_HITS = [
 
 _PINNED_SEARCHES = [
     ({}, _H1_HITS),
-    ({"n_radial": 65, "n_angular": 96}, _H1_HITS),
-    ({"n_radial": 41, "n_angular": 60}, _H1_HITS),
-    ({"span": (1.5, 3.0), "n_radial": 24, "n_angular": 37}, []),
-    (
-        {"span": (0.3, 5.0), "n_radial": 24, "n_angular": 37},
-        [
-            (1.0, 1.0, 1.5707963267948966, 2.0630334463310652e-17,
-             2.999519565323715e-32),
-            (1.0, 1.0, 1.5707963267948966, 3.1415926535897936,
-             1.4997597826618574e-31),
-            (1.0, 1.0, 4.71238898038469, 0.0,
-             2.6995676087913433e-31),
-            (1.0, 1.0, 4.71238898038469, 3.141592653589793,
-             5.099183261050316e-31),
-        ],
-    ),
+    ({"span": 2.0}, _H1_HITS),
+    ({"span": (1e-300, 2.0)}, _H1_HITS),
+    ({"span": (1.5, 3.0)}, []),
+    ({"span": (0.3, 5.0)}, _H1_HITS),
 ]
 
 
@@ -411,21 +244,18 @@ class TestIsHenneberg:
 class TestSearchPinned:
     @pytest.mark.parametrize(
         "kwargs",
-        [kwargs for kwargs, _ in _PINNED_SEARCHES]
-        + [{"span": 3.0, "n_radial": 20, "n_angular": 40}],
+        [kwargs for kwargs, _ in _PINNED_SEARCHES] + [{"span": (0.5, 1.0)}],
     )
     def test_hits_on_exact_zero_set(self, kwargs):
-        # the pins hold the last bits of Newton's iterates; the hits
-        # themselves are the exact zeros to within rounding
         for hit in brute_search_m1(**kwargs):
             assert _distance_to_h1_zeros(hit) < 1e-15, hit
             assert hit.is_henneberg(), hit
 
     def test_no_finite_differences(self):
-        # the search refines on _m1_jacobian; the difference quotients are
-        # test oracles (oracles.fd_jacobian), not part of the package
+        # the zeros are read off the factored residual: nothing is refined,
+        # differenced or searched (api.GONE lists the removed helpers)
         assert not hasattr(period, "_fd_jacobian")
-        for kwargs in ({}, {"n_radial": 65, "n_angular": 96}):
+        for kwargs in ({}, {"span": 4.0}, {"span": (0.25, 4.0)}):
             hits = brute_search_m1(**kwargs)
             assert [(*h.params, h.residual) for h in hits] == _H1_HITS
 
@@ -438,18 +268,6 @@ class TestSearchPinned:
             monkeypatch.setenv("HF_THREADS", threads)
         hits = brute_search_m1(**kwargs)
         assert [(*h.params, h.residual) for h in hits] == want
-
-    def test_memory_peak_65x96(self):
-        # the factors S, B and C take about 1.8 MB at 65x96 (B packed on the
-        # 2,145 radius pairs i <= j) and the points below threshold a few MB
-        # more, about 5 MB in all; the dense 4-D grid alone would take 311 MB
-        tracemalloc.start()
-        try:
-            brute_search_m1(n_radial=65, n_angular=96)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 7e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestThreads:
@@ -478,9 +296,9 @@ class TestSearchDomain:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"n_radial": 0},
-            {"n_radial": -3},
-            {"n_angular": 0},
+            {"span": -math.inf},
+            {"span": (1.0, math.nan)},
+            {"span": (0.5, math.inf)},
             {"span": 0.0},
             {"span": -2.0},
             {"span": 1.0},
@@ -497,8 +315,16 @@ class TestSearchDomain:
         with pytest.raises(DomainError):
             brute_search_m1(**kwargs)
 
-    def test_single_point_grid(self):
-        assert brute_search_m1(span=(0.5, 2.0), n_radial=1, n_angular=1) == []
+    def test_single_point_grid(self, capsys):
+        # a 1 x 1 grid of the command line used to miss the zeros; the
+        # grid sizes are now only echoed
+        argv = ["search-m1", "--r-lo", "0.5", "--r-hi", "2.0"]
+        assert cli.main(argv) == 0
+        want = json.loads(capsys.readouterr().out)
+        assert cli.main([*argv, "--n-radial", "1", "--n-angular", "1"]) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert (got["grid"]["n_radial"], got["grid"]["n_angular"]) == (1, 1)
+        assert got["minimizers"] == want["minimizers"] and len(got["minimizers"]) == 4
 
 
 class TestM2System:
